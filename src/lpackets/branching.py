@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cartan import Weight
+from .cartan import EntryLike, Weight, double_entry, doubled_text, half_entry
 from .roots import Signature
 
 __all__ = [
@@ -26,33 +26,63 @@ __all__ = [
 ]
 
 
-def _require_dominant(weight: Weight, label: str) -> None:
-    if any(x < y for x, y in zip(weight.entries, weight.entries[1:])):
-        raise ValueError(f"{label} {weight.entries} is not non-increasing")
+def _require_dominant(doubled: tuple[int, ...], label: str) -> None:
+    if any(x < y for x, y in zip(doubled, doubled[1:])):
+        raise ValueError(f"{label} ({doubled_text(doubled)}) is not non-increasing")
 
 
 @dataclass(frozen=True)
 class BranchConstituent:
-    """One U(m-1) x U(1) constituent of a restricted representation."""
+    """One U(m-1) x U(1) constituent of a restricted representation.
+
+    The U(1) weight is stored doubled; `u1` is its Fraction view."""
 
     lower: Weight
-    u1: Fraction
+    doubled_u1: int
+
+    @property
+    def u1(self) -> Fraction:
+        return half_entry(self.doubled_u1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KRestriction:
-    """K-type split for U(r-1) x U(1) x U(s): head, pivot, tail."""
+    """K-type split for U(r-1) x U(1) x U(s): head, pivot, tail.
+
+    The pivot is stored doubled; `u1` is its Fraction view."""
 
     head: Weight
-    u1: Fraction
+    doubled_u1: int
     tail: Weight
+
+    def __init__(self, head: Weight, u1: EntryLike, tail: Weight):
+        self._assign(head, double_entry(u1), tail)
+
+    @classmethod
+    def from_doubled(cls, head: Weight, doubled_u1: int, tail: Weight) -> "KRestriction":
+        split = object.__new__(cls)
+        split._assign(head, doubled_u1, tail)
+        return split
+
+    def _assign(self, head: Weight, doubled_u1: int, tail: Weight) -> None:
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "doubled_u1", doubled_u1)
+        object.__setattr__(self, "tail", tail)
+
+    @property
+    def u1(self) -> Fraction:
+        return half_entry(self.doubled_u1)
+
+
+def _interlaces(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
+    return all(upper[k] >= lower[k] >= upper[k + 1] for k in range(len(lower)))
 
 
 def interlaces(upper: Weight, lower: Weight) -> bool:
     """upper_1 >= lower_1 >= upper_2 >= ... >= lower_{m-1} >= upper_m."""
     if len(lower) != len(upper) - 1:
         raise ValueError("dimension mismatch")
-    return all(upper[k] >= lower[k] >= upper[k + 1] for k in range(len(lower)))
+    return _interlaces(upper.doubled, lower.doubled)
 
 
 def branch(upper: Weight) -> list[BranchConstituent]:
@@ -61,22 +91,22 @@ def branch(upper: Weight) -> list[BranchConstituent]:
     Entries step by 1 inside [upper_{k+1}, upper_k], so every constituent
     stays on the coset of the input. Multiplicities are all 1.
     """
-    _require_dominant(upper, "highest weight")
-    if len(upper) < 1:
+    doubled = upper.doubled
+    _require_dominant(doubled, "highest weight")
+    if len(doubled) < 1:
         raise ValueError("empty highest weight")
-    total = sum(upper.entries)
-    if len(upper) == 1:
-        return [BranchConstituent(lower=Weight(()), u1=total)]
+    total = sum(doubled)
+    if len(doubled) == 1:
+        return [BranchConstituent(lower=Weight(()), doubled_u1=total)]
 
-    def descend(prefix: list[Fraction], k: int, out: list[BranchConstituent]) -> None:
-        if k == len(upper) - 1:
-            lower = Weight(tuple(prefix))
-            out.append(BranchConstituent(lower=lower, u1=total - sum(prefix)))
+    def descend(prefix: list[int], k: int, out: list[BranchConstituent]) -> None:
+        if k == len(doubled) - 1:
+            out.append(BranchConstituent(lower=Weight.from_doubled(prefix),
+                                         doubled_u1=total - sum(prefix)))
             return
-        top, bottom = upper[k], upper[k + 1]
-        steps = int(top - bottom)
-        for offset in range(steps + 1):
-            prefix.append(top - offset)
+        top, bottom = doubled[k], doubled[k + 1]
+        for entry in range(top, bottom - 1, -2):
+            prefix.append(entry)
             descend(prefix, k + 1, out)
             prefix.pop()
 
@@ -88,15 +118,19 @@ def branch(upper: Weight) -> list[BranchConstituent]:
 def weyl_dim(weight: Weight) -> int:
     """Dimension of the irreducible U(m) representation with this highest
     weight: product over i < j of (w_i - w_j + j - i) / (j - i)."""
-    _require_dominant(weight, "highest weight")
-    m = len(weight)
-    value = Fraction(1)
+    doubled = weight.doubled
+    _require_dominant(doubled, "highest weight")
+    m = len(doubled)
+    num = den = 1
     for i in range(m):
         for j in range(i + 1, m):
-            value *= Fraction(weight[i] - weight[j] + j - i, j - i)
-    if value.denominator != 1:
+            # Each factor, numerator and denominator both doubled.
+            num *= doubled[i] - doubled[j] + 2 * (j - i)
+            den *= 2 * (j - i)
+    value, remainder = divmod(num, den)
+    if remainder:
         raise ValueError("dimension formula did not produce an integer")
-    return value.numerator
+    return value
 
 
 def restrict_ktype(lam: Weight, sig: Signature) -> KRestriction:
@@ -105,10 +139,11 @@ def restrict_ktype(lam: Weight, sig: Signature) -> KRestriction:
         raise ValueError("signature needs r >= 1 to restrict")
     if len(lam) != sig.n:
         raise ValueError("dimension mismatch")
-    a, b = lam.entries[: sig.r], lam.entries[sig.r:]
-    _require_dominant(Weight(a), "a-block")
-    _require_dominant(Weight(b), "b-block")
-    return KRestriction(head=Weight(a[:-1]), u1=a[-1], tail=Weight(b))
+    a, b = lam.doubled[: sig.r], lam.doubled[sig.r:]
+    _require_dominant(a, "a-block")
+    _require_dominant(b, "b-block")
+    return KRestriction.from_doubled(Weight.from_doubled(a[:-1]), a[-1],
+                                     Weight.from_doubled(b))
 
 
 def restriction_contains(lam: Weight, sig: Signature, candidate: KRestriction) -> bool:
@@ -119,9 +154,10 @@ def restriction_contains(lam: Weight, sig: Signature, candidate: KRestriction) -
         raise ValueError("signature needs r >= 1 to restrict")
     if len(lam) != sig.n:
         raise ValueError("dimension mismatch")
-    a, b = Weight(lam.entries[: sig.r]), Weight(lam.entries[sig.r:])
-    if len(candidate.head) != sig.r - 1:
+    a, b = lam.doubled[: sig.r], lam.doubled[sig.r:]
+    head = candidate.head.doubled
+    if len(head) != sig.r - 1:
         return False
-    return (interlaces(a, candidate.head)
-            and candidate.u1 == sum(a.entries) - sum(candidate.head.entries)
-            and candidate.tail == b)
+    return (_interlaces(a, head)
+            and candidate.doubled_u1 == sum(a) - sum(head)
+            and candidate.tail.doubled == b)

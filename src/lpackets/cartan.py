@@ -1,14 +1,20 @@
 """Exact weight arithmetic on the diagonal torus of u(n).
 
 Weights are tuples of rationals lying in (1/2)Z, with all entries of one
-weight in a single coset of Z (all integral or all half-odd). Arithmetic
-is exact throughout; no floating point is used anywhere in the package.
+weight in a single coset of Z (all integral or all half-odd). Internally a
+weight is stored doubled: the tuple of ints equal to twice each entry, so
+the coset is the common parity and all arithmetic is integer arithmetic.
+`Fraction` appears only at the boundary: entries given to constructors,
+the public views (`Weight.entries`, indexing, iteration, `pairing`) and
+the string forms. No floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from functools import lru_cache
+from operator import add, sub
+from typing import Iterable, Iterator, Sequence, Union
 
 EntryLike = Union[int, Fraction]
 
@@ -22,100 +28,142 @@ __all__ = [
     "entry_from_str",
     "weight_to_strings",
     "weight_from_strings",
+    "two_rho",
+    "check_parity",
+    "double_entry",
+    "half_entry",
+    "doubled_to_str",
+    "doubled_text",
 ]
 
 
-def _to_entry(value: EntryLike) -> Fraction:
-    entry = Fraction(value)
-    if entry.denominator not in (1, 2):
-        raise ValueError(f"weight entry {entry} is not a half-integer")
-    return entry
+def double_entry(value: EntryLike) -> int:
+    """Twice a half-integral entry, as an int; rejects other rationals."""
+    if type(value) is int:
+        return 2 * value
+    entry = value if isinstance(value, Fraction) else Fraction(value)
+    if entry.denominator == 1:
+        return 2 * entry.numerator
+    if entry.denominator == 2:
+        return entry.numerator
+    raise ValueError(f"weight entry {entry} is not a half-integer")
+
+
+def half_entry(doubled: int) -> Fraction:
+    """The public Fraction view of a doubled entry."""
+    return Fraction(doubled // 2) if doubled % 2 == 0 else Fraction(doubled, 2)
+
+
+def check_parity(doubled: tuple[int, ...]) -> None:
+    """Reject a doubled tuple whose entries lie in two cosets of Z."""
+    if len({x & 1 for x in doubled}) > 1:
+        raise ValueError(f"mixed half-integrality in weight ({doubled_text(doubled)})")
 
 
 class Weight:
-    """Immutable n-tuple in (1/2)Z^n with uniform half-integrality."""
+    """Immutable n-tuple in (1/2)Z^n with uniform half-integrality.
 
-    __slots__ = ("entries",)
+    `doubled` holds twice each entry; `entries` is the Fraction view.
+    """
+
+    __slots__ = ("doubled",)
 
     def __init__(self, entries: Iterable[EntryLike]):
-        values = tuple(_to_entry(v) for v in entries)
-        # 2*e is an integer; its parity identifies the coset of Z.
-        parities = {(2 * e).numerator % 2 for e in values}
-        if len(parities) > 1:
-            raise ValueError(f"mixed half-integrality in weight {values}")
-        object.__setattr__(self, "entries", values)
+        doubled = tuple(double_entry(v) for v in entries)
+        check_parity(doubled)
+        object.__setattr__(self, "doubled", doubled)
+
+    @classmethod
+    def from_doubled(cls, doubled: Sequence[int]) -> "Weight":
+        """The weight whose entries are half of the given ints."""
+        values = tuple(doubled)
+        check_parity(values)
+        weight = object.__new__(cls)
+        object.__setattr__(weight, "doubled", values)
+        return weight
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Weight is immutable")
 
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(half_entry(d) for d in self.doubled)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.doubled)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.entries)
+        return (half_entry(d) for d in self.doubled)
 
-    def __getitem__(self, index: int) -> Fraction:
-        return self.entries[index]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(half_entry(d) for d in self.doubled[index])
+        return half_entry(self.doubled[index])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Weight):
             return NotImplemented
-        return self.entries == other.entries
+        return self.doubled == other.doubled
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash(self.doubled)
 
     def __add__(self, other: "Weight") -> "Weight":
         if not isinstance(other, Weight):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError("dimension mismatch")
-        return Weight(x + y for x, y in zip(self.entries, other.entries))
+        return Weight.from_doubled(map(add, self.doubled, other.doubled))
 
     def __sub__(self, other: "Weight") -> "Weight":
         if not isinstance(other, Weight):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError("dimension mismatch")
-        return Weight(x - y for x, y in zip(self.entries, other.entries))
+        return Weight.from_doubled(map(sub, self.doubled, other.doubled))
 
     def __neg__(self) -> "Weight":
-        return Weight(-x for x in self.entries)
+        return Weight.from_doubled(-x for x in self.doubled)
 
     def __repr__(self) -> str:
-        return f"Weight(({', '.join(entry_to_str(e) for e in self.entries)}))"
+        return f"Weight(({', '.join(map(doubled_to_str, self.doubled))}))"
 
     def is_regular(self) -> bool:
         """True iff all entries are pairwise distinct."""
-        return len(set(self.entries)) == len(self.entries)
+        return len(set(self.doubled)) == len(self.doubled)
 
 
 def pairing(x: Weight, y: Weight) -> Fraction:
     """Standard dot product; the bilinear form used everywhere here."""
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+    return Fraction(sum(a * b for a, b in zip(x.doubled, y.doubled)), 4)
+
+
+@lru_cache(maxsize=64)
+def two_rho(n: int) -> tuple[int, ...]:
+    """2 rho(n) = (n-1, n-3, ..., 1-n): rho(n) in the doubled form."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return tuple(n - 1 - 2 * k for k in range(n))
 
 
 def rho(n: int) -> Weight:
     """Half-sum of the standard positive roots: ((n-1)/2, (n-3)/2, ..., (1-n)/2)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return Weight(Fraction(n - 1 - 2 * k, 2) for k in range(n))
+    return Weight.from_doubled(two_rho(n))
 
 
 def rho_tilde(n: int) -> Weight:
     """Integral shift of rho: (n-1, n-2, ..., 1, 0)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return Weight(n - 1 - k for k in range(n))
+    return Weight.from_doubled(2 * (n - 1 - k) for k in range(n))
 
 
 def hodge_parameter(weight: Weight) -> Weight:
     """Shift every entry by (n-1)/2, moving rho-shifted data onto rho_tilde."""
-    n = len(weight)
-    shift = Fraction(n - 1, 2)
-    return Weight(e + shift for e in weight)
+    shift = len(weight) - 1
+    return Weight.from_doubled(d + shift for d in weight.doubled)
 
 
 # Serialization: each entry renders as "p" (integral) or "p/2" (odd p).
@@ -124,6 +172,16 @@ def entry_to_str(entry: Fraction) -> str:
     if entry.denominator == 1:
         return str(entry.numerator)
     return f"{entry.numerator}/2"
+
+
+def doubled_to_str(doubled: int) -> str:
+    """entry_to_str of the entry doubled/2, without building a Fraction."""
+    return str(doubled // 2) if doubled % 2 == 0 else f"{doubled}/2"
+
+
+def doubled_text(doubled: Iterable[int]) -> str:
+    """Comma-separated entries of a doubled tuple: "5,2,-1/2"-style."""
+    return ",".join(map(doubled_to_str, doubled))
 
 
 def entry_from_str(text: str) -> Fraction:
@@ -150,7 +208,7 @@ def entry_from_str(text: str) -> Fraction:
 
 
 def weight_to_strings(weight: Weight) -> list[str]:
-    return [entry_to_str(e) for e in weight]
+    return [doubled_to_str(d) for d in weight.doubled]
 
 
 def weight_from_strings(items: Iterable[str]) -> Weight:

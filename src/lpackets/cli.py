@@ -20,7 +20,14 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .branching import branch, weyl_dim
-from .cartan import Weight, entry_from_str, entry_to_str, weight_to_strings
+from .cartan import (
+    Weight,
+    doubled_text,
+    doubled_to_str,
+    entry_from_str,
+    entry_to_str,
+    weight_to_strings,
+)
 from .descent import (
     PlacedParameter,
     RestrictionClass,
@@ -97,18 +104,19 @@ def parse_weight(text: str) -> tuple[Weight, Optional[Blocks]]:
 def format_weight(weight: Weight, sig: Optional[Signature] = None) -> str:
     """Inverse of parse_weight; uses ";" for the block separator."""
     if sig is None:
-        return ",".join(entry_to_str(e) for e in weight)
+        return doubled_text(weight.doubled)
     if len(weight) != sig.n:
         raise ValueError("dimension mismatch")
-    a = ",".join(entry_to_str(e) for e in weight.entries[: sig.r])
-    b = ",".join(entry_to_str(e) for e in weight.entries[sig.r:])
-    return f"{a};{b}"
+    return _fmt_blocks(weight.doubled[: sig.r], weight.doubled[sig.r:])
+
+
+def _fmt_blocks(a: Sequence[int], b: Sequence[int]) -> str:
+    """Doubled blocks as "a;b"."""
+    return f"{doubled_text(a)};{doubled_text(b)}"
 
 
 def _fmt_hc(hc: HCParameter) -> str:
-    a = ",".join(entry_to_str(e) for e in hc.a)
-    b = ",".join(entry_to_str(e) for e in hc.b)
-    return f"({a};{b})"
+    return f"({_fmt_blocks(hc.doubled_a, hc.doubled_b)})"
 
 
 def _fmt_blocked(weight: Weight, sig: Signature) -> str:
@@ -136,7 +144,7 @@ def _blocks_for_sig(weight: Weight, blocks: Optional[Blocks],
         if sizes != (sig.r, sig.s):
             raise ValueError(
                 f"block sizes {sizes} do not match signature ({sig.r},{sig.s})")
-    return HCParameter(weight.entries[: sig.r], weight.entries[sig.r:])
+    return HCParameter.from_doubled(weight.doubled[: sig.r], weight.doubled[sig.r:])
 
 
 def parse_hc(text: str, sig: Signature) -> HCParameter:
@@ -163,9 +171,12 @@ def parse_place_hw(text: str) -> tuple[Signature, InfinitesimalCharacter]:
     return sig, infinitesimal_character(weight)
 
 
+def _blocks_json(a: Sequence[int], b: Sequence[int]) -> dict:
+    return {"a": [doubled_to_str(d) for d in a], "b": [doubled_to_str(d) for d in b]}
+
+
 def _hc_json(hc: HCParameter) -> dict:
-    return {"a": [entry_to_str(e) for e in hc.a],
-            "b": [entry_to_str(e) for e in hc.b]}
+    return _blocks_json(hc.doubled_a, hc.doubled_b)
 
 
 def _emit_json(obj: object) -> None:
@@ -206,8 +217,8 @@ def _cmd_packet(args: argparse.Namespace) -> int:
             print("a\tb\tdegree\tlength\tblattner\tcoherent")
             for m in members:
                 print("\t".join([
-                    ",".join(entry_to_str(e) for e in m.hc.a),
-                    ",".join(entry_to_str(e) for e in m.hc.b),
+                    doubled_text(m.hc.doubled_a),
+                    doubled_text(m.hc.doubled_b),
                     str(m.degree),
                     str(m.length),
                     format_weight(m.blattner),
@@ -309,19 +320,19 @@ def _cmd_branch(args: argparse.Namespace) -> int:
                 "dim": dim_upper,
                 "dim_sum": dim_sum,
                 "constituents": [
-                    {"lower": weight_to_strings(c.lower), "u1": entry_to_str(c.u1)}
+                    {"lower": weight_to_strings(c.lower), "u1": doubled_to_str(c.doubled_u1)}
                     for c in constituents],
             })
         elif args.format == "tsv":
             print("lower\tu1")
             for c in constituents:
-                print(f"{format_weight(c.lower)}\t{entry_to_str(c.u1)}")
+                print(f"{format_weight(c.lower)}\t{doubled_to_str(c.doubled_u1)}")
         else:
             check = "OK" if dim_sum == dim_upper else "MISMATCH"
             print(f"{len(constituents)} constituents; "
                   f"dim {dim_upper}, constituent dims sum to {dim_sum}: {check}")
             for c in constituents:
-                print(f"  ({format_weight(c.lower)}) u1={entry_to_str(c.u1)}")
+                print(f"  ({format_weight(c.lower)}) u1={doubled_to_str(c.doubled_u1)}")
 
     return _finish(args, [], emit)
 
@@ -347,20 +358,17 @@ def _cmd_restrict(args: argparse.Namespace) -> int:
         if args.format == "json":
             _emit_json({
                 "sig": [sig.r, sig.s],
-                "prime": {"a": [entry_to_str(e) for e in rp.prime_a],
-                          "b": [entry_to_str(e) for e in rp.prime_b]},
-                "u1": entry_to_str(rp.u1_weight),
+                "prime": _blocks_json(rp.doubled_a, rp.doubled_b),
+                "u1": doubled_to_str(rp.doubled_u1),
                 "discrete_series": discrete,
                 "min_in_a": min_in_a,
                 "support_matches": support,
                 "well_spaced": spaced,
             })
         elif args.format == "tsv":
-            a = ",".join(entry_to_str(e) for e in rp.prime_a)
-            b = ",".join(entry_to_str(e) for e in rp.prime_b)
             rows = [
-                ("prime", f"{a};{b}"),
-                ("u1", entry_to_str(rp.u1_weight)),
+                ("prime", _fmt_blocks(rp.doubled_a, rp.doubled_b)),
+                ("u1", doubled_to_str(rp.doubled_u1)),
                 ("discrete_series", str(discrete).lower()),
                 ("min_in_a", str(min_in_a).lower()),
                 ("support_matches", str(support).lower()),
@@ -369,10 +377,11 @@ def _cmd_restrict(args: argparse.Namespace) -> int:
             for key, value in rows:
                 print(f"{key}\t{value}")
         else:
-            a = ",".join(entry_to_str(e) for e in rp.prime_a)
-            b = ",".join(entry_to_str(e) for e in rp.prime_b)
-            print(f"restricted parameter ({a};{b}) for sig "
-                  f"({sig.r - 1},{sig.s}), u1={entry_to_str(rp.u1_weight)}")
+            # U(1,0) descends to U(0): there is no signature (0,0).
+            base = ("the trivial group U(0)" if sig.n == 1
+                    else f"sig ({sig.r - 1},{sig.s})")
+            print(f"restricted parameter ({_fmt_blocks(rp.doubled_a, rp.doubled_b)}) "
+                  f"for {base}, u1={doubled_to_str(rp.doubled_u1)}")
             print(f"  names a discrete series: {'yes' if discrete else 'no'}")
             print(f"  minimum entry in a-block: {'yes' if min_in_a else 'no'}")
             print(f"  noncompact support preserved: {'yes' if support else 'no'}")
@@ -494,7 +503,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     place_reports = []
     for sig, hc in p.places:
-        ic = InfinitesimalCharacter(sorted(hc.a + hc.b, reverse=True))
+        ic = InfinitesimalCharacter(Weight.from_doubled(
+            sorted(hc.doubled_a + hc.doubled_b, reverse=True)))
         packet = enumerate_packet(ic, sig)
         index = next(k for k, m in enumerate(packet) if m.hc == hc)
         member = packet[index]
@@ -516,10 +526,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                      "packet_index": index,
                      "blattner": weight_to_strings(member.blattner),
                      "coherent": weight_to_strings(member.coherent),
-                     "restricted": {
-                         "a": [entry_to_str(e) for e in rp.prime_a],
-                         "b": [entry_to_str(e) for e in rp.prime_b]},
-                     "u1": entry_to_str(rp.u1_weight)}
+                     "restricted": _blocks_json(rp.doubled_a, rp.doubled_b),
+                     "u1": doubled_to_str(rp.doubled_u1)}
                     for sig, hc, member, index, rp in place_reports],
                 "class": classification.value,
                 "dual_min_in_a": dual_flag,
@@ -529,8 +537,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print("sig\tparameter\tdegree\tlength\tpacket_index\tblattner"
                   "\tcoherent\trestricted\tu1")
             for sig, hc, member, index, rp in place_reports:
-                a = ",".join(entry_to_str(e) for e in rp.prime_a)
-                b = ",".join(entry_to_str(e) for e in rp.prime_b)
                 print("\t".join([
                     f"{sig.r},{sig.s}",
                     format_weight(hc.weight, sig),
@@ -539,22 +545,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     str(index),
                     format_weight(member.blattner),
                     format_weight(member.coherent),
-                    f"{a};{b}",
-                    entry_to_str(rp.u1_weight),
+                    _fmt_blocks(rp.doubled_a, rp.doubled_b),
+                    doubled_to_str(rp.doubled_u1),
                 ]))
             print(f"class\t{classification.value}")
             print(f"dual_min_in_a\t{str(dual_flag).lower()}")
             print(f"well_spaced\t{str(spaced).lower()}")
         else:
             for sig, hc, member, index, rp in place_reports:
-                a = ",".join(entry_to_str(e) for e in rp.prime_a)
-                b = ",".join(entry_to_str(e) for e in rp.prime_b)
                 print(f"place ({sig.r},{sig.s}): {_fmt_hc(hc)}")
                 print(f"  packet index {index}, degree {member.degree}, "
                       f"length {member.length}")
                 print(f"  blattner {_fmt_blocked(member.blattner, sig)}, "
                       f"coherent {_fmt_blocked(member.coherent, sig)}")
-                print(f"  restricted ({a};{b}), u1={entry_to_str(rp.u1_weight)}")
+                print(f"  restricted ({_fmt_blocks(rp.doubled_a, rp.doubled_b)}), "
+                      f"u1={doubled_to_str(rp.doubled_u1)}")
             print(f"class: {classification.value}")
             print(f"dual satisfies minimum condition: "
                   f"{str(dual_flag).lower()}")

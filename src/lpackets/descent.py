@@ -19,10 +19,11 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .branching import restrict_ktype
-from .cartan import Weight, rho
+from .cartan import Weight, half_entry, two_rho
 from .packets import (
     HCParameter,
     InfinitesimalCharacter,
@@ -98,18 +99,31 @@ class RestrictedParameter:
 
     The blocks are stored raw: off the spacing hypothesis they can collide,
     and promoting them to an HCParameter is only possible (and only done)
-    when they are jointly regular.
+    when they are jointly regular. Everything is stored doubled;
+    `prime_a`, `prime_b` and `u1_weight` are the Fraction views.
     """
 
-    prime_a: tuple[Fraction, ...]
-    prime_b: tuple[Fraction, ...]
-    u1_weight: Fraction
+    doubled_a: tuple[int, ...]
+    doubled_b: tuple[int, ...]
+    doubled_u1: int
+
+    @property
+    def prime_a(self) -> tuple[Fraction, ...]:
+        return tuple(half_entry(d) for d in self.doubled_a)
+
+    @property
+    def prime_b(self) -> tuple[Fraction, ...]:
+        return tuple(half_entry(d) for d in self.doubled_b)
+
+    @property
+    def u1_weight(self) -> Fraction:
+        return half_entry(self.doubled_u1)
 
     def prime_weight(self) -> Weight:
-        return Weight(self.prime_a + self.prime_b)
+        return Weight.from_doubled(self.doubled_a + self.doubled_b)
 
     def prime_hc(self) -> HCParameter:
-        return HCParameter(self.prime_a, self.prime_b)
+        return HCParameter.from_doubled(self.doubled_a, self.doubled_b)
 
 
 def well_spaced(entries: Sequence[Fraction], gap: int = 2) -> bool:
@@ -117,12 +131,10 @@ def well_spaced(entries: Sequence[Fraction], gap: int = 2) -> bool:
     return all(x - y >= gap for x, y in zip(entries, entries[1:]))
 
 
-def _sorted_entries(hc: HCParameter) -> tuple[Fraction, ...]:
-    return tuple(sorted(hc.a + hc.b, reverse=True))
-
-
 def well_spaced_everywhere(p: PlacedParameter, gap: int = 2) -> bool:
-    return all(well_spaced(_sorted_entries(hc), gap) for _, hc in p.places)
+    # On doubled entries every gap doubles too.
+    return all(well_spaced(sorted(hc.doubled_a + hc.doubled_b, reverse=True), 2 * gap)
+               for _, hc in p.places)
 
 
 def restrict_parameter(sig: Signature, hc: HCParameter) -> RestrictedParameter:
@@ -132,30 +144,30 @@ def restrict_parameter(sig: Signature, hc: HCParameter) -> RestrictedParameter:
         raise ValueError("signature needs r >= 1 to restrict")
     if (sig.r, sig.s) != (hc.r, hc.s):
         raise ValueError(f"parameter {hc!r} does not match signature {sig}")
-    half = Fraction(1, 2)
-    prime_a = tuple(x - half for x in hc.a[:-1])
-    prime_b = tuple(x + half for x in hc.b)
-    u1 = hc.a[-1] - rho(hc.n)[sig.r - 1]
+    # Doubled, the shifts by -1/2 and +1/2 are -1 and +1.
+    prime_a = tuple(x - 1 for x in hc.doubled_a[:-1])
+    prime_b = tuple(x + 1 for x in hc.doubled_b)
+    u1 = hc.doubled_a[-1] - two_rho(hc.n)[sig.r - 1]
 
     # The same data two other ways; both must agree by construction.
     split = restrict_ktype(coherent_parameter(hc), sig)
-    if split.u1 != u1:
+    if split.doubled_u1 != u1:
         raise AssertionError("U(1) weight mismatch between construction routes")
     if hc.n > 1:
-        alt = Weight(split.head.entries + split.tail.entries) + rho(hc.n - 1)
-        if alt.entries != prime_a + prime_b:
+        alt = tuple(map(add, split.head.doubled + split.tail.doubled, two_rho(hc.n - 1)))
+        if alt != prime_a + prime_b:
             raise AssertionError("descended parameter mismatch between routes")
-    return RestrictedParameter(prime_a=prime_a, prime_b=prime_b, u1_weight=u1)
+    return RestrictedParameter(doubled_a=prime_a, doubled_b=prime_b, doubled_u1=u1)
 
 
 def restriction_is_discrete_series(rp: RestrictedParameter, n: int) -> bool:
     """True iff the descended blocks are jointly regular and live on the
     coset (n-2)/2 + Z, i.e. name a discrete series of U(r-1, s)."""
-    entries = rp.prime_a + rp.prime_b
+    entries = rp.doubled_a + rp.doubled_b
     if len(set(entries)) != len(entries):
         return False
-    anchor = Fraction(n - 2, 2)
-    return all((x - anchor).denominator == 1 for x in entries)
+    # x - (n-2)/2 is an integer iff 2x - (n-2) is even.
+    return all((x - n) % 2 == 0 for x in entries)
 
 
 def min_entry_in_a(hc: HCParameter) -> bool:
@@ -163,14 +175,14 @@ def min_entry_in_a(hc: HCParameter) -> bool:
     empty (no witness exists)."""
     if hc.r == 0:
         return False
-    return hc.a[-1] == min(hc.a + hc.b)
+    return hc.doubled_a[-1] == min(hc.doubled_a + hc.doubled_b)
 
 
 def min_entry_in_a_everywhere(p: PlacedParameter) -> bool:
     return all(min_entry_in_a(hc) for _, hc in p.places)
 
 
-def _noncompact_support(a: Sequence[Fraction], b: Sequence[Fraction]) -> set[tuple[int, int]]:
+def _noncompact_support(a: Sequence[int], b: Sequence[int]) -> set[tuple[int, int]]:
     return {(i, j) for i, ai in enumerate(a, start=1)
             for j, bj in enumerate(b, start=1) if ai > bj}
 
@@ -181,8 +193,8 @@ def noncompact_support_matches(sig: Signature, hc: HCParameter,
     through the block-index embedding, are exactly the original ones."""
     if (sig.r, sig.s) != (hc.r, hc.s):
         raise ValueError(f"parameter {hc!r} does not match signature {sig}")
-    original = _noncompact_support(hc.a, hc.b)
-    descended = _noncompact_support(rp.prime_a, rp.prime_b)
+    original = _noncompact_support(hc.doubled_a, hc.doubled_b)
+    descended = _noncompact_support(rp.doubled_a, rp.doubled_b)
     return descended == original
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cartan import Weight
+from .cartan import Weight, doubled_text, half_entry
 from .packets import HCParameter, _strictly_decreasing
-from .roots import RootSet, Signature, compact_roots, positive_on, roots_g, sum_of_roots
+from .roots import Root, RootSet, Signature
 
 __all__ = [
     "ThetaParabolic",
@@ -30,6 +30,22 @@ __all__ = [
     "minimal_ktype_test",
     "regularity_margin",
 ]
+
+
+def _positive_pairs(doubled: tuple[int, ...], lo: int, hi: int) -> list[tuple[int, int]]:
+    """0-based (i, j) in [lo, hi), lexicographic, with entry i > entry j:
+    the roots e_i - e_j of that index range pairing strictly positively."""
+    return [(i, j) for i in range(lo, hi) for j in range(lo, hi)
+            if doubled[i] > doubled[j]]
+
+
+def _root_sum(pairs: list[tuple[int, int]], n: int) -> list[int]:
+    """Sum of the roots e_i - e_j over pairs, doubled."""
+    coords = [0] * n
+    for i, j in pairs:
+        coords[i] += 2
+        coords[j] -= 2
+    return coords
 
 
 @dataclass(frozen=True)
@@ -48,23 +64,25 @@ def shifted_weight(mu: Weight, sig: Signature) -> Weight:
     """
     if len(mu) != sig.n:
         raise ValueError("dimension mismatch")
-    blocks = (mu.entries[: sig.r], mu.entries[sig.r:])
-    for block in blocks:
+    doubled = mu.doubled
+    for block in (doubled[: sig.r], doubled[sig.r:]):
         if any(x < y for x, y in zip(block, block[1:])):
-            raise ValueError(f"weight {mu.entries} is not K-dominant for {sig}")
-    shift = sum_of_roots(positive_on(compact_roots(sig), mu))
-    return mu + shift
+            raise ValueError(f"weight ({doubled_text(doubled)}) is not K-dominant "
+                             f"for sig ({sig.r},{sig.s})")
+    compact = _positive_pairs(doubled, 0, sig.r) + _positive_pairs(doubled, sig.r, sig.n)
+    return Weight.from_doubled(
+        x + y for x, y in zip(doubled, _root_sum(compact, sig.n)))
 
 
 def theta_parabolic(weight: Weight) -> ThetaParabolic:
     """Roots pairing strictly positively with the weight; Borel iff the
     weight is regular (all n(n-1)/2 positive pairs appear)."""
     n = len(weight)
-    delta_u = positive_on(roots_g(n), weight)
+    pairs = _positive_pairs(weight.doubled, 0, n)
     return ThetaParabolic(
-        delta_u=delta_u,
-        is_borel=len(delta_u) == n * (n - 1) // 2,
-        two_rho_u=sum_of_roots(delta_u),
+        delta_u=RootSet(tuple(Root(i + 1, j + 1) for i, j in pairs), n),
+        is_borel=len(pairs) == n * (n - 1) // 2,
+        two_rho_u=Weight.from_doubled(_root_sum(pairs, n)),
     )
 
 
@@ -83,23 +101,24 @@ class MinimalKTypeVerdict:
 def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
     """Decide lowest-K-type status of mu and recover its parameter."""
     shifted = shifted_weight(mu, sig)
-    parabolic = theta_parabolic(shifted)
-    borel_ok = parabolic.is_borel
-    positivity_ok = all(
-        root.pair(shifted) >= root.pair(parabolic.two_rho_u)
-        for root in parabolic.delta_u)
-    double_shift = shifted - parabolic.two_rho_u
+    w = shifted.doubled
+    n = len(w)
+    # The parabolic of theta_parabolic, as index pairs and a doubled root sum.
+    pairs = _positive_pairs(w, 0, n)
+    two_rho_u = _root_sum(pairs, n)
+    borel_ok = len(pairs) == n * (n - 1) // 2
+    positivity_ok = all(w[i] - w[j] >= two_rho_u[i] - two_rho_u[j] for i, j in pairs)
+    double_shift = Weight.from_doubled(x - y for x, y in zip(w, two_rho_u))
 
     hc: Optional[HCParameter] = None
     accepted = False
     if borel_ok and positivity_ok:
-        # Borel case: the half root sum is a permuted rho, so the shift
-        # keeps uniform half-integrality.
-        half = Weight(Fraction(e, 2) for e in parabolic.two_rho_u)
-        candidate = shifted - half
-        a, b = candidate.entries[: sig.r], candidate.entries[sig.r:]
-        if candidate.is_regular() and _strictly_decreasing(a) and _strictly_decreasing(b):
-            hc = HCParameter(a, b)
+        # Borel case: the half root sum is a permuted rho, so halving the
+        # doubled root sum is exact and keeps uniform half-integrality.
+        candidate = tuple(x - y // 2 for x, y in zip(w, two_rho_u))
+        a, b = candidate[: sig.r], candidate[sig.r:]
+        if len(set(candidate)) == n and _strictly_decreasing(a) and _strictly_decreasing(b):
+            hc = HCParameter.from_doubled(a, b)
             accepted = True
     return MinimalKTypeVerdict(
         accepted=accepted,
@@ -118,5 +137,6 @@ def regularity_margin(weight: Weight) -> Optional[Fraction]:
     """
     if len(weight) < 2:
         return None
-    return min(abs(x - y) for k, x in enumerate(weight)
-               for y in weight.entries[k + 1:])
+    doubled = weight.doubled
+    return half_entry(min(abs(x - y) for k, x in enumerate(doubled)
+                          for y in doubled[k + 1:]))

@@ -12,9 +12,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
-from .cartan import EntryLike, Weight, entry_to_str, rho
+from .cartan import (
+    EntryLike,
+    Weight,
+    check_parity,
+    double_entry,
+    doubled_text,
+    half_entry,
+    two_rho,
+)
 from .roots import Signature
 
 __all__ = [
@@ -32,43 +41,71 @@ __all__ = [
 ]
 
 
-def _strictly_decreasing(values: Sequence[Fraction]) -> bool:
+def _strictly_decreasing(values: Sequence) -> bool:
     return all(x > y for x, y in zip(values, values[1:]))
+
+
+def _inversions(word: Sequence[int]) -> int:
+    return sum(1 for k in range(len(word)) for l in range(k + 1, len(word))
+               if word[k] > word[l])
 
 
 class HCParameter:
     """Harish-Chandra parameter (a; b): two strictly decreasing blocks,
-    jointly regular, with uniform half-integrality."""
+    jointly regular, with uniform half-integrality.
 
-    __slots__ = ("a", "b")
+    The blocks are stored doubled (`doubled_a`, `doubled_b`); `a` and `b`
+    are their Fraction views.
+    """
+
+    __slots__ = ("doubled_a", "doubled_b")
 
     def __init__(self, a: Iterable[EntryLike], b: Iterable[EntryLike]):
-        a_tuple = tuple(Fraction(x) for x in a)
-        b_tuple = tuple(Fraction(x) for x in b)
-        joint = Weight(a_tuple + b_tuple)
-        if not _strictly_decreasing(a_tuple):
-            raise ValueError(f"a-block {a_tuple} is not strictly decreasing")
-        if not _strictly_decreasing(b_tuple):
-            raise ValueError(f"b-block {b_tuple} is not strictly decreasing")
-        if not joint.is_regular():
-            raise ValueError(f"parameter {a_tuple} ; {b_tuple} is singular")
-        object.__setattr__(self, "a", a_tuple)
-        object.__setattr__(self, "b", b_tuple)
+        self._init(tuple(double_entry(x) for x in a),
+                   tuple(double_entry(x) for x in b))
+
+    @classmethod
+    def from_doubled(cls, a: Sequence[int], b: Sequence[int]) -> "HCParameter":
+        """The parameter whose blocks are half of the given ints."""
+        hc = object.__new__(cls)
+        hc._init(tuple(a), tuple(b))
+        return hc
+
+    def _init(self, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+        joint = a + b
+        check_parity(joint)
+        if not _strictly_decreasing(a):
+            raise ValueError(f"a-block ({doubled_text(a)}) is not strictly decreasing")
+        if not _strictly_decreasing(b):
+            raise ValueError(f"b-block ({doubled_text(b)}) is not strictly decreasing")
+        if len(set(joint)) != len(joint):
+            raise ValueError(
+                f"parameter ({doubled_text(a)};{doubled_text(b)}) is singular")
+        object.__setattr__(self, "doubled_a", a)
+        object.__setattr__(self, "doubled_b", b)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HCParameter is immutable")
 
     @property
+    def a(self) -> tuple[Fraction, ...]:
+        return tuple(half_entry(d) for d in self.doubled_a)
+
+    @property
+    def b(self) -> tuple[Fraction, ...]:
+        return tuple(half_entry(d) for d in self.doubled_b)
+
+    @property
     def r(self) -> int:
-        return len(self.a)
+        return len(self.doubled_a)
 
     @property
     def s(self) -> int:
-        return len(self.b)
+        return len(self.doubled_b)
 
     @property
     def n(self) -> int:
-        return len(self.a) + len(self.b)
+        return len(self.doubled_a) + len(self.doubled_b)
 
     @property
     def sig(self) -> Signature:
@@ -77,20 +114,18 @@ class HCParameter:
     @property
     def weight(self) -> Weight:
         """Concatenated (a, b) as a plain weight."""
-        return Weight(self.a + self.b)
+        return Weight.from_doubled(self.doubled_a + self.doubled_b)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HCParameter):
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self.doubled_a == other.doubled_a and self.doubled_b == other.doubled_b
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        return hash((self.doubled_a, self.doubled_b))
 
     def __repr__(self) -> str:
-        a_text = ",".join(entry_to_str(e) for e in self.a)
-        b_text = ",".join(entry_to_str(e) for e in self.b)
-        return f"HCParameter(({a_text};{b_text}))"
+        return f"HCParameter(({doubled_text(self.doubled_a)};{doubled_text(self.doubled_b)}))"
 
 
 class InfinitesimalCharacter:
@@ -100,10 +135,10 @@ class InfinitesimalCharacter:
 
     def __init__(self, entries: Iterable[EntryLike]):
         weight = entries if isinstance(entries, Weight) else Weight(entries)
-        if not _strictly_decreasing(weight.entries):
+        if not _strictly_decreasing(weight.doubled):
             raise ValueError(
-                f"infinitesimal character {weight.entries} is not strictly "
-                "decreasing (singular or misordered)")
+                f"infinitesimal character ({doubled_text(weight.doubled)}) is not "
+                "strictly decreasing (singular or misordered)")
         object.__setattr__(self, "weight", weight)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -126,7 +161,7 @@ class InfinitesimalCharacter:
         return hash(self.weight)
 
     def __repr__(self) -> str:
-        return f"InfinitesimalCharacter({self.weight.entries})"
+        return f"InfinitesimalCharacter(({doubled_text(self.weight.doubled)}))"
 
 
 @dataclass(frozen=True)
@@ -142,9 +177,7 @@ class PacketMember:
     @property
     def length(self) -> int:
         """Inversion count of the shuffle word."""
-        word = self.shuffle_word
-        return sum(1 for k in range(len(word)) for l in range(k + 1, len(word))
-                   if word[k] > word[l])
+        return _inversions(self.shuffle_word)
 
 
 def infinitesimal_character(a_sigma: Iterable[EntryLike]) -> InfinitesimalCharacter:
@@ -153,48 +186,59 @@ def infinitesimal_character(a_sigma: Iterable[EntryLike]) -> InfinitesimalCharac
     The result is strictly decreasing, hence regular.
     """
     weight = a_sigma if isinstance(a_sigma, Weight) else Weight(a_sigma)
-    if any(x < y for x, y in zip(weight.entries, weight.entries[1:])):
-        raise ValueError(f"highest weight {weight.entries} is not non-increasing")
-    return InfinitesimalCharacter(weight + rho(len(weight)))
+    doubled = weight.doubled
+    if any(x < y for x, y in zip(doubled, doubled[1:])):
+        raise ValueError(f"highest weight ({doubled_text(doubled)}) is not non-increasing")
+    return InfinitesimalCharacter(
+        Weight.from_doubled(map(add, doubled, two_rho(len(doubled)))))
 
 
 def degree(hc: HCParameter) -> int:
     """Number of pairs a_i > b_j; equals the count of noncompact positive
     roots pairing strictly positively with the parameter."""
-    return sum(1 for ai in hc.a for bj in hc.b if ai > bj)
+    b = hc.doubled_b
+    return sum(1 for ai in hc.doubled_a for bj in b if ai > bj)
 
 
 def shuffle_length(hc: HCParameter, ic: InfinitesimalCharacter) -> int:
     """Inversion count of the permutation taking ic to the concatenation."""
-    word = _shuffle_word(hc, ic)
-    return sum(1 for k in range(len(word)) for l in range(k + 1, len(word))
-               if word[k] > word[l])
+    return _inversions(_shuffle_word(hc, ic))
 
 
 def _shuffle_word(hc: HCParameter, ic: InfinitesimalCharacter) -> tuple[int, ...]:
-    entries = ic.entries
-    concat = hc.a + hc.b
-    if sorted(concat, reverse=True) != list(entries):
+    entries = ic.weight.doubled
+    concat = hc.doubled_a + hc.doubled_b
+    if tuple(sorted(concat, reverse=True)) != entries:
         raise ValueError("parameter is not a shuffle of the infinitesimal character")
     position = {value: k + 1 for k, value in enumerate(entries)}
     return tuple(position[value] for value in concat)
 
 
+def _coherent_doubled(hc: HCParameter) -> tuple[int, ...]:
+    return tuple(map(sub, hc.doubled_a + hc.doubled_b, two_rho(hc.n)))
+
+
+def _blattner_doubled(hc: HCParameter, coherent: Sequence[int]) -> list[int]:
+    """The doubled Blattner parameter from the doubled coherent one."""
+    coords = list(coherent)
+    r = hc.r
+    for i, ai in enumerate(hc.doubled_a):
+        for j, bj in enumerate(hc.doubled_b, start=r):
+            if ai > bj:
+                coords[i] += 2
+                coords[j] -= 2
+    return coords
+
+
 def coherent_parameter(hc: HCParameter) -> Weight:
     """The rho-shift of the concatenated parameter."""
-    return hc.weight - rho(hc.n)
+    return Weight.from_doubled(_coherent_doubled(hc))
 
 
 def blattner(hc: HCParameter) -> Weight:
     """Lowest K-type highest weight: the coherent parameter plus the sum of
     noncompact positive roots pairing strictly positively with hc."""
-    coords = list(coherent_parameter(hc).entries)
-    for i, ai in enumerate(hc.a):
-        for j, bj in enumerate(hc.b):
-            if ai > bj:
-                coords[i] += 1
-                coords[hc.r + j] -= 1
-    return Weight(coords)
+    return Weight.from_doubled(_blattner_doubled(hc, _coherent_doubled(hc)))
 
 
 def enumerate_packet(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketMember]:
@@ -202,23 +246,21 @@ def enumerate_packet(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketM
     n = ic.n
     if sig.n != n:
         raise ValueError("dimension mismatch")
-    entries = ic.entries
-    subsets = sorted(itertools.combinations(range(n), sig.r),
-                     key=lambda c: tuple(reversed(c)))
+    entries = ic.weight.doubled
+    subsets = sorted(itertools.combinations(range(n), sig.r), key=lambda c: c[::-1])
     members = []
     for subset in subsets:
         chosen = set(subset)
-        a = tuple(entries[k] for k in subset)
-        b = tuple(entries[k] for k in range(n) if k not in chosen)
-        hc = HCParameter(a, b)
-        word = tuple(k + 1 for k in subset) + tuple(
-            k + 1 for k in range(n) if k not in chosen)
+        rest = [k for k in range(n) if k not in chosen]
+        hc = HCParameter.from_doubled([entries[k] for k in subset],
+                                      [entries[k] for k in rest])
+        coherent = _coherent_doubled(hc)
         members.append(PacketMember(
             hc=hc,
             degree=degree(hc),
-            shuffle_word=word,
-            blattner=blattner(hc),
-            coherent=coherent_parameter(hc),
+            shuffle_word=tuple(k + 1 for k in subset) + tuple(k + 1 for k in rest),
+            blattner=Weight.from_doubled(_blattner_doubled(hc, coherent)),
+            coherent=Weight.from_doubled(coherent),
         ))
     return members
 
@@ -237,5 +279,5 @@ def extremes(packet: Sequence[PacketMember]) -> tuple[PacketMember, PacketMember
 
 def dual_parameter(hc: HCParameter) -> HCParameter:
     """Contragredient parameter: negate and reverse each block."""
-    return HCParameter(tuple(-x for x in reversed(hc.a)),
-                       tuple(-x for x in reversed(hc.b)))
+    return HCParameter.from_doubled(tuple(-x for x in reversed(hc.doubled_a)),
+                                    tuple(-x for x in reversed(hc.doubled_b)))

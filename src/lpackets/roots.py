@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .cartan import Weight
+from .cartan import Weight, half_entry
 
 __all__ = [
     "Root",
@@ -41,14 +41,14 @@ class Root:
     def to_weight(self, n: int) -> Weight:
         if self.i > n or self.j > n:
             raise ValueError("root index out of range")
-        return Weight(1 if k == self.i else -1 if k == self.j else 0
-                      for k in range(1, n + 1))
+        return Weight.from_doubled(2 if k == self.i else -2 if k == self.j else 0
+                                   for k in range(1, n + 1))
 
     def pair(self, weight: Weight) -> Fraction:
         """pairing(weight, e_i - e_j) without materializing the root vector."""
         if self.i > len(weight) or self.j > len(weight):
             raise ValueError("root index out of range")
-        return weight[self.i - 1] - weight[self.j - 1]
+        return half_entry(weight.doubled[self.i - 1] - weight.doubled[self.j - 1])
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,15 @@ def positive_on(roots: RootSet, weight: Weight) -> RootSet:
     """Subset pairing strictly positively with weight; input order kept."""
     if len(weight) != roots.n:
         raise ValueError("dimension mismatch")
-    return RootSet(tuple(r for r in roots if r.pair(weight) > 0), roots.n)
+    doubled = weight.doubled
+    return RootSet(tuple(r for r in roots if doubled[r.i - 1] > doubled[r.j - 1]),
+                   roots.n)
 
 
 def sum_of_roots(roots: RootSet) -> Weight:
     """Coordinate sum of the root vectors; the zero weight for an empty set."""
     coords = [0] * roots.n
     for root in roots:
-        coords[root.i - 1] += 1
-        coords[root.j - 1] -= 1
-    return Weight(coords)
+        coords[root.i - 1] += 2
+        coords[root.j - 1] -= 2
+    return Weight.from_doubled(coords)

@@ -1,8 +1,11 @@
-"""Shared generators for randomized sweeps; all seeded by the caller."""
+"""Shared generators for randomized sweeps, all seeded by the caller, and
+plain-Fraction reference computations."""
 
 from __future__ import annotations
 
+import itertools
 import random
+from fractions import Fraction
 
 from lpackets import (
     InfinitesimalCharacter,
@@ -40,3 +43,69 @@ def random_kdominant(rng: random.Random, sig: Signature,
             top = rng.randint(-4, 8)
             blocks.append(top if k == 0 else blocks[-1] - rng.randint(0, max_gap))
     return Weight(blocks)
+
+
+# Plain-Fraction references: the computations as they stood before the
+# library moved to doubled integers, on tuples of Fractions and with no
+# library types, so the integer core can be compared against them.
+
+def _decreasing(values) -> bool:
+    return all(x > y for x, y in zip(values, values[1:]))
+
+
+def reference_packet(lam, r: int) -> list[tuple]:
+    """(a, b, degree, shuffle word, Blattner, coherent) per member of the
+    packet of the strictly decreasing character lam, in colex order."""
+    n = len(lam)
+    rho = [Fraction(n - 1 - 2 * k, 2) for k in range(n)]
+    members = []
+    for subset in sorted(itertools.combinations(range(n), r),
+                         key=lambda c: tuple(reversed(c))):
+        rest = [k for k in range(n) if k not in subset]
+        a = tuple(Fraction(lam[k]) for k in subset)
+        b = tuple(Fraction(lam[k]) for k in rest)
+        coherent = tuple(x - y for x, y in zip(a + b, rho))
+        blattner = list(coherent)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if x > y:
+                    blattner[i] += 1
+                    blattner[r + j] -= 1
+        members.append((
+            a, b,
+            sum(1 for x in a for y in b if x > y),
+            tuple(k + 1 for k in subset) + tuple(k + 1 for k in rest),
+            tuple(blattner),
+            coherent,
+        ))
+    return members
+
+
+def reference_minimal_ktype(mu, r: int) -> tuple:
+    """(accepted, borel_ok, positivity_ok, hc blocks or None, full-shift
+    diagnostic, shifted weight) for a K-dominant mu."""
+    n = len(mu)
+    mu = tuple(Fraction(x) for x in mu)
+    shifted = list(mu)
+    for i in range(n):
+        for j in range(n):
+            if i != j and (i < r) == (j < r) and mu[i] - mu[j] > 0:
+                shifted[i] += 1
+                shifted[j] -= 1
+    roots = [(i, j) for i in range(n) for j in range(n)
+             if i != j and shifted[i] - shifted[j] > 0]
+    two_rho_u = [0] * n
+    for i, j in roots:
+        two_rho_u[i] += 1
+        two_rho_u[j] -= 1
+    borel_ok = len(roots) == n * (n - 1) // 2
+    positivity_ok = all(shifted[i] - shifted[j] >= two_rho_u[i] - two_rho_u[j]
+                        for i, j in roots)
+    hc = None
+    if borel_ok and positivity_ok:
+        candidate = tuple(x - Fraction(t, 2) for x, t in zip(shifted, two_rho_u))
+        a, b = candidate[:r], candidate[r:]
+        if len(set(candidate)) == n and _decreasing(a) and _decreasing(b):
+            hc = (a, b)
+    double_shift = tuple(x - t for x, t in zip(shifted, two_rho_u))
+    return hc is not None, borel_ok, positivity_ok, hc, double_shift, tuple(shifted)

@@ -77,6 +77,40 @@ class TestPairing:
         assert pairing(scaled, z) == c * pairing(x, z)
 
 
+def same_length_pairs(n_max=6):
+    return st.integers(min_value=1, max_value=n_max).flatmap(
+        lambda n: st.tuples(weights(n, n), weights(n, n)))
+
+
+class TestFractionAgreement:
+    """The doubled-integer core against plain Fraction arithmetic."""
+
+    @given(same_length_pairs())
+    def test_arithmetic(self, pair):
+        x, y = pair
+        xs, ys = x.entries, y.entries
+        assert (x + y).entries == tuple(a + b for a, b in zip(xs, ys))
+        assert (x - y).entries == tuple(a - b for a, b in zip(xs, ys))
+        assert (-x).entries == tuple(-a for a in xs)
+        assert pairing(x, y) == sum((a * b for a, b in zip(xs, ys)), Fraction(0))
+
+    @given(weights())
+    def test_distinguished_shifts(self, w):
+        n = len(w)
+        assert rho(n).entries == tuple(Fraction(n - 1 - 2 * k, 2) for k in range(n))
+        shift = Fraction(n - 1, 2)
+        assert hodge_parameter(w).entries == tuple(e + shift for e in w.entries)
+
+    @given(same_length_pairs())
+    def test_public_views_are_fractions(self, pair):
+        x, y = pair
+        views = (x.entries + tuple(x) + (x[0], pairing(x, y)) + x[1:]
+                 + rho(len(x)).entries + hodge_parameter(x).entries)
+        assert all(type(v) is Fraction for v in views)
+        assert x[1:] == x.entries[1:]
+        assert x.doubled == tuple(int(2 * e) for e in x.entries)
+
+
 class TestDistinguishedWeights:
     def test_rho_examples(self):
         assert rho(1).entries == (0,)
@@ -140,5 +174,5 @@ class TestSerialization:
             entry_from_str("x")
 
     def test_mixed_coset_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"mixed half-integrality in weight \(1,1/2\)"):
             weight_from_strings(["1", "1/2"])

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lpackets import Signature, Weight
 from lpackets.cli import format_weight, main, parse_weight
@@ -91,6 +93,17 @@ class TestFormatWeight:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             format_weight(Weight((1, 0)), Signature(2, 1))
+
+    @given(st.lists(st.integers(-15, 15), min_size=1, max_size=7),
+           st.integers(0, 1), st.data())
+    def test_round_trip_property(self, halves, parity, data):
+        weight = Weight.from_doubled(2 * h + parity for h in halves)
+        r = data.draw(st.integers(0, len(weight)))
+        text = format_weight(weight, Signature(r, len(weight) - r))
+        parsed, blocks = parse_weight(text)
+        assert parsed == weight
+        assert blocks == [weight.entries[:r], weight.entries[r:]]
+        assert parse_weight(format_weight(weight)) == (weight, None)
 
 
 class TestPacketCommand:
@@ -224,6 +237,13 @@ class TestRestrictCommand:
         assert "warning: parameter is outside the spacing hypothesis" in captured.err
         assert "restricted parameter (5/2;3/2)" in captured.out
 
+    def test_rank_one_base_is_trivial_group(self, capsys):
+        assert main(["restrict", "--sig", "1,0", "--hcp", "1;"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == (
+            "restricted parameter (;) for the trivial group U(0), u1=1")
+        assert "(0,0)" not in out
+
     def test_off_hypothesis_strict_exits_3(self, capsys):
         assert main(["restrict", "--sig", "2,1", "--hcp", "3,2;1",
                      "--strict"]) == 3
@@ -319,6 +339,32 @@ class TestAnalyzeCommand:
     def test_r_zero_rejected(self, capsys):
         assert main(["analyze", "--sig", "0,2", "--hcp", ";3,1"]) == 2
         assert "needs r >= 1" in capsys.readouterr().err
+
+
+class TestReadableErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["packet", "--sig", "2,1", "--hw", "1,1/2,0"],
+         "mixed half-integrality in weight (1,1/2,0)"),
+        (["restrict", "--sig", "2,1", "--hcp", "3,3;2"],
+         "a-block (3,3) is not strictly decreasing"),
+        (["packet", "--sig", "2,1", "--hw", "0,2,4"],
+         "highest weight (0,2,4) is not non-increasing"),
+        (["sr", "--sig", "2,1", "--ktype", "3,5;0"],
+         "weight (3,5,0) is not K-dominant for sig (2,1)"),
+        (["branch", "--hw", "1/2,5/2"],
+         "highest weight (1/2,5/2) is not non-increasing"),
+    ])
+    def test_invalid_input(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Fraction(" not in err
+        assert message in err
+
+    def test_singular_descent_message(self, capsys):
+        main(["chain", "--sig", "2,1", "--hcp", "3,1;2", "--depth", "2"])
+        err = capsys.readouterr().err
+        assert "Fraction(" not in err
+        assert "parameter (5/2;5/2) is singular" in err
 
 
 class TestErrors:

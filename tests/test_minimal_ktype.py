@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_signatures, random_ic, random_kdominant
+from helpers import all_signatures, random_ic, random_kdominant, reference_minimal_ktype
 
 from lpackets import (
     HCParameter,
@@ -104,6 +104,25 @@ class TestVerdicts:
         # literal full-shift weight equals recovered parameter minus half sum
         half = Weight(Fraction(e, 2) for e in (2, 0, -2))
         assert verdict.hc_double_shift == verdict.hc.weight - half
+
+
+class TestFractionReference:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_fraction_route(self, n):
+        rng = random.Random(300 + n)
+        half = Fraction(1, 2)
+        for sig in all_signatures(n):
+            mus = [m.blattner for m in enumerate_packet(random_ic(rng, n), sig)]
+            for _ in range(6):
+                mu = random_kdominant(rng, sig)
+                mus += [mu, Weight(e + half for e in mu)]
+            for mu in mus:
+                verdict = minimal_ktype_test(mu, sig)
+                hc = verdict.hc
+                got = (verdict.accepted, verdict.borel_ok, verdict.positivity_ok,
+                       None if hc is None else (hc.a, hc.b),
+                       verdict.hc_double_shift.entries, verdict.mu_shifted.entries)
+                assert got == reference_minimal_ktype(mu.entries, sig.r)
 
 
 class TestMargin:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_signatures, random_ic
+from helpers import all_signatures, random_ic, reference_packet
 
 from lpackets import (
     HCParameter,
@@ -111,6 +111,34 @@ class TestEnumerate:
         ic = InfinitesimalCharacter(Weight((5, 2, -1)))
         with pytest.raises(ValueError):
             enumerate_packet(ic, Signature(2, 2))
+
+
+class TestFractionReference:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_fraction_route(self, n):
+        rng = random.Random(200 + n)
+        for sig in all_signatures(n):
+            for strict in (False, True):
+                ic = random_ic(rng, n, strict=strict)
+                got = [(m.hc.a, m.hc.b, m.degree, m.shuffle_word,
+                        m.blattner.entries, m.coherent.entries)
+                       for m in enumerate_packet(ic, sig)]
+                assert got == reference_packet(ic.entries, sig.r)
+
+    def test_public_views_are_fractions(self):
+        ic = infinitesimal_character(Weight((4, 2, 1, 0)))
+        for m in enumerate_packet(ic, Signature(2, 2)):
+            values = (m.hc.a + m.hc.b + m.blattner.entries + m.coherent.entries
+                      + ic.entries + tuple(m.hc.weight))
+            assert all(type(x) is Fraction for x in values)
+
+
+class TestErrorMessages:
+    def test_entries_rendered_as_text(self):
+        with pytest.raises(ValueError, match=r"infinitesimal character \(3,3,0\)"):
+            InfinitesimalCharacter(Weight((3, 3, 0)))
+        with pytest.raises(ValueError, match=r"parameter \(5/2;5/2\) is singular"):
+            HCParameter((Fraction(5, 2),), (Fraction(5, 2),))
 
 
 class TestMemberData:
