@@ -85,6 +85,9 @@ class Weight:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Weight is immutable")
 
+    def __reduce__(self):
+        return (Weight.from_doubled, (self.doubled,))
+
     @property
     def entries(self) -> tuple[Fraction, ...]:
         return tuple(half_entry(d) for d in self.doubled)

@@ -15,7 +15,7 @@ classifier cross-checks both routes and warns when the hypothesis fails.
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,13 +23,13 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .branching import restrict_ktype
-from .cartan import Weight, half_entry, two_rho
+from .cartan import doubled_text, half_entry, two_rho
 from .packets import (
     HCParameter,
     InfinitesimalCharacter,
+    _packet_parameters,
     coherent_parameter,
     dual_parameter,
-    enumerate_packet,
 )
 from .roots import Signature
 
@@ -52,30 +52,36 @@ __all__ = [
 ]
 
 
+def _check_signature(sig: Signature, hc: HCParameter) -> None:
+    if (sig.r, sig.s) != (hc.r, hc.s):
+        raise ValueError(f"parameter ({doubled_text(hc.doubled_a)};{doubled_text(hc.doubled_b)})"
+                         f" does not match signature ({sig.r},{sig.s})")
+
+
 class RestrictionClass(enum.Enum):
     ISOMORPHISM = "iso"
     ZERO = "zero"
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PlacedParameter:
     """One Harish-Chandra parameter per place, all of equal rank."""
 
-    __slots__ = ("places",)
+    places: tuple[tuple[Signature, HCParameter], ...]
 
     def __init__(self, places: Iterable[tuple[Signature, HCParameter]]):
         entries = tuple(places)
         if not entries:
             raise ValueError("at least one place is required")
         for sig, hc in entries:
-            if (sig.r, sig.s) != (hc.r, hc.s):
-                raise ValueError(f"parameter {hc!r} does not match signature {sig}")
+            _check_signature(sig, hc)
         ranks = {sig.n for sig, _ in entries}
         if len(ranks) > 1:
             raise ValueError("places have unequal rank")
         object.__setattr__(self, "places", entries)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PlacedParameter is immutable")
+    def __reduce__(self):
+        return (PlacedParameter, (self.places,))
 
     @property
     def n(self) -> int:
@@ -83,11 +89,6 @@ class PlacedParameter:
 
     def dual(self) -> "PlacedParameter":
         return PlacedParameter((sig, dual_parameter(hc)) for sig, hc in self.places)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PlacedParameter):
-            return NotImplemented
-        return self.places == other.places
 
     def __repr__(self) -> str:
         return f"PlacedParameter({list(self.places)!r})"
@@ -119,9 +120,6 @@ class RestrictedParameter:
     def u1_weight(self) -> Fraction:
         return half_entry(self.doubled_u1)
 
-    def prime_weight(self) -> Weight:
-        return Weight.from_doubled(self.doubled_a + self.doubled_b)
-
     def prime_hc(self) -> HCParameter:
         return HCParameter.from_doubled(self.doubled_a, self.doubled_b)
 
@@ -142,8 +140,7 @@ def restrict_parameter(sig: Signature, hc: HCParameter) -> RestrictedParameter:
     dropping the last a-entry to U(1) as the coherent a-block tail."""
     if sig.r < 1:
         raise ValueError("signature needs r >= 1 to restrict")
-    if (sig.r, sig.s) != (hc.r, hc.s):
-        raise ValueError(f"parameter {hc!r} does not match signature {sig}")
+    _check_signature(sig, hc)
     # Doubled, the shifts by -1/2 and +1/2 are -1 and +1.
     prime_a = tuple(x - 1 for x in hc.doubled_a[:-1])
     prime_b = tuple(x + 1 for x in hc.doubled_b)
@@ -173,9 +170,7 @@ def restriction_is_discrete_series(rp: RestrictedParameter, n: int) -> bool:
 def min_entry_in_a(hc: HCParameter) -> bool:
     """Last a-block entry is the global minimum. False when the a-block is
     empty (no witness exists)."""
-    if hc.r == 0:
-        return False
-    return hc.doubled_a[-1] == min(hc.doubled_a + hc.doubled_b)
+    return hc.r > 0 and hc.doubled_a[-1] == min(hc.doubled_a + hc.doubled_b)
 
 
 def min_entry_in_a_everywhere(p: PlacedParameter) -> bool:
@@ -191,8 +186,7 @@ def noncompact_support_matches(sig: Signature, hc: HCParameter,
                                rp: RestrictedParameter) -> bool:
     """True iff the descended parameter's noncompact positive pairs, read
     through the block-index embedding, are exactly the original ones."""
-    if (sig.r, sig.s) != (hc.r, hc.s):
-        raise ValueError(f"parameter {hc!r} does not match signature {sig}")
+    _check_signature(sig, hc)
     original = _noncompact_support(hc.doubled_a, hc.doubled_b)
     descended = _noncompact_support(rp.doubled_a, rp.doubled_b)
     return descended == original
@@ -207,39 +201,41 @@ def classify_restriction(p: PlacedParameter, warn: bool = True) -> RestrictionCl
     """
     if any(sig.r < 1 for sig, _ in p.places):
         raise ValueError("classification needs r >= 1 at every place")
+    return _classify(p, [restrict_parameter(sig, hc) for sig, hc in p.places], warn)
+
+
+def _classify(p: PlacedParameter, restricted: Sequence[RestrictedParameter],
+              warn: bool) -> RestrictionClass:
+    """classify_restriction, given the restriction of every place of p."""
     spaced = well_spaced_everywhere(p)
     by_minimum = min_entry_in_a_everywhere(p)
-    by_support = all(
-        noncompact_support_matches(sig, hc, restrict_parameter(sig, hc))
-        for sig, hc in p.places)
+    by_support = all(noncompact_support_matches(sig, hc, rp)
+                     for (sig, hc), rp in zip(p.places, restricted))
     if spaced and by_minimum != by_support:
         raise AssertionError("classification routes disagree under the hypothesis")
     if not spaced and warn:
         warnings.warn(
             "parameter is outside the spacing hypothesis (a consecutive gap "
             "is below 2); classification follows the minimum-entry condition",
-            stacklevel=2)
+            stacklevel=3)
     return RestrictionClass.ISOMORPHISM if by_minimum else RestrictionClass.ZERO
 
 
 def isomorphism_fraction(places: Sequence[tuple[Signature, InfinitesimalCharacter]]) -> Fraction:
-    """Fraction of the product packet classified as isomorphism, by full
-    enumeration of every combination of members across the places."""
+    """Fraction of the product packet classified as isomorphism: a member
+    combination is one iff the minimum-entry condition holds at every place,
+    so this is the product over places of the share of packet members meeting
+    it. Each packet is walked once; the cost is a sum over places."""
     if not places:
         raise ValueError("at least one place is required")
     ranks = {sig.n for sig, _ in places}
     if len(ranks) > 1 or {ic.n for _, ic in places} != ranks:
         raise ValueError("places have unequal rank")
-    member_flags = []
+    count = total = 1
     for sig, ic in places:
-        packet = enumerate_packet(ic, sig)
-        member_flags.append([min_entry_in_a(m.hc) for m in packet])
-    total = 0
-    count = 0
-    for combo in itertools.product(*member_flags):
-        total += 1
-        if all(combo):
-            count += 1
+        flags = [min_entry_in_a(hc) for _, _, hc in _packet_parameters(ic, sig)]
+        count *= sum(flags)
+        total *= len(flags)
     return Fraction(count, total)
 
 
@@ -247,10 +243,7 @@ def expected_fraction(sigs: Sequence[Signature]) -> Fraction:
     """The closed form prod_v r_v / n for comparison with the enumeration."""
     if not sigs:
         raise ValueError("at least one place is required")
-    value = Fraction(1)
-    for sig in sigs:
-        value *= Fraction(sig.r, sig.n)
-    return value
+    return math.prod(Fraction(sig.r, sig.n) for sig in sigs)
 
 
 @dataclass(frozen=True)
@@ -281,17 +274,15 @@ def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[Cha
     for _ in range(steps):
         if any(sig.r < 1 for sig, _ in current.places):
             raise ValueError("cannot descend a place with r = 0")
-        classification = classify_restriction(current, warn=warn)
+        restricted = [restrict_parameter(sig, hc) for sig, hc in current.places]
+        classification = _classify(current, restricted, warn)
         dual_flag = min_entry_in_a_everywhere(current.dual())
-        restricted = [(sig, restrict_parameter(sig, hc))
-                      for sig, hc in current.places]
-        current = PlacedParameter(
-            (Signature(sig.r - 1, sig.s), rp.prime_hc())
-            for sig, rp in restricted)
+        current = PlacedParameter((Signature(sig.r - 1, sig.s), rp.prime_hc())
+                                  for (sig, _), rp in zip(current.places, restricted))
         chain.append(ChainStep(
             level=current.n,
             parameter=current,
-            u1_weights=tuple(rp.u1_weight for _, rp in restricted),
+            u1_weights=tuple(rp.u1_weight for rp in restricted),
             classification=classification,
             dual_min_in_a=dual_flag,
         ))

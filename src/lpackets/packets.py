@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, gt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .cartan import (
@@ -42,12 +42,11 @@ __all__ = [
 
 
 def _strictly_decreasing(values: Sequence) -> bool:
-    return all(x > y for x, y in zip(values, values[1:]))
+    return all(map(gt, values, values[1:]))
 
 
 def _inversions(word: Sequence[int]) -> int:
-    return sum(1 for k in range(len(word)) for l in range(k + 1, len(word))
-               if word[k] > word[l])
+    return sum(x > y for x, y in itertools.combinations(word, 2))
 
 
 class HCParameter:
@@ -86,6 +85,9 @@ class HCParameter:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HCParameter is immutable")
+
+    def __reduce__(self):
+        return (HCParameter.from_doubled, (self.doubled_a, self.doubled_b))
 
     @property
     def a(self) -> tuple[Fraction, ...]:
@@ -143,6 +145,9 @@ class InfinitesimalCharacter:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("InfinitesimalCharacter is immutable")
+
+    def __reduce__(self):
+        return (InfinitesimalCharacter, (self.weight,))
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
@@ -202,16 +207,12 @@ def degree(hc: HCParameter) -> int:
 
 def shuffle_length(hc: HCParameter, ic: InfinitesimalCharacter) -> int:
     """Inversion count of the permutation taking ic to the concatenation."""
-    return _inversions(_shuffle_word(hc, ic))
-
-
-def _shuffle_word(hc: HCParameter, ic: InfinitesimalCharacter) -> tuple[int, ...]:
     entries = ic.weight.doubled
     concat = hc.doubled_a + hc.doubled_b
     if tuple(sorted(concat, reverse=True)) != entries:
         raise ValueError("parameter is not a shuffle of the infinitesimal character")
-    position = {value: k + 1 for k, value in enumerate(entries)}
-    return tuple(position[value] for value in concat)
+    position = {value: k for k, value in enumerate(entries)}
+    return _inversions([position[value] for value in concat])
 
 
 def _coherent_doubled(hc: HCParameter) -> tuple[int, ...]:
@@ -241,24 +242,29 @@ def blattner(hc: HCParameter) -> Weight:
     return Weight.from_doubled(_blattner_doubled(hc, _coherent_doubled(hc)))
 
 
-def enumerate_packet(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketMember]:
-    """All C(n, r) shuffles, in colexicographic order of the a-block index set."""
+def _packet_parameters(ic: InfinitesimalCharacter, sig: Signature) -> Iterator[tuple]:
+    """(a-block indices, b-block indices, parameter) per shuffle, in
+    colexicographic order of the a-block index set; no derived data."""
     n = ic.n
     if sig.n != n:
         raise ValueError("dimension mismatch")
-    entries = ic.weight.doubled
-    subsets = sorted(itertools.combinations(range(n), sig.r), key=lambda c: c[::-1])
-    members = []
-    for subset in subsets:
+    pick = ic.weight.doubled.__getitem__
+    for subset in sorted(itertools.combinations(range(n), sig.r), key=lambda c: c[::-1]):
         chosen = set(subset)
-        rest = [k for k in range(n) if k not in chosen]
-        hc = HCParameter.from_doubled([entries[k] for k in subset],
-                                      [entries[k] for k in rest])
+        rest = tuple([k for k in range(n) if k not in chosen])
+        yield subset, rest, HCParameter.from_doubled(tuple(map(pick, subset)),
+                                                     tuple(map(pick, rest)))
+
+
+def enumerate_packet(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketMember]:
+    """All C(n, r) shuffles, in colexicographic order of the a-block index set."""
+    members = []
+    for subset, rest, hc in _packet_parameters(ic, sig):
         coherent = _coherent_doubled(hc)
         members.append(PacketMember(
             hc=hc,
             degree=degree(hc),
-            shuffle_word=tuple(k + 1 for k in subset) + tuple(k + 1 for k in rest),
+            shuffle_word=tuple([k + 1 for k in subset + rest]),
             blattner=Weight.from_doubled(_blattner_doubled(hc, coherent)),
             coherent=Weight.from_doubled(coherent),
         ))

@@ -11,7 +11,9 @@ from lpackets import (
     InfinitesimalCharacter,
     Signature,
     Weight,
+    enumerate_packet,
     infinitesimal_character,
+    min_entry_in_a,
 )
 
 
@@ -32,6 +34,24 @@ def random_dominant(rng: random.Random, n: int, strict: bool = False,
 def random_ic(rng: random.Random, n: int, strict: bool = False) -> InfinitesimalCharacter:
     """Regular infinitesimal character; consecutive gaps >= 2 when strict."""
     return infinitesimal_character(random_dominant(rng, n, strict=strict))
+
+
+def counting_sweep() -> list[list[tuple[Signature, InfinitesimalCharacter]]]:
+    """Every 1- and 2-place signature tuple for n <= 7 with well-spaced
+    characters: 10 draws per single place, 2 per pair of places."""
+    rng = random.Random(103)
+    sweep = []
+    for n in range(1, 8):
+        sigs = all_signatures(n)
+        for sig in sigs:
+            for _ in range(10):
+                sweep.append([(sig, random_ic(rng, n, strict=True))])
+        for sig1 in sigs:
+            for sig2 in sigs:
+                for _ in range(2):
+                    sweep.append([(sig1, random_ic(rng, n, strict=True)),
+                                  (sig2, random_ic(rng, n, strict=True))])
+    return sweep
 
 
 def random_kdominant(rng: random.Random, sig: Signature,
@@ -109,3 +129,16 @@ def reference_minimal_ktype(mu, r: int) -> tuple:
             hc = (a, b)
     double_shift = tuple(x - t for x, t in zip(shifted, two_rho_u))
     return hc is not None, borel_ok, positivity_ok, hc, double_shift, tuple(shifted)
+
+
+def product_fraction_reference(places) -> Fraction:
+    """The isomorphism fraction by brute force: every combination of
+    packet members across the places, iso when the minimum-entry flag
+    holds at each place. Its cost is the product of the packet sizes."""
+    member_flags = [[min_entry_in_a(m.hc) for m in enumerate_packet(ic, sig)]
+                    for sig, ic in places]
+    total = count = 0
+    for combo in itertools.product(*member_flags):
+        total += 1
+        count += all(combo)
+    return Fraction(count, total)

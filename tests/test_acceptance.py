@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import all_signatures, random_ic, random_kdominant
+from helpers import all_signatures, counting_sweep, random_ic, random_kdominant
 
 from lpackets import (
     HCParameter,
@@ -64,19 +64,7 @@ def packet_sweep():
 def fraction_sweep():
     """Criteria 6-8 share this: all 1- and 2-place signature tuples, n <= 7,
     with well-spaced characters."""
-    rng = random.Random(103)
-    sweep = []
-    for n in range(1, 8):
-        sigs = all_signatures(n)
-        for sig in sigs:
-            for _ in range(10):
-                sweep.append([(sig, random_ic(rng, n, strict=True))])
-        for sig1 in sigs:
-            for sig2 in sigs:
-                for _ in range(2):
-                    sweep.append([(sig1, random_ic(rng, n, strict=True)),
-                                  (sig2, random_ic(rng, n, strict=True))])
-    return sweep
+    return counting_sweep()
 
 
 def test_criterion_01_packet_cardinality(packet_sweep):

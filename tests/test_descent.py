@@ -1,10 +1,14 @@
+import copy
+import itertools
+import pickle
 import random
+import time
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from helpers import all_signatures, random_ic
+from helpers import all_signatures, counting_sweep, product_fraction_reference, random_ic
 
 from lpackets import (
     HCParameter,
@@ -248,6 +252,27 @@ class TestFraction:
                 places = [(sig, spaced_ic(rng, n))]
                 assert isomorphism_fraction(places) == expected_fraction([sig])
 
+    def test_matches_product_reference_on_counting_sweep(self):
+        for places in counting_sweep():
+            assert isomorphism_fraction(places) == product_fraction_reference(places)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_product_reference_three_places(self, n):
+        rng = random.Random(71 + n)
+        for k, sigs in enumerate(itertools.product(all_signatures(n), repeat=3)):
+            places = [(sig, random_ic(rng, n, strict=k % 2 == 0)) for sig in sigs]
+            got = isomorphism_fraction(places)
+            assert got == product_fraction_reference(places)
+            assert got == expected_fraction(sigs)
+
+    def test_six_places_scale(self):
+        # The product packet has 70^6, about 1.2e11, combinations.
+        ic = InfinitesimalCharacter(Weight((14, 12, 10, 8, 6, 4, 2, 0)))
+        started = time.monotonic()
+        got = isomorphism_fraction([(Signature(4, 4), ic)] * 6)
+        assert time.monotonic() - started < 1.0
+        assert got == Fraction(1, 64)
+
     def test_unequal_rank_rejected(self):
         with pytest.raises(ValueError):
             isomorphism_fraction([
@@ -310,6 +335,34 @@ class TestChain:
             original = sum((m.hc.weight - rho_weight(n)).entries)
             assert total + residual == original
 
+    def test_step_matches_classifier_and_restriction(self):
+        rng = random.Random(73)
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            places = []
+            for _ in range(rng.randint(1, 3)):
+                r = rng.randint(1, n)
+                sig = Signature(r, n - r)
+                ic = random_ic(rng, n, strict=rng.random() < 0.7)
+                places.append((sig, rng.choice(enumerate_packet(ic, sig)).hc))
+            p = PlacedParameter(places)
+            restricted = [restrict_parameter(sig, hc) for sig, hc in places]
+            if not all(restriction_is_discrete_series(rp, n) for rp in restricted):
+                continue
+            (step,) = descent_chain(p, 1, warn=False)
+            assert step.classification is classify_restriction(p, warn=False)
+            assert step.u1_weights == tuple(rp.u1_weight for rp in restricted)
+            assert [hc for _, hc in step.parameter.places] == [
+                rp.prime_hc() for rp in restricted]
+
+    def test_warning_points_at_caller(self):
+        p = PlacedParameter([(Signature(2, 1), HCParameter((3, 2), (1,)))])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            classify_restriction(p)
+            descent_chain(p, 1)
+        assert [w.filename for w in caught] == [__file__, __file__]
+
     def test_levels_descend(self):
         p = PlacedParameter([(Signature(3, 1), HCParameter((9, 5, 1), (3,)))])
         chain = descent_chain(p, 3, warn=False)
@@ -319,3 +372,42 @@ class TestChain:
 def rho_weight(n):
     from lpackets import rho
     return rho(n)
+
+
+VALUES = [
+    Weight((1, 2)),
+    Weight((Fraction(5, 2), Fraction(-1, 2))),
+    HCParameter((5, 2), (-1,)),
+    HCParameter((), (Fraction(3, 2),)),
+    InfinitesimalCharacter(Weight((5, 2, -1))),
+    PlacedParameter([(Signature(2, 1), HCParameter((5, 2), (-1,))),
+                     (Signature(1, 2), HCParameter((4,), (1, -2)))]),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+@pytest.mark.parametrize("clone", [
+    lambda v: pickle.loads(pickle.dumps(v)),
+    lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "pickle-0", "copy", "deepcopy"])
+def test_value_types_round_trip(value, clone):
+    twin = clone(value)
+    assert type(twin) is type(value)
+    assert twin == value
+    assert hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sig, hc: PlacedParameter([(sig, hc)]),
+    restrict_parameter,
+    lambda sig, hc: noncompact_support_matches(
+        sig, hc, restrict_parameter(Signature(2, 1), HCParameter((5, 2), (1,)))),
+], ids=["PlacedParameter", "restrict_parameter", "noncompact_support_matches"])
+def test_signature_mismatch_message_is_plain(call):
+    with pytest.raises(ValueError) as info:
+        call(Signature(1, 2), HCParameter((5, 2), (1,)))
+    message = str(info.value)
+    assert message == "parameter (5,2;1) does not match signature (1,2)"
+    assert "Signature(" not in message and "HCParameter(" not in message

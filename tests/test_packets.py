@@ -112,6 +112,15 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_packet(ic, Signature(2, 2))
 
+    @pytest.mark.parametrize("sig", [Signature(2, 2), Signature(0, 2), Signature(1, 0)])
+    def test_dimension_mismatch_raises_at_call(self, sig):
+        # The packet is built eagerly: the error comes from the call itself,
+        # not from a later iteration over a lazy result.
+        ic = InfinitesimalCharacter(Weight((5, 2, -1)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            enumerate_packet(ic, sig)
+        assert isinstance(enumerate_packet(ic, Signature(2, 1)), list)
+
 
 class TestFractionReference:
     @pytest.mark.parametrize("n", range(1, 9))
