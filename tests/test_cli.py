@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -383,3 +384,17 @@ class TestErrors:
     def test_sig_without_hcp(self, capsys):
         assert main(["chain", "--sig", "2,1", "--depth", "1"]) == 2
         assert "must be given together" in capsys.readouterr().err
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
+with open(GOLDEN) as _handle:
+    CORPUS = json.load(_handle)
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: " ".join(e["argv"]))
+def test_golden_output(capsys, entry):
+    # Recorded by tests/record_cli_golden.py; every byte must match.
+    code = main(entry["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        entry["exit"], entry["stdout"], entry["stderr"])
