@@ -4,6 +4,11 @@ Subcommands: packet, sr, branch, restrict, chain, fraction, analyze.
 Formats: pretty (default), json, tsv. Exit codes: 0 success, 2 invalid
 input, 3 hypothesis violation under --strict.
 
+Each run computes one record. JSON output is the record itself; TSV
+output is its table and/or its key/value lines, all cells written by one
+formatter; pretty output is a short template per subcommand that reads
+the record. Hypothesis violations go to stderr as warnings.
+
 Weight syntax: comma-separated entries, each "p" or "p/2" with odd p.
 Blocks are separated by ";" or by "/" between two entries; a token "p/2"
 with odd integer p always reads as the half-integral entry, so "1,1/2"
@@ -16,38 +21,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .branching import branch, weyl_dim
-from .cartan import (
-    Weight,
-    doubled_text,
-    doubled_to_str,
-    entry_from_str,
-    entry_to_str,
-    weight_to_strings,
-)
-from .descent import (
-    PlacedParameter,
-    RestrictionClass,
-    descent_chain,
-    expected_fraction,
-    isomorphism_fraction,
-    min_entry_in_a,
-    min_entry_in_a_everywhere,
-    noncompact_support_matches,
-    restrict_parameter,
-    restriction_is_discrete_series,
-    well_spaced_everywhere,
-)
-from .minimal_ktype import minimal_ktype_test, regularity_margin, theta_parabolic
-from .packets import (
-    HCParameter,
-    InfinitesimalCharacter,
-    enumerate_packet,
-    infinitesimal_character,
-)
+from .cartan import (Weight, doubled_text, doubled_to_str, entry_from_str, entry_to_str,
+                     weight_to_strings)
+from .descent import (PlacedParameter, RestrictedParameter, classify_restriction, descent_chain,
+                      expected_fraction, isomorphism_fraction, min_entry_in_a,
+                      min_entry_in_a_everywhere, noncompact_support_matches, restrict_parameter,
+                      restriction_is_discrete_series, well_spaced_everywhere)
+from .minimal_ktype import minimal_ktype_test, regularity_margin
+from .packets import (HCParameter, InfinitesimalCharacter, enumerate_packet,
+                      infinitesimal_character)
 from .roots import Signature
 
 __all__ = ["main", "console_main", "parse_weight", "format_weight"]
@@ -71,34 +58,18 @@ def parse_weight(text: str) -> tuple[Weight, Optional[Blocks]]:
     if text.strip() == "":
         raise ValueError("empty weight")
     blocks: Blocks = []
-    split_seen = False
-    current: list[Fraction] = []
-    segments = text.split(";")
-    for seg_index, segment in enumerate(segments):
-        if segment.strip() == "":
-            if len(segments) == 1:
-                raise ValueError("empty weight")
-        else:
-            for field in segment.split(","):
-                field = field.strip()
-                if "/" in field:
-                    left, _, right = field.partition("/")
-                    if right == "2" and _is_odd_int(left):
-                        current.append(Fraction(int(left), 2))
-                    else:
-                        current.append(entry_from_str(left))
-                        blocks.append(tuple(current))
-                        split_seen = True
-                        current = [entry_from_str(right)]
-                else:
-                    current.append(entry_from_str(field))
-        if seg_index < len(segments) - 1:
-            blocks.append(tuple(current))
-            split_seen = True
-            current = []
-    blocks.append(tuple(current))
+    for segment in text.split(";"):
+        current: list[Fraction] = []
+        for field in segment.split(",") if segment.strip() else ():
+            left, slash, right = field.strip().partition("/")
+            if slash and not (right == "2" and _is_odd_int(left)):
+                blocks.append((*current, entry_from_str(left)))
+                current = [entry_from_str(right)]
+            else:
+                current.append(entry_from_str(field))
+        blocks.append(tuple(current))
     weight = Weight(x for block in blocks for x in block)
-    return weight, blocks if split_seen else None
+    return weight, blocks if len(blocks) > 1 else None
 
 
 def format_weight(weight: Weight, sig: Optional[Signature] = None) -> str:
@@ -107,472 +78,390 @@ def format_weight(weight: Weight, sig: Optional[Signature] = None) -> str:
         return doubled_text(weight.doubled)
     if len(weight) != sig.n:
         raise ValueError("dimension mismatch")
-    return _fmt_blocks(weight.doubled[: sig.r], weight.doubled[sig.r:])
-
-
-def _fmt_blocks(a: Sequence[int], b: Sequence[int]) -> str:
-    """Doubled blocks as "a;b"."""
-    return f"{doubled_text(a)};{doubled_text(b)}"
-
-
-def _fmt_hc(hc: HCParameter) -> str:
-    return f"({_fmt_blocks(hc.doubled_a, hc.doubled_b)})"
-
-
-def _fmt_blocked(weight: Weight, sig: Signature) -> str:
-    return f"({format_weight(weight, sig)})"
+    return f"{doubled_text(weight.doubled[: sig.r])};{doubled_text(weight.doubled[sig.r:])}"
 
 
 def parse_signature(text: str) -> Signature:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"bad signature {text!r}: expected r,s")
+    head, _, tail = text.partition(",")
     try:
-        r, s = int(parts[0]), int(parts[1])
+        r, s = int(head), int(tail)
     except ValueError:
         raise ValueError(f"bad signature {text!r}: expected r,s") from None
     return Signature(r, s)
 
 
-def _blocks_for_sig(weight: Weight, blocks: Optional[Blocks],
-                    sig: Signature) -> HCParameter:
-    if len(weight) != sig.n:
-        raise ValueError(
-            f"weight has {len(weight)} entries, signature {sig.r},{sig.s} needs {sig.n}")
+def _check_block_sizes(blocks: Optional[Blocks], sig: Signature) -> None:
     if blocks is not None:
         sizes = tuple(len(b) for b in blocks)
         if sizes != (sig.r, sig.s):
             raise ValueError(
                 f"block sizes {sizes} do not match signature ({sig.r},{sig.s})")
-    return HCParameter.from_doubled(weight.doubled[: sig.r], weight.doubled[sig.r:])
 
 
 def parse_hc(text: str, sig: Signature) -> HCParameter:
     weight, blocks = parse_weight(text)
-    return _blocks_for_sig(weight, blocks, sig)
+    if len(weight) != sig.n:
+        raise ValueError(
+            f"weight has {len(weight)} entries, signature {sig.r},{sig.s} needs {sig.n}")
+    _check_block_sizes(blocks, sig)
+    return HCParameter.from_doubled(weight.doubled[: sig.r], weight.doubled[sig.r:])
 
 
-def parse_place_hc(text: str) -> tuple[Signature, HCParameter]:
-    head, sep, payload = text.partition(":")
-    if not sep:
-        raise ValueError(f"bad place {text!r}: expected r,s:parameter")
-    sig = parse_signature(head)
-    return sig, parse_hc(payload, sig)
-
-
-def parse_place_hw(text: str) -> tuple[Signature, InfinitesimalCharacter]:
-    head, sep, payload = text.partition(":")
-    if not sep:
-        raise ValueError(f"bad place {text!r}: expected r,s:highest-weight")
-    sig = parse_signature(head)
-    weight, blocks = parse_weight(payload)
+def _unblocked(text: str, name: str) -> Weight:
+    """A weight given without block split; name is how errors refer to it."""
+    weight, blocks = parse_weight(text)
     if blocks is not None:
-        raise ValueError(f"bad place {text!r}: highest weight takes no block split")
-    return sig, infinitesimal_character(weight)
+        raise ValueError(f"{name} takes no block split")
+    return weight
 
 
-def _blocks_json(a: Sequence[int], b: Sequence[int]) -> dict:
-    return {"a": [doubled_to_str(d) for d in a], "b": [doubled_to_str(d) for d in b]}
+def _place_hc(text: str, sig: Signature, place: Optional[str]) -> HCParameter:
+    return parse_hc(text, sig)
 
 
-def _hc_json(hc: HCParameter) -> dict:
-    return _blocks_json(hc.doubled_a, hc.doubled_b)
+def _place_ic(text: str, sig: Signature, place: Optional[str]) -> InfinitesimalCharacter:
+    name = "--hw" if place is None else f"bad place {place!r}: highest weight"
+    return infinitesimal_character(_unblocked(text, name))
 
 
-def _emit_json(obj: object) -> None:
-    print(json.dumps(obj, indent=2))
+def _collect_places(args: argparse.Namespace, option: str, what: str,
+                    parse: Callable[[str, Signature, Optional[str]], object]) -> list:
+    """(sig, parse(text, sig, place)) for each --place "r,s:text", then for
+    --sig with --<option> (place None); what names the text in errors."""
+    places = []
+    for place in args.place:
+        head, sep, text = place.partition(":")
+        if not sep:
+            raise ValueError(f"bad place {place!r}: expected r,s:{what}")
+        sig = parse_signature(head)
+        places.append((sig, parse(text, sig, place)))
+    value = getattr(args, option)
+    if args.sig or value:
+        if not (args.sig and value):
+            raise ValueError(f"--sig and --{option} must be given together")
+        sig = parse_signature(args.sig)
+        places.append((sig, parse(value, sig, None)))
+    if not places:
+        raise ValueError(f"give --place entries or --sig with --{option}")
+    return places
 
 
-def _finish(args: argparse.Namespace, violations: list[str],
-            emit: Callable[[], None]) -> int:
-    for violation in violations:
-        print(f"warning: {violation}", file=sys.stderr)
-    if violations and getattr(args, "strict", False):
-        print("error: hypothesis violation under --strict", file=sys.stderr)
-        return 3
-    emit()
-    return 0
+def _spacing(spaced: bool) -> list[str]:
+    return [] if spaced else [
+        "parameter is outside the spacing hypothesis (a consecutive gap is below 2)"]
 
 
-# packet
+def _blocks_json(blocks: HCParameter | RestrictedParameter) -> dict:
+    """The doubled_a and doubled_b blocks of a parameter as entry strings."""
+    return {"a": [doubled_to_str(d) for d in blocks.doubled_a],
+            "b": [doubled_to_str(d) for d in blocks.doubled_b]}
 
-def _cmd_packet(args: argparse.Namespace) -> int:
+
+class Result(NamedTuple):
+    """What a subcommand computed: its record (the JSON document), the
+    hypothesis violations to warn about, and the pretty-only fields that
+    the record does not carry."""
+
+    record: object
+    violations: Sequence[str] = ()
+    extra: Mapping[str, object] = {}
+
+
+# Cells and pretty text, from the record's strings, ints and booleans.
+
+def _join(entries: Iterable[str]) -> str:
+    return ",".join(entries)
+
+
+def _blocks(value: Mapping) -> str:
+    return f"{_join(value['a'])};{_join(value['b'])}"
+
+
+def _split(entries: Sequence[str], r: int) -> str:
+    """A weight's entries as blocks of sizes r and n - r, in parentheses."""
+    return f"({_join(entries[:r])};{_join(entries[r:])})"
+
+
+def _cell(value: object) -> str:
+    """One TSV cell: None empty, booleans in lower case, {a, b} blocks as
+    "a;b", entry lists joined by ",", places as "r,s:a;b" joined by spaces."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, dict):
+        return _blocks(value)
+    if isinstance(value, list):
+        if value and isinstance(value[0], dict):
+            return " ".join(f"{_cell(place['sig'])}:{_blocks(place)}" for place in value)
+        return _join(map(_cell, value))
+    return str(value)
+
+
+_YES = {True: "yes", False: "no"}
+
+
+def _cmd_packet(args: argparse.Namespace) -> Result:
     sig = parse_signature(args.sig)
-    weight, blocks = parse_weight(args.hw)
-    if blocks is not None:
-        raise ValueError("--hw takes no block split")
-    ic = infinitesimal_character(weight)
-    members = enumerate_packet(ic, sig)
-
-    def emit() -> None:
-        if args.format == "json":
-            _emit_json([
-                {**_hc_json(m.hc),
-                 "degree": m.degree,
-                 "length": m.length,
-                 "blattner": weight_to_strings(m.blattner),
-                 "coherent": weight_to_strings(m.coherent)}
-                for m in members])
-        elif args.format == "tsv":
-            print("a\tb\tdegree\tlength\tblattner\tcoherent")
-            for m in members:
-                print("\t".join([
-                    doubled_text(m.hc.doubled_a),
-                    doubled_text(m.hc.doubled_b),
-                    str(m.degree),
-                    str(m.length),
-                    format_weight(m.blattner),
-                    format_weight(m.coherent),
-                ]))
-        else:
-            print(f"packet for sig ({sig.r},{sig.s}), "
-                  f"infinitesimal character ({format_weight(ic.weight)}): "
-                  f"{len(members)} members")
-            for k, m in enumerate(members):
-                print(f"  {k}. {_fmt_hc(m.hc)} degree={m.degree} "
-                      f"length={m.length} "
-                      f"blattner={_fmt_blocked(m.blattner, sig)} "
-                      f"coherent={_fmt_blocked(m.coherent, sig)}")
-
-    return _finish(args, [], emit)
+    ic = infinitesimal_character(_unblocked(args.hw, "--hw"))
+    return Result([{**_blocks_json(m.hc), "degree": m.degree, "length": m.length,
+                    "blattner": weight_to_strings(m.blattner),
+                    "coherent": weight_to_strings(m.coherent)}
+                   for m in enumerate_packet(ic, sig)])
 
 
-# sr
+def _pretty_packet(members: list) -> Iterator[str]:
+    a, b = members[0]["a"], members[0]["b"]
+    ic = sorted(a + b, key=entry_from_str, reverse=True)
+    yield (f"packet for sig ({len(a)},{len(b)}), infinitesimal character "
+           f"({_join(ic)}): {len(members)} members")
+    for k, m in enumerate(members):
+        yield (f"  {k}. ({_blocks(m)}) degree={m['degree']} length={m['length']} "
+               f"blattner={_split(m['blattner'], len(a))} "
+               f"coherent={_split(m['coherent'], len(a))}")
 
-def _cmd_sr(args: argparse.Namespace) -> int:
+
+def _cmd_sr(args: argparse.Namespace) -> Result:
     sig = parse_signature(args.sig)
     weight, blocks = parse_weight(args.ktype)
-    if blocks is not None:
-        sizes = tuple(len(b) for b in blocks)
-        if sizes != (sig.r, sig.s):
-            raise ValueError(
-                f"block sizes {sizes} do not match signature ({sig.r},{sig.s})")
+    _check_block_sizes(blocks, sig)
     verdict = minimal_ktype_test(weight, sig)
     margin = regularity_margin(verdict.mu_shifted)
+    violations = ([f"shifted weight margin {margin} is below --margin {args.margin}"]
+                  if margin is not None and margin < args.margin else [])
+    return Result({
+        "accepted": verdict.accepted,
+        "borel_ok": verdict.borel_ok,
+        "positivity_ok": verdict.positivity_ok,
+        "hc": _blocks_json(verdict.hc) if verdict.hc is not None else None,
+        "hc_double_shift": weight_to_strings(verdict.hc_double_shift),
+        "mu_shifted": weight_to_strings(verdict.mu_shifted),
+        "margin": entry_to_str(margin) if margin is not None else None,
+    }, violations, {"root_sum": doubled_text(verdict.doubled_two_rho_u),
+                    "roots": verdict.root_count})
 
-    violations = []
-    if margin is not None and margin < args.margin:
-        violations.append(
-            f"shifted weight margin {margin} is below --margin {args.margin}")
 
-    if verdict.accepted:
-        summary = f"PASS with hc {_fmt_hc(verdict.hc)}"
-    elif not verdict.borel_ok:
-        summary = "FAIL: shifted weight is singular (parabolic is not a Borel)"
-    elif not verdict.positivity_ok:
-        summary = "FAIL: positivity against the parabolic root sum fails"
+def _pretty_sr(rec: dict, root_sum: str, roots: int) -> Iterator[str]:
+    if rec["accepted"]:
+        yield f"PASS with hc ({_blocks(rec['hc'])})"
+    elif not rec["borel_ok"]:
+        yield "FAIL: shifted weight is singular (parabolic is not a Borel)"
+    elif not rec["positivity_ok"]:
+        yield "FAIL: positivity against the parabolic root sum fails"
     else:
-        summary = "FAIL: recovered parameter is singular"
-
-    def emit() -> None:
-        if args.format == "json":
-            _emit_json({
-                "accepted": verdict.accepted,
-                "borel_ok": verdict.borel_ok,
-                "positivity_ok": verdict.positivity_ok,
-                "hc": _hc_json(verdict.hc) if verdict.hc is not None else None,
-                "hc_double_shift": weight_to_strings(verdict.hc_double_shift),
-                "mu_shifted": weight_to_strings(verdict.mu_shifted),
-                "margin": entry_to_str(margin) if margin is not None else None,
-            })
-        elif args.format == "tsv":
-            rows = [
-                ("accepted", str(verdict.accepted).lower()),
-                ("borel_ok", str(verdict.borel_ok).lower()),
-                ("positivity_ok", str(verdict.positivity_ok).lower()),
-                ("hc", format_weight(verdict.hc.weight, sig)
-                 if verdict.hc is not None else ""),
-                ("hc_double_shift", format_weight(verdict.hc_double_shift)),
-                ("mu_shifted", format_weight(verdict.mu_shifted)),
-                ("margin", entry_to_str(margin) if margin is not None else ""),
-            ]
-            for key, value in rows:
-                print(f"{key}\t{value}")
-        else:
-            print(summary)
-            print(f"  shifted weight: ({format_weight(verdict.mu_shifted)})")
-            parabolic = theta_parabolic(verdict.mu_shifted)
-            print(f"  parabolic root sum: ({format_weight(parabolic.two_rho_u)})"
-                  f" over {len(parabolic.delta_u)} roots")
-            print(f"  full-shift diagnostic: "
-                  f"({format_weight(verdict.hc_double_shift)})")
-            if margin is not None:
-                print(f"  margin: {entry_to_str(margin)}")
-
-    return _finish(args, violations, emit)
+        yield "FAIL: recovered parameter is singular"
+    yield f"  shifted weight: ({_join(rec['mu_shifted'])})"
+    yield f"  parabolic root sum: ({root_sum}) over {roots} roots"
+    yield f"  full-shift diagnostic: ({_join(rec['hc_double_shift'])})"
+    if rec["margin"] is not None:
+        yield f"  margin: {rec['margin']}"
 
 
-# branch
-
-def _cmd_branch(args: argparse.Namespace) -> int:
-    weight, blocks = parse_weight(args.hw)
-    if blocks is not None:
-        raise ValueError("--hw takes no block split")
+def _cmd_branch(args: argparse.Namespace) -> Result:
+    weight = _unblocked(args.hw, "--hw")
     constituents = branch(weight)
-    dim_upper = weyl_dim(weight)
-    dim_sum = sum(weyl_dim(c.lower) for c in constituents)
-
-    def emit() -> None:
-        if args.format == "json":
-            _emit_json({
-                "upper": weight_to_strings(weight),
-                "count": len(constituents),
-                "dim": dim_upper,
-                "dim_sum": dim_sum,
-                "constituents": [
-                    {"lower": weight_to_strings(c.lower), "u1": doubled_to_str(c.doubled_u1)}
-                    for c in constituents],
-            })
-        elif args.format == "tsv":
-            print("lower\tu1")
-            for c in constituents:
-                print(f"{format_weight(c.lower)}\t{doubled_to_str(c.doubled_u1)}")
-        else:
-            check = "OK" if dim_sum == dim_upper else "MISMATCH"
-            print(f"{len(constituents)} constituents; "
-                  f"dim {dim_upper}, constituent dims sum to {dim_sum}: {check}")
-            for c in constituents:
-                print(f"  ({format_weight(c.lower)}) u1={doubled_to_str(c.doubled_u1)}")
-
-    return _finish(args, [], emit)
+    return Result({
+        "upper": weight_to_strings(weight),
+        "count": len(constituents),
+        "dim": weyl_dim(weight),
+        "dim_sum": sum(weyl_dim(c.lower) for c in constituents),
+        "constituents": [
+            {"lower": weight_to_strings(c.lower), "u1": doubled_to_str(c.doubled_u1)}
+            for c in constituents],
+    })
 
 
-# restrict
+def _pretty_branch(rec: dict) -> Iterator[str]:
+    check = "OK" if rec["dim_sum"] == rec["dim"] else "MISMATCH"
+    yield (f"{rec['count']} constituents; "
+           f"dim {rec['dim']}, constituent dims sum to {rec['dim_sum']}: {check}")
+    for c in rec["constituents"]:
+        yield f"  ({_join(c['lower'])}) u1={c['u1']}"
 
-def _cmd_restrict(args: argparse.Namespace) -> int:
+
+def _cmd_restrict(args: argparse.Namespace) -> Result:
     sig = parse_signature(args.sig)
     hc = parse_hc(args.hcp, sig)
-    p = PlacedParameter([(sig, hc)])
+    spaced = well_spaced_everywhere(PlacedParameter([(sig, hc)]))
     rp = restrict_parameter(sig, hc)
-    discrete = restriction_is_discrete_series(rp, sig.n)
-    min_in_a = min_entry_in_a(hc)
-    support = noncompact_support_matches(sig, hc, rp)
-    spaced = well_spaced_everywhere(p)
-
-    violations = []
-    if not spaced:
-        violations.append("parameter is outside the spacing hypothesis "
-                          "(a consecutive gap is below 2)")
-
-    def emit() -> None:
-        if args.format == "json":
-            _emit_json({
-                "sig": [sig.r, sig.s],
-                "prime": _blocks_json(rp.doubled_a, rp.doubled_b),
-                "u1": doubled_to_str(rp.doubled_u1),
-                "discrete_series": discrete,
-                "min_in_a": min_in_a,
-                "support_matches": support,
-                "well_spaced": spaced,
-            })
-        elif args.format == "tsv":
-            rows = [
-                ("prime", _fmt_blocks(rp.doubled_a, rp.doubled_b)),
-                ("u1", doubled_to_str(rp.doubled_u1)),
-                ("discrete_series", str(discrete).lower()),
-                ("min_in_a", str(min_in_a).lower()),
-                ("support_matches", str(support).lower()),
-                ("well_spaced", str(spaced).lower()),
-            ]
-            for key, value in rows:
-                print(f"{key}\t{value}")
-        else:
-            # U(1,0) descends to U(0): there is no signature (0,0).
-            base = ("the trivial group U(0)" if sig.n == 1
-                    else f"sig ({sig.r - 1},{sig.s})")
-            print(f"restricted parameter ({_fmt_blocks(rp.doubled_a, rp.doubled_b)}) "
-                  f"for {base}, u1={doubled_to_str(rp.doubled_u1)}")
-            print(f"  names a discrete series: {'yes' if discrete else 'no'}")
-            print(f"  minimum entry in a-block: {'yes' if min_in_a else 'no'}")
-            print(f"  noncompact support preserved: {'yes' if support else 'no'}")
-
-    return _finish(args, violations, emit)
+    return Result({
+        "sig": [sig.r, sig.s],
+        "prime": _blocks_json(rp),
+        "u1": doubled_to_str(rp.doubled_u1),
+        "discrete_series": restriction_is_discrete_series(rp, sig.n),
+        "min_in_a": min_entry_in_a(hc),
+        "support_matches": noncompact_support_matches(sig, hc, rp),
+        "well_spaced": spaced,
+    }, _spacing(spaced))
 
 
-# chain
-
-def _collect_places_hc(args: argparse.Namespace) -> PlacedParameter:
-    places: list[tuple[Signature, HCParameter]] = []
-    if args.place:
-        for text in args.place:
-            places.append(parse_place_hc(text))
-    if args.sig or args.hcp:
-        if not (args.sig and args.hcp):
-            raise ValueError("--sig and --hcp must be given together")
-        sig = parse_signature(args.sig)
-        places.append((sig, parse_hc(args.hcp, sig)))
-    if not places:
-        raise ValueError("give --place entries or --sig with --hcp")
-    return PlacedParameter(places)
+def _pretty_restrict(rec: dict) -> Iterator[str]:
+    r, s = rec["sig"]
+    # U(1,0) descends to U(0): there is no signature (0,0).
+    base = "the trivial group U(0)" if r + s == 1 else f"sig ({r - 1},{s})"
+    yield f"restricted parameter ({_blocks(rec['prime'])}) for {base}, u1={rec['u1']}"
+    yield f"  names a discrete series: {_YES[rec['discrete_series']]}"
+    yield f"  minimum entry in a-block: {_YES[rec['min_in_a']]}"
+    yield f"  noncompact support preserved: {_YES[rec['support_matches']]}"
 
 
-def _chain_json(steps) -> list[dict]:
-    return [
+def _cmd_chain(args: argparse.Namespace) -> Result:
+    p = PlacedParameter(_collect_places(args, "hcp", "parameter", _place_hc))
+    violations = _spacing(well_spaced_everywhere(p))
+    # The only warning left is a stop at a singular descended parameter.
+    with warnings.catch_warnings(record=True) as stops:
+        warnings.simplefilter("always")
+        steps = descent_chain(p, args.depth, warn=False)
+    violations += [str(stop.message) for stop in stops]
+    return Result([
         {"level": step.level,
-         "places": [{"sig": [sig.r, sig.s], **_hc_json(hc)}
+         "places": [{"sig": [sig.r, sig.s], **_blocks_json(hc)}
                     for sig, hc in step.parameter.places],
          "u1": [entry_to_str(u) for u in step.u1_weights],
          "class": step.classification.value,
          "dual_min_in_a": step.dual_min_in_a}
-        for step in steps]
+        for step in steps], violations, {"stopped": bool(stops)})
 
 
-def _cmd_chain(args: argparse.Namespace) -> int:
-    p = _collect_places_hc(args)
-    violations = []
-    if not well_spaced_everywhere(p):
-        violations.append("parameter is outside the spacing hypothesis "
-                          "(a consecutive gap is below 2)")
-    steps = descent_chain(p, args.depth, warn=False)
-
-    def emit() -> None:
-        if args.format == "json":
-            _emit_json(_chain_json(steps))
-        elif args.format == "tsv":
-            print("level\tclass\tdual_min_in_a\tu1\tplaces")
-            for step in steps:
-                places = " ".join(
-                    f"{sig.r},{sig.s}:{format_weight(hc.weight, sig)}"
-                    for sig, hc in step.parameter.places)
-                u1 = ",".join(entry_to_str(u) for u in step.u1_weights)
-                print(f"{step.level}\t{step.classification.value}\t"
-                      f"{str(step.dual_min_in_a).lower()}\t{u1}\t{places}")
-        else:
-            if not steps:
-                print("empty chain (nothing to descend)")
-            for step in steps:
-                places = " ".join(
-                    f"{_fmt_hc(hc)}@({sig.r},{sig.s})"
-                    for sig, hc in step.parameter.places)
-                u1 = ",".join(entry_to_str(u) for u in step.u1_weights)
-                print(f"level {step.level}: class={step.classification.value} "
-                      f"dual_min_in_a={str(step.dual_min_in_a).lower()} "
-                      f"u1=[{u1}] {places}")
-
-    return _finish(args, violations, emit)
+def _pretty_chain(steps: list, stopped: bool) -> Iterator[str]:
+    if not steps:
+        yield ("empty chain (the first descended parameter is singular)" if stopped
+               else "empty chain (nothing to descend)")
+    for step in steps:
+        places = " ".join(f"({_blocks(place)})@({_cell(place['sig'])})"
+                          for place in step["places"])
+        yield (f"level {step['level']}: class={step['class']} "
+               f"dual_min_in_a={_cell(step['dual_min_in_a'])} "
+               f"u1=[{_join(step['u1'])}] {places}")
 
 
-# fraction
-
-def _cmd_fraction(args: argparse.Namespace) -> int:
-    places: list[tuple[Signature, InfinitesimalCharacter]] = []
-    if args.place:
-        for text in args.place:
-            places.append(parse_place_hw(text))
-    if args.sig or args.hw:
-        if not (args.sig and args.hw):
-            raise ValueError("--sig and --hw must be given together")
-        sig = parse_signature(args.sig)
-        weight, blocks = parse_weight(args.hw)
-        if blocks is not None:
-            raise ValueError("--hw takes no block split")
-        places.append((sig, infinitesimal_character(weight)))
-    if not places:
-        raise ValueError("give --place entries or --sig with --hw")
-
+def _cmd_fraction(args: argparse.Namespace) -> Result:
+    places = _collect_places(args, "hw", "highest-weight", _place_ic)
     enumerated = isomorphism_fraction(places)
     expected = expected_fraction([sig for sig, _ in places])
-    match = enumerated == expected
-
-    def emit() -> None:
-        if args.format == "json":
-            _emit_json({"fraction": str(enumerated),
-                        "expected": str(expected),
-                        "match": match})
-        elif args.format == "tsv":
-            print("fraction\texpected\tmatch")
-            print(f"{enumerated}\t{expected}\t{str(match).lower()}")
-        else:
-            status = "OK" if match else "MISMATCH"
-            print(f"{enumerated} (expected {expected}: {status})")
-
-    return _finish(args, [], emit)
+    return Result({"fraction": str(enumerated),
+                   "expected": str(expected),
+                   "match": enumerated == expected})
 
 
-# analyze
+def _pretty_fraction(rec: dict) -> Iterator[str]:
+    status = "OK" if rec["match"] else "MISMATCH"
+    yield f"{rec['fraction']} (expected {rec['expected']}: {status})"
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    p = _collect_places_hc(args)
+
+def _cmd_analyze(args: argparse.Namespace) -> Result:
+    p = PlacedParameter(_collect_places(args, "hcp", "parameter", _place_hc))
     if any(sig.r < 1 for sig, _ in p.places):
         raise ValueError("analysis needs r >= 1 at every place")
     spaced = well_spaced_everywhere(p)
-    violations = []
-    if not spaced:
-        violations.append("parameter is outside the spacing hypothesis "
-                          "(a consecutive gap is below 2)")
-
-    place_reports = []
+    places = []
     for sig, hc in p.places:
-        ic = InfinitesimalCharacter(Weight.from_doubled(
-            sorted(hc.doubled_a + hc.doubled_b, reverse=True)))
+        ic = InfinitesimalCharacter(sorted(hc.a + hc.b, reverse=True))
         packet = enumerate_packet(ic, sig)
-        index = next(k for k, m in enumerate(packet) if m.hc == hc)
-        member = packet[index]
+        index, member = next((k, m) for k, m in enumerate(packet) if m.hc == hc)
         rp = restrict_parameter(sig, hc)
-        place_reports.append((sig, hc, member, index, rp))
-
-    classification = (RestrictionClass.ISOMORPHISM
-                      if min_entry_in_a_everywhere(p) else RestrictionClass.ZERO)
-    dual_flag = min_entry_in_a_everywhere(p.dual())
-
-    def emit() -> None:
-        if args.format == "json":
-            _emit_json({
-                "places": [
-                    {"sig": [sig.r, sig.s],
-                     **_hc_json(hc),
-                     "degree": member.degree,
-                     "length": member.length,
-                     "packet_index": index,
-                     "blattner": weight_to_strings(member.blattner),
-                     "coherent": weight_to_strings(member.coherent),
-                     "restricted": _blocks_json(rp.doubled_a, rp.doubled_b),
-                     "u1": doubled_to_str(rp.doubled_u1)}
-                    for sig, hc, member, index, rp in place_reports],
-                "class": classification.value,
-                "dual_min_in_a": dual_flag,
-                "well_spaced": spaced,
-            })
-        elif args.format == "tsv":
-            print("sig\tparameter\tdegree\tlength\tpacket_index\tblattner"
-                  "\tcoherent\trestricted\tu1")
-            for sig, hc, member, index, rp in place_reports:
-                print("\t".join([
-                    f"{sig.r},{sig.s}",
-                    format_weight(hc.weight, sig),
-                    str(member.degree),
-                    str(member.length),
-                    str(index),
-                    format_weight(member.blattner),
-                    format_weight(member.coherent),
-                    _fmt_blocks(rp.doubled_a, rp.doubled_b),
-                    doubled_to_str(rp.doubled_u1),
-                ]))
-            print(f"class\t{classification.value}")
-            print(f"dual_min_in_a\t{str(dual_flag).lower()}")
-            print(f"well_spaced\t{str(spaced).lower()}")
-        else:
-            for sig, hc, member, index, rp in place_reports:
-                print(f"place ({sig.r},{sig.s}): {_fmt_hc(hc)}")
-                print(f"  packet index {index}, degree {member.degree}, "
-                      f"length {member.length}")
-                print(f"  blattner {_fmt_blocked(member.blattner, sig)}, "
-                      f"coherent {_fmt_blocked(member.coherent, sig)}")
-                print(f"  restricted ({_fmt_blocks(rp.doubled_a, rp.doubled_b)}), "
-                      f"u1={doubled_to_str(rp.doubled_u1)}")
-            print(f"class: {classification.value}")
-            print(f"dual satisfies minimum condition: "
-                  f"{str(dual_flag).lower()}")
-            print(f"well spaced: {str(spaced).lower()}")
-
-    return _finish(args, violations, emit)
+        places.append({"sig": [sig.r, sig.s], **_blocks_json(hc),
+                       "degree": member.degree, "length": member.length, "packet_index": index,
+                       "blattner": weight_to_strings(member.blattner),
+                       "coherent": weight_to_strings(member.coherent),
+                       "restricted": _blocks_json(rp),
+                       "u1": doubled_to_str(rp.doubled_u1)})
+    return Result({"places": places,
+                   "class": classify_restriction(p, warn=False).value,
+                   "dual_min_in_a": min_entry_in_a_everywhere(p.dual()),
+                   "well_spaced": spaced}, _spacing(spaced))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("pretty", "json", "tsv"),
-                     default="pretty", help="output format")
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 3 on hypothesis violations instead of warning")
+def _pretty_analyze(rec: dict) -> Iterator[str]:
+    for place in rec["places"]:
+        r, s = place["sig"]
+        yield f"place ({r},{s}): ({_blocks(place)})"
+        yield (f"  packet index {place['packet_index']}, degree {place['degree']}, "
+               f"length {place['length']}")
+        yield (f"  blattner {_split(place['blattner'], r)}, "
+               f"coherent {_split(place['coherent'], r)}")
+        yield f"  restricted ({_blocks(place['restricted'])}), u1={place['u1']}"
+    yield f"class: {rec['class']}"
+    yield f"dual satisfies minimum condition: {_cell(rec['dual_min_in_a'])}"
+    yield f"well spaced: {_cell(rec['well_spaced'])}"
+
+
+# The parser and the renderers, one table entry per subcommand.
+
+_SIG = ("--sig", {"required": True, "help": "signature r,s"})
+_PLACE_SIG = ("--sig", {"help": "signature r,s (single place)"})
+_PLACE_HCP = ("--hcp", {"help": "parameter a-block/b-block (single place)"})
+_PLACES_HC = ("--place", {"action": "append", "default": [],
+                          "help": 'place "r,s:a-block/b-block" (repeatable)'})
+_COMMON = (("--format", {"choices": ("pretty", "json", "tsv"), "default": "pretty",
+                         "help": "output format"}),
+           ("--strict", {"action": "store_true",
+                         "help": "exit 3 on hypothesis violations instead of warning"}))
+
+
+class _Command(NamedTuple):
+    """A subcommand: its help and options, the handler that computes its
+    Result, the pretty template, and its TSV shape: the columns of the
+    table over rows(record) (default: the record is the list of rows),
+    then key/value lines for keys."""
+
+    help: str
+    options: tuple[tuple[str, dict], ...]
+    run: Callable[[argparse.Namespace], Result]
+    pretty: Callable[..., Iterator[str]]
+    columns: tuple[str, ...] = ()
+    rows: Optional[Callable[[object], list]] = None
+    keys: tuple[str, ...] = ()
+
+
+_COMMANDS = {
+    "packet": _Command(
+        "enumerate a packet",
+        (_SIG, ("--hw", {"required": True, "help": "highest weight a_sigma"})),
+        _cmd_packet, _pretty_packet,
+        columns=("a", "b", "degree", "length", "blattner", "coherent")),
+    "sr": _Command(
+        "minimal K-type test",
+        (_SIG, ("--ktype", {"required": True, "help": "K-highest weight mu"}),
+         ("--margin", {"type": int, "default": 2,
+                       "help": "required regularity margin of the shifted weight"})),
+        _cmd_sr, _pretty_sr,
+        keys=("accepted", "borel_ok", "positivity_ok", "hc", "hc_double_shift",
+              "mu_shifted", "margin")),
+    "branch": _Command(
+        "restrict U(m) to U(m-1) x U(1)",
+        (("--hw", {"required": True, "help": "dominant highest weight"}),),
+        _cmd_branch, _pretty_branch,
+        columns=("lower", "u1"), rows=lambda rec: rec["constituents"]),
+    "restrict": _Command(
+        "descend one parameter",
+        (_SIG, ("--hcp", {"required": True, "help": "parameter a-block/b-block"})),
+        _cmd_restrict, _pretty_restrict,
+        keys=("prime", "u1", "discrete_series", "min_in_a", "support_matches", "well_spaced")),
+    "chain": _Command(
+        "iterated descent",
+        (_PLACE_SIG, _PLACE_HCP, _PLACES_HC,
+         ("--depth", {"type": int, "required": True,
+                      "help": "number of descent steps (clamped to n-1)"})),
+        _cmd_chain, _pretty_chain,
+        columns=("level", "class", "dual_min_in_a", "u1", "places")),
+    "fraction": _Command(
+        "isomorphism fraction of a product packet",
+        (_PLACE_SIG, ("--hw", {"help": "highest weight a_sigma (single place)"}),
+         ("--place", {"action": "append", "default": [],
+                      "help": 'place "r,s:highest-weight" (repeatable)'})),
+        _cmd_fraction, _pretty_fraction,
+        columns=("fraction", "expected", "match"), rows=lambda rec: [rec]),
+    "analyze": _Command(
+        "full report for one parameter",
+        (_PLACE_SIG, _PLACE_HCP, _PLACES_HC),
+        _cmd_analyze, _pretty_analyze,
+        # The parameter column is each place's own blocks.
+        columns=("sig", "parameter", "degree", "length", "packet_index", "blattner",
+                 "coherent", "restricted", "u1"),
+        rows=lambda rec: [{**place, "parameter": place} for place in rec["places"]],
+        keys=("class", "dual_min_in_a", "well_spaced")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,70 +469,44 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lpackets",
         description="Exact discrete-series packet combinatorics for U(r,s)")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    packet = subs.add_parser("packet", help="enumerate a packet")
-    packet.add_argument("--sig", required=True, help="signature r,s")
-    packet.add_argument("--hw", required=True, help="highest weight a_sigma")
-    _add_common(packet)
-    packet.set_defaults(handler=_cmd_packet)
-
-    sr = subs.add_parser("sr", help="minimal K-type test")
-    sr.add_argument("--sig", required=True, help="signature r,s")
-    sr.add_argument("--ktype", required=True, help="K-highest weight mu")
-    sr.add_argument("--margin", type=int, default=2,
-                    help="required regularity margin of the shifted weight")
-    _add_common(sr)
-    sr.set_defaults(handler=_cmd_sr)
-
-    branch_cmd = subs.add_parser("branch", help="restrict U(m) to U(m-1) x U(1)")
-    branch_cmd.add_argument("--hw", required=True, help="dominant highest weight")
-    _add_common(branch_cmd)
-    branch_cmd.set_defaults(handler=_cmd_branch)
-
-    restrict = subs.add_parser("restrict", help="descend one parameter")
-    restrict.add_argument("--sig", required=True, help="signature r,s")
-    restrict.add_argument("--hcp", required=True, help="parameter a-block/b-block")
-    _add_common(restrict)
-    restrict.set_defaults(handler=_cmd_restrict)
-
-    chain = subs.add_parser("chain", help="iterated descent")
-    chain.add_argument("--sig", help="signature r,s (single place)")
-    chain.add_argument("--hcp", help="parameter a-block/b-block (single place)")
-    chain.add_argument("--place", action="append", default=[],
-                       help='place "r,s:a-block/b-block" (repeatable)')
-    chain.add_argument("--depth", type=int, required=True,
-                       help="number of descent steps (clamped to n-1)")
-    _add_common(chain)
-    chain.set_defaults(handler=_cmd_chain)
-
-    fraction = subs.add_parser("fraction",
-                               help="isomorphism fraction of a product packet")
-    fraction.add_argument("--sig", help="signature r,s (single place)")
-    fraction.add_argument("--hw", help="highest weight a_sigma (single place)")
-    fraction.add_argument("--place", action="append", default=[],
-                          help='place "r,s:highest-weight" (repeatable)')
-    _add_common(fraction)
-    fraction.set_defaults(handler=_cmd_fraction)
-
-    analyze = subs.add_parser("analyze", help="full report for one parameter")
-    analyze.add_argument("--sig", help="signature r,s (single place)")
-    analyze.add_argument("--hcp", help="parameter a-block/b-block (single place)")
-    analyze.add_argument("--place", action="append", default=[],
-                         help='place "r,s:a-block/b-block" (repeatable)')
-    _add_common(analyze)
-    analyze.set_defaults(handler=_cmd_analyze)
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for flag, options in command.options + _COMMON:
+            sub.add_argument(flag, **options)
     return parser
 
 
+def _render(command: _Command, result: Result, fmt: str) -> Iterator[str]:
+    record, _, extra = result
+    if fmt == "json":
+        yield json.dumps(record, indent=2)
+    elif fmt == "tsv":
+        if command.columns:
+            yield "\t".join(command.columns)
+            for row in command.rows(record) if command.rows else record:
+                yield "\t".join(_cell(row[column]) for column in command.columns)
+        for key in command.keys:
+            yield f"{key}\t{_cell(record[key])}"
+    else:
+        yield from command.pretty(record, **extra)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        return args.handler(args)
+        result = command.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for violation in result.violations:
+        print(f"warning: {violation}", file=sys.stderr)
+    if result.violations and args.strict:
+        print("error: hypothesis violation under --strict", file=sys.stderr)
+        return 3
+    for line in _render(command, result, args.format):
+        print(line)
+    return 0
 
 
 def console_main() -> None:

@@ -264,7 +264,11 @@ def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[Cha
 
     Each step classifies the current parameter, records whether its dual
     satisfies the minimum-entry condition, then descends every place.
-    Raises if a pending step would restrict a place with r = 0.
+    Raises if a pending step would restrict a place with r = 0. When two
+    descended entries collide (off the spacing hypothesis, and deeper in
+    some well-spaced chains), the chain stops there and returns the steps
+    it finished; that warning is always given, while warn only governs
+    the spacing warning.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -277,8 +281,14 @@ def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[Cha
         restricted = [restrict_parameter(sig, hc) for sig, hc in current.places]
         classification = _classify(current, restricted, warn)
         dual_flag = min_entry_in_a_everywhere(current.dual())
-        current = PlacedParameter((Signature(sig.r - 1, sig.s), rp.prime_hc())
-                                  for (sig, _), rp in zip(current.places, restricted))
+        try:
+            current = PlacedParameter((Signature(sig.r - 1, sig.s), rp.prime_hc())
+                                      for (sig, _), rp in zip(current.places, restricted))
+        except ValueError as exc:
+            # The shifts keep both blocks decreasing and on one coset, so
+            # the only failure is a singular descended parameter.
+            warnings.warn(f"descended {exc}; the chain stops here", stacklevel=2)
+            break
         chain.append(ChainStep(
             level=current.n,
             parameter=current,

@@ -39,13 +39,13 @@ def _positive_pairs(doubled: tuple[int, ...], lo: int, hi: int) -> list[tuple[in
             if doubled[i] > doubled[j]]
 
 
-def _root_sum(pairs: list[tuple[int, int]], n: int) -> list[int]:
+def _root_sum(pairs: list[tuple[int, int]], n: int) -> tuple[int, ...]:
     """Sum of the roots e_i - e_j over pairs, doubled."""
     coords = [0] * n
     for i, j in pairs:
         coords[i] += 2
         coords[j] -= 2
-    return coords
+    return tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,10 @@ def theta_parabolic(weight: Weight) -> ThetaParabolic:
 
 @dataclass(frozen=True)
 class MinimalKTypeVerdict:
-    """Outcome of the test; hc is present exactly when accepted."""
+    """Outcome of the test; hc is present exactly when accepted.
+
+    The parabolic of the shifted weight comes along as its root sum,
+    doubled, and its number of roots (those of `theta_parabolic`)."""
 
     accepted: bool
     borel_ok: bool
@@ -96,6 +99,8 @@ class MinimalKTypeVerdict:
     hc: Optional[HCParameter]
     hc_double_shift: Weight
     mu_shifted: Weight
+    doubled_two_rho_u: tuple[int, ...]
+    root_count: int
 
 
 def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
@@ -127,6 +132,8 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
         hc=hc,
         hc_double_shift=double_shift,
         mu_shifted=shifted,
+        doubled_two_rho_u=two_rho_u,
+        root_count=len(pairs),
     )
 
 

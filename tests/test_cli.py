@@ -288,6 +288,34 @@ class TestChainCommand:
         assert lines[0] == "level\tclass\tdual_min_in_a\tu1\tplaces"
         assert lines[1].split("\t")[1] == "iso"
 
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "tsv"])
+    @pytest.mark.parametrize("sig, hcp, depth, finished, spaced, blocks", [
+        ("2,1", "3,1;2", "2", 0, False, "5/2;5/2"),
+        ("3,1", "25/2,17/2,13/2;21/2", "3", 1, True, "23/2;23/2"),
+    ], ids=["off-spacing", "well-spaced"])
+    def test_singular_descent_stops(self, capsys, fmt, sig, hcp, depth, finished,
+                                    spaced, blocks):
+        argv = ["chain", "--sig", sig, "--hcp", hcp, "--depth", depth, "--format", fmt]
+        stop = f"warning: descended parameter ({blocks}) is singular; the chain stops here\n"
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err.endswith(stop)
+        assert ("spacing hypothesis" in captured.err) is not spaced
+        assert "error:" not in captured.err
+        if fmt == "json":
+            assert len(json.loads(captured.out)) == finished
+        elif fmt == "tsv":
+            assert len(captured.out.splitlines()) == 1 + finished
+        elif finished == 0:
+            assert captured.out == "empty chain (the first descended parameter is singular)\n"
+        else:
+            assert captured.out.startswith("level 3: class=iso")
+
+        assert main(argv + ["--strict"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(stop + "error: hypothesis violation under --strict\n")
+
     def test_requires_some_place(self, capsys):
         assert main(["chain", "--depth", "1"]) == 2
         assert "give --place entries or --sig with --hcp" in capsys.readouterr().err

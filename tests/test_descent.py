@@ -311,6 +311,22 @@ class TestChain:
         with pytest.raises(ValueError):
             descent_chain(p, 2)
 
+    def test_singular_descent_returns_finished_steps(self):
+        off = PlacedParameter([(Signature(2, 1), HCParameter((3, 1), (2,)))])
+        with pytest.warns(UserWarning, match=r"descended parameter \(5/2;5/2\) is "
+                                             r"singular; the chain stops here"):
+            assert descent_chain(off, 2, warn=False) == []
+        # Well spaced, yet the second step's descended blocks collide.
+        spaced = PlacedParameter([(Signature(3, 1), HCParameter.from_doubled((25, 17, 13), (21,)))])
+        with pytest.warns(UserWarning) as caught:
+            chain = descent_chain(spaced, 3)
+        # (12,8;11) is off the spacing hypothesis, so its step warns first.
+        assert [str(w.message) for w in caught][1:] == [
+            "descended parameter (23/2;23/2) is singular; the chain stops here"]
+        assert caught[1].filename == __file__
+        assert chain == descent_chain(spaced, 1)
+        assert chain[0].parameter.places[0][1] == HCParameter((12, 8), (11,))
+
     def test_depth_clamp_beats_pending_r_zero(self):
         # n = 2 clamps to one step, so the r = 0 place is never restricted
         p = PlacedParameter([(Signature(1, 1), HCParameter((3,), (0,)))])

@@ -48,6 +48,17 @@ class TestThetaParabolic:
         assert not para.is_borel
         assert len(para.delta_u.roots) == 2
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_verdict_carries_the_parabolic(self, n):
+        rng = random.Random(500 + n)
+        for sig in all_signatures(n):
+            for _ in range(8):
+                verdict = minimal_ktype_test(random_kdominant(rng, sig), sig)
+                para = theta_parabolic(verdict.mu_shifted)
+                assert verdict.doubled_two_rho_u == para.two_rho_u.doubled
+                assert verdict.root_count == len(para.delta_u.roots)
+                assert verdict.borel_ok is para.is_borel
+
 
 class TestVerdicts:
     def test_worked_example_accepted(self):
