@@ -23,12 +23,12 @@ import json
 import sys
 import warnings
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .branching import branch, weyl_dim
 from .cartan import (Weight, doubled_text, doubled_to_str, entry_from_str, entry_to_str,
                      weight_to_strings)
-from .descent import (PlacedParameter, RestrictedParameter, classify_restriction, descent_chain,
+from .descent import (PlacedParameter, RestrictedParameter, RestrictionClass, descent_chain,
                       expected_fraction, isomorphism_fraction, min_entry_in_a,
                       min_entry_in_a_everywhere, noncompact_support_matches, restrict_parameter,
                       restriction_is_discrete_series, well_spaced_everywhere)
@@ -169,7 +169,7 @@ class Result(NamedTuple):
 
 # Cells and pretty text, from the record's strings, ints and booleans.
 
-def _join(entries: Iterable[str]) -> str:
+def _join(entries: Sequence[str]) -> str:
     return ",".join(entries)
 
 
@@ -194,7 +194,7 @@ def _cell(value: object) -> str:
     if isinstance(value, list):
         if value and isinstance(value[0], dict):
             return " ".join(f"{_cell(place['sig'])}:{_blocks(place)}" for place in value)
-        return _join(map(_cell, value))
+        return ",".join(map(str, value))
     return str(value)
 
 
@@ -356,7 +356,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Result:
     spaced = well_spaced_everywhere(p)
     places = []
     for sig, hc in p.places:
-        ic = InfinitesimalCharacter(sorted(hc.a + hc.b, reverse=True))
+        ic = InfinitesimalCharacter(Weight.from_doubled(
+            sorted(hc.doubled_a + hc.doubled_b, reverse=True)))
         packet = enumerate_packet(ic, sig)
         index, member = next((k, m) for k, m in enumerate(packet) if m.hc == hc)
         rp = restrict_parameter(sig, hc)
@@ -367,7 +368,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Result:
                        "restricted": _blocks_json(rp),
                        "u1": doubled_to_str(rp.doubled_u1)})
     return Result({"places": places,
-                   "class": classify_restriction(p, warn=False).value,
+                   "class": (RestrictionClass.ISOMORPHISM if min_entry_in_a_everywhere(p)
+                             else RestrictionClass.ZERO).value,
                    "dual_min_in_a": min_entry_in_a_everywhere(p.dual()),
                    "well_spaced": spaced}, _spacing(spaced))
 
