@@ -62,11 +62,13 @@ def parse_weight(text: str) -> tuple[Weight, Optional[Blocks]]:
         current: list[Fraction] = []
         for field in segment.split(",") if segment.strip() else ():
             left, slash, right = field.strip().partition("/")
-            if slash and not (right == "2" and _is_odd_int(left)):
+            if not slash:
+                current.append(entry_from_str(left))
+            elif right == "2" and _is_odd_int(left):
+                current.append(Fraction(int(left), 2))
+            else:
                 blocks.append((*current, entry_from_str(left)))
                 current = [entry_from_str(right)]
-            else:
-                current.append(entry_from_str(field))
         blocks.append(tuple(current))
     weight = Weight(x for block in blocks for x in block)
     return weight, blocks if len(blocks) > 1 else None
@@ -185,17 +187,15 @@ def _split(entries: Sequence[str], r: int) -> str:
 def _cell(value: object) -> str:
     """One TSV cell: None empty, booleans in lower case, {a, b} blocks as
     "a;b", entry lists joined by ",", places as "r,s:a;b" joined by spaces."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, dict):
-        return _blocks(value)
     if isinstance(value, list):
         if value and isinstance(value[0], dict):
             return " ".join(f"{_cell(place['sig'])}:{_blocks(place)}" for place in value)
         return ",".join(map(str, value))
-    return str(value)
+    if isinstance(value, dict):
+        return _blocks(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "" if value is None else str(value)
 
 
 _YES = {True: "yes", False: "no"}
@@ -486,7 +486,7 @@ def _render(command: _Command, result: Result, fmt: str) -> Iterator[str]:
         if command.columns:
             yield "\t".join(command.columns)
             for row in command.rows(record) if command.rows else record:
-                yield "\t".join(_cell(row[column]) for column in command.columns)
+                yield "\t".join([_cell(row[column]) for column in command.columns])
         for key in command.keys:
             yield f"{key}\t{_cell(record[key])}"
     else:
