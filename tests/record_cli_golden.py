@@ -76,6 +76,8 @@ HAND_PICKED = [
     ["analyze", "--sig", "2,1", "--hcp", "3,2;1"],
     ["analyze", "--sig", "2,1", "--hcp", "3,2;1", "--strict"],
     ["analyze", "--place", "2,1:5,2;-1", "--place", "1,2:4;1,-2"],
+    ["analyze", "--place", "2,1:5,2;-1", "--sig", "2,1", "--hcp", "5,-1;2"],
+    ["chain", "--place", "2,1:7,0;4", "--sig", "2,1", "--hcp", "5,-1;2", "--depth", "1"],
 ]
 
 
