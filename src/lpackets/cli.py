@@ -96,8 +96,8 @@ def _check_block_sizes(blocks: Optional[Blocks], sig: Signature) -> None:
     if blocks is not None:
         sizes = tuple(len(b) for b in blocks)
         if sizes != (sig.r, sig.s):
-            raise ValueError(
-                f"block sizes {sizes} do not match signature ({sig.r},{sig.s})")
+            raise ValueError(f"block sizes ({','.join(map(str, sizes))})"
+                             f" do not match signature ({sig.r},{sig.s})")
 
 
 def parse_hc(text: str, sig: Signature) -> HCParameter:

@@ -6,15 +6,21 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 from lpackets import (
+    HCParameter,
     InfinitesimalCharacter,
+    RestrictedParameter,
     Signature,
     Weight,
+    coherent_parameter,
     enumerate_packet,
     infinitesimal_character,
     min_entry_in_a,
+    restrict_ktype,
 )
+from lpackets.cartan import two_rho
 
 
 def all_signatures(n: int) -> list[Signature]:
@@ -142,3 +148,14 @@ def product_fraction_reference(places) -> Fraction:
         total += 1
         count += all(combo)
     return Fraction(count, total)
+
+
+def reference_restriction(sig: Signature, hc: HCParameter) -> RestrictedParameter:
+    """restrict_parameter by the K-type route: restrict the coherent
+    parameter along the a-block, then add rho(n-1) back to the blocks."""
+    split = restrict_ktype(coherent_parameter(hc), sig)
+    prime = split.head.doubled + split.tail.doubled
+    if hc.n > 1:
+        prime = tuple(map(add, prime, two_rho(hc.n - 1)))
+    return RestrictedParameter(doubled_a=prime[:sig.r - 1], doubled_b=prime[sig.r - 1:],
+                               doubled_u1=split.doubled_u1)

@@ -172,7 +172,8 @@ def test_criterion_07_route_equivalence(fraction_sweep):
                 rp = restrict_parameter(sig, m.hc)
                 assert min_entry_in_a(m.hc) \
                     == noncompact_support_matches(sig, m.hc, rp)
-                # the classifier cross-checks both routes internally
+                # the assertion above is the cross-check of the two routes;
+                # the classifier itself reads the minimum-entry condition only
                 got = classify_restriction(PlacedParameter([(sig, m.hc)]))
                 want = (RestrictionClass.ISOMORPHISM if min_entry_in_a(m.hc)
                         else RestrictionClass.ZERO)

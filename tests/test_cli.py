@@ -252,6 +252,34 @@ class TestRestrictCommand:
         assert "error: hypothesis violation under --strict" in captured.err
         assert captured.out == ""
 
+    # min_in_a holds, but the shifted blocks collide, so the support route
+    # disagrees; off the spacing hypothesis that is a warning, not an error.
+    DIVERGENT_OUT = {
+        "pretty": "restricted parameter (5/2;5/2) for sig (1,1), u1=1\n"
+                  "  names a discrete series: no\n"
+                  "  minimum entry in a-block: yes\n"
+                  "  noncompact support preserved: no\n",
+        "json": json.dumps({"sig": [2, 1], "prime": {"a": ["5/2"], "b": ["5/2"]},
+                            "u1": "1", "discrete_series": False, "min_in_a": True,
+                            "support_matches": False, "well_spaced": False},
+                           indent=2) + "\n",
+        "tsv": "prime\t5/2;5/2\nu1\t1\ndiscrete_series\tfalse\nmin_in_a\ttrue\n"
+               "support_matches\tfalse\nwell_spaced\tfalse\n",
+    }
+    SPACING = ("warning: parameter is outside the spacing hypothesis"
+               " (a consecutive gap is below 2)\n")
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "tsv"])
+    def test_route_divergence(self, capsys, fmt):
+        argv = ["restrict", "--sig", "2,1", "--hcp", "3,1;2", f"--format={fmt}"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (self.DIVERGENT_OUT[fmt], self.SPACING)
+        assert main([*argv, "--strict"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", self.SPACING + "error: hypothesis violation under --strict\n")
+
 
 class TestChainCommand:
     def test_json_schema(self, capsys):
@@ -382,6 +410,10 @@ class TestReadableErrors:
          "weight (3,5,0) is not K-dominant for sig (2,1)"),
         (["branch", "--hw", "1/2,5/2"],
          "highest weight (1/2,5/2) is not non-increasing"),
+        (["chain", "--sig", "2,1", "--hcp", "5;3,0", "--depth", "1"],
+         "error: block sizes (1,2) do not match signature (2,1)\n"),
+        (["analyze", "--sig", "1,2", "--hcp", "5,2;-1"],
+         "error: block sizes (2,1) do not match signature (1,2)\n"),
     ])
     def test_invalid_input(self, capsys, argv, message):
         assert main(argv) == 2

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_signatures, counting_sweep, product_fraction_reference, random_ic
+from helpers import (all_signatures, counting_sweep, product_fraction_reference, random_ic,
+                     reference_restriction)
 
 from lpackets import (
     HCParameter,
@@ -175,6 +176,67 @@ class TestSupportRoute:
         rp2 = restrict_parameter(sig, hc2)
         assert min_entry_in_a(hc2) is False
         assert noncompact_support_matches(sig, hc2, rp2) is False
+
+
+def off_spacing_sweep():
+    """Every r >= 1 signature for n <= 7 with characters whose consecutive
+    gaps may be 1: 8 draws per signature."""
+    rng = random.Random(79)
+    return [(sig, random_ic(rng, n)) for n in range(1, 8)
+            for sig in all_signatures(n) if sig.r >= 1 for _ in range(8)]
+
+
+def chain_parameters(sig, hc):
+    """(parameters, chain): the one-place parameter followed by each
+    parameter its chain to depth r reaches, and that chain."""
+    p = PlacedParameter([(sig, hc)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chain = descent_chain(p, sig.r, warn=False)
+    return [p] + [step.parameter for step in chain], chain
+
+
+class TestRouteOracles:
+    """The library computes the descended parameter and the class one way;
+    the K-type route and the support route check them here."""
+
+    def check(self, places):
+        counts = {"restricted": 0, "supported": 0, "divergent": 0}
+        for sig, ic in places:
+            for m in enumerate_packet(ic, sig):
+                params, chain = chain_parameters(sig, m.hc)
+                for k, q in enumerate(params):
+                    ((s, hc),) = q.places
+                    if s.r < 1:
+                        continue
+                    rp = restrict_parameter(s, hc)
+                    assert rp == reference_restriction(s, hc)
+                    counts["restricted"] += 1
+                    by_minimum = min_entry_in_a(hc)
+                    want = (RestrictionClass.ISOMORPHISM if by_minimum
+                            else RestrictionClass.ZERO)
+                    assert classify_restriction(q, warn=False) is want
+                    if k < len(chain):
+                        assert chain[k].classification is want
+                    by_support = noncompact_support_matches(s, hc, rp)
+                    if well_spaced_everywhere(q):
+                        assert by_support == by_minimum
+                        counts["supported"] += 1
+                    else:
+                        counts["divergent"] += by_support != by_minimum
+        return counts
+
+    def test_counting_sweep(self):
+        places = [place for entry in counting_sweep() for place in entry if place[0].r >= 1]
+        counts = self.check(places)
+        assert counts["restricted"] >= 25000
+        assert counts["supported"] >= 20000
+
+    def test_off_spacing_sweep(self):
+        counts = self.check(off_spacing_sweep())
+        assert counts["restricted"] >= 4000
+        # The sweep reaches parameters where the support route diverges.
+        assert counts["divergent"] >= 100
 
 
 class TestClassify:
