@@ -8,6 +8,7 @@ dimension formula provides an independent count for cross-checking.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -88,31 +89,18 @@ def interlaces(upper: Weight, lower: Weight) -> bool:
 def branch(upper: Weight) -> list[BranchConstituent]:
     """All interlacing lower weights, lexicographically descending.
 
-    Entries step by 1 inside [upper_{k+1}, upper_k], so every constituent
-    stays on the coset of the input. Multiplicities are all 1.
+    Entries step by 1 inside [upper_{k+1}, upper_k], independently of each
+    other, so every constituent stays on the coset of the input.
+    Multiplicities are all 1.
     """
     doubled = upper.doubled
     _require_dominant(doubled, "highest weight")
     if len(doubled) < 1:
         raise ValueError("empty highest weight")
     total = sum(doubled)
-    if len(doubled) == 1:
-        return [BranchConstituent(lower=Weight(()), doubled_u1=total)]
-
-    def descend(prefix: list[int], k: int, out: list[BranchConstituent]) -> None:
-        if k == len(doubled) - 1:
-            out.append(BranchConstituent(lower=Weight.from_doubled(prefix),
-                                         doubled_u1=total - sum(prefix)))
-            return
-        top, bottom = doubled[k], doubled[k + 1]
-        for entry in range(top, bottom - 1, -2):
-            prefix.append(entry)
-            descend(prefix, k + 1, out)
-            prefix.pop()
-
-    constituents: list[BranchConstituent] = []
-    descend([], 0, constituents)
-    return constituents
+    choices = [range(top, bottom - 1, -2) for top, bottom in zip(doubled, doubled[1:])]
+    return [BranchConstituent(lower=Weight._trusted(lower), doubled_u1=total - sum(lower))
+            for lower in itertools.product(*choices)]
 
 
 def weyl_dim(weight: Weight) -> int:

@@ -7,6 +7,11 @@ the coset is the common parity and all arithmetic is integer arithmetic.
 `Fraction` appears only at the boundary: entries given to constructors,
 the public views (`Weight.entries`, indexing, iteration, `pairing`) and
 the string forms. No floating point is used anywhere in the package.
+
+The public constructors (`Weight(...)` and `Weight.from_doubled`) check
+the common coset. Values the package derives from weights it has already
+checked, by shifts that keep every parity, are built by the private
+`Weight._trusted` and are not checked again.
 """
 
 from __future__ import annotations
@@ -78,8 +83,14 @@ class Weight:
         """The weight whose entries are half of the given ints."""
         values = tuple(doubled)
         check_parity(values)
+        return cls._trusted(values)
+
+    @classmethod
+    def _trusted(cls, doubled: tuple[int, ...]) -> "Weight":
+        """Store a doubled tuple as it is, without the parity check; only
+        for tuples whose parity is uniform by construction."""
         weight = object.__new__(cls)
-        object.__setattr__(weight, "doubled", values)
+        object.__setattr__(weight, "doubled", doubled)
         return weight
 
     def __setattr__(self, name: str, value: object) -> None:

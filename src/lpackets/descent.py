@@ -217,7 +217,7 @@ def isomorphism_fraction(places: Sequence[tuple[Signature, InfinitesimalCharacte
         raise ValueError("places have unequal rank")
     count = total = 1
     for sig, ic in places:
-        flags = [min_entry_in_a(hc) for _, _, hc in _packet_parameters(ic, sig)]
+        flags = [min_entry_in_a(hc) for hc in _packet_parameters(ic, sig)]
         count *= sum(flags)
         total *= len(flags)
     return Fraction(count, total)

@@ -10,13 +10,21 @@ weakly above the parabolic's root sum, and the recovered parameter
 
 The full-shift variant (shifted weight minus the whole root sum) is kept
 as a diagnostic; it is singular in general and never drives acceptance.
+
+The root sums come from one sort of the entries, not from a list of
+roots: the roots e_i - e_j pairing strictly positively give index i 2 for
+each entry below it and take 2 for each entry above it, doubled.
+`theta_parabolic` still lists its roots, since it returns them. The test
+checks the weight it is given; what it derives from it is valid by
+construction and built without a second check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from operator import add, ge, le, sub
+from typing import Optional, Sequence
 
 from .cartan import Weight, doubled_text, half_entry
 from .packets import HCParameter, _strictly_decreasing
@@ -48,6 +56,17 @@ def _root_sum(pairs: list[tuple[int, int]], n: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
+def _twice_below_above(ordered: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """Twice the number of entries below and above each distinct value of
+    an increasing sequence, both keyed in increasing order. The doubled sum
+    of the roots e_i - e_j with entry i > entry j is, at an index holding
+    the value v, 2 * (#below - #above): below[v] - above[v]."""
+    steps = range(2 * len(ordered) - 2, -1, -2)
+    # Later pairs overwrite earlier ones: the first occurrence of each
+    # value wins in the reversed walk, the last in the forward one.
+    return dict(zip(reversed(ordered), steps)), dict(zip(ordered, steps))
+
+
 @dataclass(frozen=True)
 class ThetaParabolic:
     """Nilradical root set of the parabolic a regular weight determines."""
@@ -65,13 +84,17 @@ def shifted_weight(mu: Weight, sig: Signature) -> Weight:
     if len(mu) != sig.n:
         raise ValueError("dimension mismatch")
     doubled = mu.doubled
+    shifted: list[int] = []
     for block in (doubled[: sig.r], doubled[sig.r:]):
-        if any(x < y for x, y in zip(block, block[1:])):
+        if not all(map(ge, block, block[1:])):
             raise ValueError(f"weight ({doubled_text(doubled)}) is not K-dominant "
                              f"for sig ({sig.r},{sig.s})")
-    compact = _positive_pairs(doubled, 0, sig.r) + _positive_pairs(doubled, sig.r, sig.n)
-    return Weight.from_doubled(
-        x + y for x, y in zip(doubled, _root_sum(compact, sig.n)))
+        # Each entry gains 2 per entry of its block below it and loses 2
+        # per entry above it.
+        below, above = _twice_below_above(block[::-1])
+        shifted += map(sub, map(add, block, map(below.__getitem__, block)),
+                       map(above.__getitem__, block))
+    return Weight._trusted(tuple(shifted))
 
 
 def theta_parabolic(weight: Weight) -> ThetaParabolic:
@@ -108,12 +131,17 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
     shifted = shifted_weight(mu, sig)
     w = shifted.doubled
     n = len(w)
-    # The parabolic of theta_parabolic, as index pairs and a doubled root sum.
-    pairs = _positive_pairs(w, 0, n)
-    two_rho_u = _root_sum(pairs, n)
-    borel_ok = len(pairs) == n * (n - 1) // 2
-    positivity_ok = all(w[i] - w[j] >= two_rho_u[i] - two_rho_u[j] for i, j in pairs)
-    double_shift = Weight.from_doubled(x - y for x, y in zip(w, two_rho_u))
+    # The parabolic of theta_parabolic, as a doubled root sum and a count.
+    below, above = _twice_below_above(sorted(w))
+    two_rho_u = tuple(map(sub, map(below.__getitem__, w), map(above.__getitem__, w)))
+    root_count = sum(map(below.__getitem__, w)) // 2
+    borel_ok = root_count == n * (n - 1) // 2
+    # w_i - w_j >= t_i - t_j on every root says that w - t does not
+    # decrease with the value, so it is checked between consecutive
+    # distinct values only.
+    lowered = [v - below[v] + above[v] for v in above]
+    positivity_ok = all(map(le, lowered, lowered[1:]))
+    double_shift = Weight._trusted(tuple(map(sub, w, two_rho_u)))
 
     hc: Optional[HCParameter] = None
     accepted = False
@@ -123,7 +151,7 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
         candidate = tuple(x - y // 2 for x, y in zip(w, two_rho_u))
         a, b = candidate[: sig.r], candidate[sig.r:]
         if len(set(candidate)) == n and _strictly_decreasing(a) and _strictly_decreasing(b):
-            hc = HCParameter.from_doubled(a, b)
+            hc = HCParameter._trusted(a, b)
             accepted = True
     return MinimalKTypeVerdict(
         accepted=accepted,
@@ -133,7 +161,7 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
         hc_double_shift=double_shift,
         mu_shifted=shifted,
         doubled_two_rho_u=two_rho_u,
-        root_count=len(pairs),
+        root_count=root_count,
     )
 
 

@@ -5,11 +5,20 @@ an ordered pair of blocks (a; b) in C(n, r) ways, one per r-subset of its
 entries; those shuffles are the packet. Each member carries a degree (the
 count of noncompact positive roots on it), a shuffle word, its coherent
 parameter, and its Blattner parameter (lowest K-type highest weight).
+
+All of a member's data is read off its a-block index set in one pass over
+the indices: the shuffle itself needs no pair of entries compared. The
+public constructors (`HCParameter(...)`, `HCParameter.from_doubled`,
+`InfinitesimalCharacter`) check order, coset and regularity. Shuffles of a
+checked infinitesimal character, their coherent and Blattner weights and
+dual parameters are valid by construction; they are built by the private
+`_trusted` constructors and are not checked again.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, gt, sub
@@ -46,7 +55,15 @@ def _strictly_decreasing(values: Sequence) -> bool:
 
 
 def _inversions(word: Sequence[int]) -> int:
-    return sum(x > y for x, y in itertools.combinations(word, 2))
+    """Pairs x before y with x > y: for each letter from the right, the
+    number of smaller letters after it, by bisection in their sorted list."""
+    after: list[int] = []
+    count = 0
+    for x in reversed(word):
+        k = bisect_left(after, x)
+        count += k
+        after.insert(k, x)
+    return count
 
 
 class HCParameter:
@@ -68,6 +85,15 @@ class HCParameter:
         """The parameter whose blocks are half of the given ints."""
         hc = object.__new__(cls)
         hc._init(tuple(a), tuple(b))
+        return hc
+
+    @classmethod
+    def _trusted(cls, a: tuple[int, ...], b: tuple[int, ...]) -> "HCParameter":
+        """Store doubled blocks as they are, without any check; only for
+        blocks that are decreasing, regular and on one coset by construction."""
+        hc = object.__new__(cls)
+        object.__setattr__(hc, "doubled_a", a)
+        object.__setattr__(hc, "doubled_b", b)
         return hc
 
     def _init(self, a: tuple[int, ...], b: tuple[int, ...]) -> None:
@@ -198,11 +224,37 @@ def infinitesimal_character(a_sigma: Iterable[EntryLike]) -> InfinitesimalCharac
         Weight.from_doubled(map(add, doubled, two_rho(len(doubled)))))
 
 
+def _shuffles(ic: InfinitesimalCharacter, sig: Signature) -> Iterator[tuple]:
+    """(a-block indices, shuffle word, doubled entries of the word) for every
+    (r, s)-shuffle of ic, in colexicographic order of the a-block index set.
+    Indices are 1-based; the word is the a-indices, then the b-indices, each
+    increasing, so the entries are the a-block, then the b-block.
+
+    Over the indices taken in decreasing order, itertools yields r-subsets
+    in reverse colex order; the complements of colex-ordered subsets come
+    in reverse colex order, so they are the s-subsets in yield order."""
+    n = ic.n
+    if sig.n != n:
+        raise ValueError("dimension mismatch")
+    pick = ((0,) + ic.weight.doubled).__getitem__
+    down = range(n, 0, -1)
+    for a_down, b_down in zip(reversed(list(itertools.combinations(down, sig.r))),
+                              itertools.combinations(down, sig.s)):
+        a_index = a_down[::-1]
+        word = a_index + b_down[::-1]
+        yield a_index, word, tuple(map(pick, word))
+
+
+def _below_counts(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """For each entry of the decreasing block a, the number of entries of
+    the decreasing block b below it, by bisection."""
+    return list(map(bisect_left, itertools.repeat(b[::-1]), a))
+
+
 def degree(hc: HCParameter) -> int:
     """Number of pairs a_i > b_j; equals the count of noncompact positive
     roots pairing strictly positively with the parameter."""
-    b = hc.doubled_b
-    return sum(1 for ai in hc.doubled_a for bj in b if ai > bj)
+    return sum(_below_counts(hc.doubled_a, hc.doubled_b))
 
 
 def shuffle_length(hc: HCParameter, ic: InfinitesimalCharacter) -> int:
@@ -219,54 +271,57 @@ def _coherent_doubled(hc: HCParameter) -> tuple[int, ...]:
     return tuple(map(sub, hc.doubled_a + hc.doubled_b, two_rho(hc.n)))
 
 
-def _blattner_doubled(hc: HCParameter, coherent: Sequence[int]) -> list[int]:
-    """The doubled Blattner parameter from the doubled coherent one."""
-    coords = list(coherent)
-    r = hc.r
-    for i, ai in enumerate(hc.doubled_a):
-        for j, bj in enumerate(hc.doubled_b, start=r):
-            if ai > bj:
-                coords[i] += 2
-                coords[j] -= 2
-    return coords
-
-
 def coherent_parameter(hc: HCParameter) -> Weight:
     """The rho-shift of the concatenated parameter."""
-    return Weight.from_doubled(_coherent_doubled(hc))
+    return Weight._trusted(_coherent_doubled(hc))
 
 
 def blattner(hc: HCParameter) -> Weight:
     """Lowest K-type highest weight: the coherent parameter plus the sum of
-    noncompact positive roots pairing strictly positively with hc."""
-    return Weight.from_doubled(_blattner_doubled(hc, _coherent_doubled(hc)))
+    noncompact positive roots pairing strictly positively with hc. Each
+    a-entry gains 2 per b-entry below it, each b-entry loses 2 per a-entry
+    above it, doubled."""
+    a, b = hc.doubled_a, hc.doubled_b
+    gains = [2 * k for k in _below_counts(a, b)]
+    gains += [2 * (k - len(a)) for k in _below_counts(b, a)]
+    return Weight._trusted(tuple(map(add, _coherent_doubled(hc), gains)))
 
 
-def _packet_parameters(ic: InfinitesimalCharacter, sig: Signature) -> Iterator[tuple]:
-    """(a-block indices, b-block indices, parameter) per shuffle, in
-    colexicographic order of the a-block index set; no derived data."""
-    n = ic.n
-    if sig.n != n:
-        raise ValueError("dimension mismatch")
-    pick = ic.weight.doubled.__getitem__
-    for subset in sorted(itertools.combinations(range(n), sig.r), key=lambda c: c[::-1]):
-        chosen = set(subset)
-        rest = tuple([k for k in range(n) if k not in chosen])
-        yield subset, rest, HCParameter.from_doubled(tuple(map(pick, subset)),
-                                                     tuple(map(pick, rest)))
+def _packet_parameters(ic: InfinitesimalCharacter, sig: Signature) -> Iterator[HCParameter]:
+    """The parameter of each shuffle, in colexicographic order of the
+    a-block index set; no derived data."""
+    r = sig.r
+    for _, _, entries in _shuffles(ic, sig):
+        yield HCParameter._trusted(entries[:r], entries[r:])
 
 
 def enumerate_packet(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketMember]:
     """All C(n, r) shuffles, in colexicographic order of the a-block index set."""
+    n, r = ic.n, sig.r
+    if sig.n != n:
+        raise ValueError("dimension mismatch")
+    # Take a-indices i_0 < ... < i_{r-1} and b-indices j_0 < ... < j_{s-1},
+    # 0-based. The a-entry at block position k lies above n - r - i_k + k
+    # b-entries and the b-entry at position q below j_q - q a-entries, so
+    # the degree is the sum of the first counts, and from the coherent to
+    # the Blattner parameter the first entries gain twice their count and
+    # the second lose twice theirs. Over 1-based indices, the degree is top
+    # minus the sum of the a-indices, and the doubled Blattner entry of
+    # index i at concatenated position p is base[i] + offsets[p].
+    lam = ic.weight.doubled
+    rho2 = two_rho(n)
+    top = r * (n - r) + r * (r + 1) // 2
+    base = [0] + [x - 2 * i for i, x in enumerate(lam)]
+    offsets = tuple([2 * (n - r + k) - rho2[k] for k in range(r)]
+                    + [2 * q - rho2[r + q] for q in range(n - r)])
     members = []
-    for subset, rest, hc in _packet_parameters(ic, sig):
-        coherent = _coherent_doubled(hc)
+    for a_index, word, entries in _shuffles(ic, sig):
         members.append(PacketMember(
-            hc=hc,
-            degree=degree(hc),
-            shuffle_word=tuple([k + 1 for k in subset + rest]),
-            blattner=Weight.from_doubled(_blattner_doubled(hc, coherent)),
-            coherent=Weight.from_doubled(coherent),
+            hc=HCParameter._trusted(entries[:r], entries[r:]),
+            degree=top - sum(a_index),
+            shuffle_word=word,
+            blattner=Weight._trusted(tuple(map(add, map(base.__getitem__, word), offsets))),
+            coherent=Weight._trusted(tuple(map(sub, entries, rho2))),
         ))
     return members
 
@@ -285,5 +340,5 @@ def extremes(packet: Sequence[PacketMember]) -> tuple[PacketMember, PacketMember
 
 def dual_parameter(hc: HCParameter) -> HCParameter:
     """Contragredient parameter: negate and reverse each block."""
-    return HCParameter.from_doubled(tuple(-x for x in reversed(hc.doubled_a)),
-                                    tuple(-x for x in reversed(hc.doubled_b)))
+    return HCParameter._trusted(tuple(-x for x in reversed(hc.doubled_a)),
+                                tuple(-x for x in reversed(hc.doubled_b)))

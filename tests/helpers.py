@@ -1,5 +1,6 @@
-"""Shared generators for randomized sweeps, all seeded by the caller, and
-plain-Fraction reference computations."""
+"""Shared generators for randomized sweeps, all seeded by the caller,
+plain-Fraction and root-pair reference computations, and the rebuild
+oracle for values the library builds without checking them again."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from operator import add
 from lpackets import (
     HCParameter,
     InfinitesimalCharacter,
+    MinimalKTypeVerdict,
     RestrictedParameter,
     Signature,
     Weight,
@@ -21,6 +23,7 @@ from lpackets import (
     restrict_ktype,
 )
 from lpackets.cartan import two_rho
+from lpackets.minimal_ktype import _positive_pairs, _root_sum
 
 
 def all_signatures(n: int) -> list[Signature]:
@@ -58,6 +61,14 @@ def counting_sweep() -> list[list[tuple[Signature, InfinitesimalCharacter]]]:
                     sweep.append([(sig1, random_ic(rng, n, strict=True)),
                                   (sig2, random_ic(rng, n, strict=True))])
     return sweep
+
+
+def packet_sweep_characters() -> list[tuple[Signature, InfinitesimalCharacter]]:
+    """10 random regular characters per (r,s), n <= 8: the acceptance
+    criteria's packet sweep."""
+    rng = random.Random(101)
+    return [(sig, random_ic(rng, n)) for n in range(1, 9)
+            for sig in all_signatures(n) for _ in range(10)]
 
 
 def random_kdominant(rng: random.Random, sig: Signature,
@@ -107,7 +118,7 @@ def reference_packet(lam, r: int) -> list[tuple]:
     return members
 
 
-def reference_minimal_ktype(mu, r: int) -> tuple:
+def fraction_minimal_ktype(mu, r: int) -> tuple:
     """(accepted, borel_ok, positivity_ok, hc blocks or None, full-shift
     diagnostic, shifted weight) for a K-dominant mu."""
     n = len(mu)
@@ -159,3 +170,71 @@ def reference_restriction(sig: Signature, hc: HCParameter) -> RestrictedParamete
         prime = tuple(map(add, prime, two_rho(hc.n - 1)))
     return RestrictedParameter(doubled_a=prime[:sig.r - 1], doubled_b=prime[sig.r - 1:],
                                doubled_u1=split.doubled_u1)
+
+
+def pair_inversions(word) -> int:
+    """Inversion count of a word over all C(n, 2) pairs of positions."""
+    return sum(x > y for x, y in itertools.combinations(word, 2))
+
+
+def reference_minimal_ktype(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
+    """minimal_ktype_test from lists of root pairs: the compact pairs shift
+    mu, and the pairs of the shifted weight give the root sum, the count
+    and the positivity test, each pair on its own. Every value is built
+    through a checked constructor. mu must be K-dominant."""
+    doubled = mu.doubled
+    compact = _positive_pairs(doubled, 0, sig.r) + _positive_pairs(doubled, sig.r, sig.n)
+    shifted = Weight.from_doubled(map(add, doubled, _root_sum(compact, sig.n)))
+    w = shifted.doubled
+    n = len(w)
+    pairs = _positive_pairs(w, 0, n)
+    two_rho_u = _root_sum(pairs, n)
+    borel_ok = len(pairs) == n * (n - 1) // 2
+    positivity_ok = all(w[i] - w[j] >= two_rho_u[i] - two_rho_u[j] for i, j in pairs)
+    hc = None
+    if borel_ok and positivity_ok:
+        candidate = tuple(x - y // 2 for x, y in zip(w, two_rho_u))
+        a, b = candidate[: sig.r], candidate[sig.r:]
+        if len(set(candidate)) == n and _decreasing(a) and _decreasing(b):
+            hc = HCParameter.from_doubled(a, b)
+    return MinimalKTypeVerdict(
+        accepted=hc is not None,
+        borel_ok=borel_ok,
+        positivity_ok=positivity_ok,
+        hc=hc,
+        hc_double_shift=Weight.from_doubled(x - y for x, y in zip(w, two_rho_u)),
+        mu_shifted=shifted,
+        doubled_two_rho_u=two_rho_u,
+        root_count=len(pairs),
+    )
+
+
+def _plain_ints(values) -> bool:
+    return type(values) is tuple and all(type(x) is int for x in values)
+
+
+def assert_rebuilds(value) -> None:
+    """The library builds some weights and parameters without checking them
+    again, because they are valid by construction. Rebuild such a value
+    through its public constructor, which checks coset, order and
+    regularity, and require the same stored tuples of plain ints."""
+    if isinstance(value, HCParameter):
+        assert _plain_ints(value.doubled_a) and _plain_ints(value.doubled_b), value
+        assert HCParameter(value.a, value.b) == value
+    else:
+        assert isinstance(value, Weight), value
+        assert _plain_ints(value.doubled), value
+        assert Weight(value.entries) == value
+
+
+def assert_rebuild_together(weights) -> None:
+    """assert_rebuilds for many weights at once, for the long lists of
+    branch constituents: their concatenated doubled tuples go through the
+    public `from_doubled`, whose coset check then covers every weight and
+    also requires them all to share one coset."""
+    joint: list[int] = []
+    for weight in weights:
+        assert type(weight.doubled) is tuple, weight
+        joint += weight.doubled
+    assert set(map(type, joint)) <= {int}
+    Weight.from_doubled(joint)

@@ -10,7 +10,8 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import all_signatures, counting_sweep, random_ic, random_kdominant
+from helpers import (all_signatures, counting_sweep, packet_sweep_characters, random_ic,
+                     random_kdominant)
 
 from lpackets import (
     HCParameter,
@@ -49,14 +50,8 @@ def _report(num: int, detail: str) -> None:
 @pytest.fixture(scope="module")
 def packet_sweep():
     """Criteria 1-3 share this: 10 random regular characters per (r,s), n <= 8."""
-    rng = random.Random(101)
     started = time.monotonic()
-    sweep = []
-    for n in range(1, 9):
-        for sig in all_signatures(n):
-            for _ in range(10):
-                ic = random_ic(rng, n)
-                sweep.append((sig, ic, enumerate_packet(ic, sig)))
+    sweep = [(sig, ic, enumerate_packet(ic, sig)) for sig, ic in packet_sweep_characters()]
     return sweep, time.monotonic() - started
 
 

@@ -1,12 +1,15 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from helpers import all_signatures, random_ic, random_kdominant, reference_minimal_ktype
+from helpers import (all_signatures, fraction_minimal_ktype, random_ic, random_kdominant,
+                     reference_minimal_ktype)
 
 from lpackets import (
     HCParameter,
+    MinimalKTypeVerdict,
     Signature,
     Weight,
     blattner,
@@ -133,7 +136,7 @@ class TestFractionReference:
                 got = (verdict.accepted, verdict.borel_ok, verdict.positivity_ok,
                        None if hc is None else (hc.a, hc.b),
                        verdict.hc_double_shift.entries, verdict.mu_shifted.entries)
-                assert got == reference_minimal_ktype(mu.entries, sig.r)
+                assert got == fraction_minimal_ktype(mu.entries, sig.r)
 
 
 class TestMargin:
@@ -149,3 +152,32 @@ class TestMargin:
     def test_short_weights(self):
         assert regularity_margin(Weight((7,))) is None
         assert regularity_margin(Weight(())) is None
+
+
+class TestPairReference:
+    """The one-sort test against the pair-list test it replaced
+    (`reference_minimal_ktype`), on every field of the verdict."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_pair_route(self, n):
+        rng = random.Random(700 + n)
+        seen = {"accepted": 0, "borel_fail": 0, "positivity_fail": 0, "tie": 0}
+        checked = 0
+        for sig in all_signatures(n):
+            for k in range(5200 // (n + 1) + 1):
+                mu = random_kdominant(rng, sig, max_gap=rng.choice((1, 3, 6)))
+                if k % 2:
+                    mu = Weight.from_doubled(d + 1 for d in mu.doubled)
+                got = minimal_ktype_test(mu, sig)
+                want = reference_minimal_ktype(mu, sig)
+                for field in fields(MinimalKTypeVerdict):
+                    assert getattr(got, field.name) == getattr(want, field.name), field.name
+                assert type(got.doubled_two_rho_u) is tuple
+                seen["accepted"] += got.accepted
+                seen["borel_fail"] += not got.borel_ok
+                seen["positivity_fail"] += got.borel_ok and not got.positivity_ok
+                seen["tie"] += len(set(mu.doubled)) < n
+                checked += 1
+        assert checked >= 5200
+        if n >= 2:
+            assert min(seen.values()) > 0, seen

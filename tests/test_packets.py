@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_signatures, random_ic, reference_packet
+from helpers import (all_signatures, packet_sweep_characters, pair_inversions, random_ic,
+                     reference_packet)
 
 from lpackets import (
     HCParameter,
@@ -22,6 +23,7 @@ from lpackets import (
     positive_on,
     shuffle_length,
 )
+from lpackets.packets import _inversions
 
 
 def blattner_oracle(hc: HCParameter) -> Weight:
@@ -232,3 +234,32 @@ class TestDual:
             for sig in all_signatures(n):
                 for m in enumerate_packet(random_ic(rng, n), sig):
                     assert degree(dual_parameter(m.hc)) == sig.r * sig.s - m.degree
+
+
+class TestInversions:
+    """The bisection count of PacketMember.length and shuffle_length
+    against the count over all pairs of positions."""
+
+    def test_random_words(self):
+        rng = random.Random(31)
+        words = [(), (3,), (2, 2), (1, 2), (2, 1)]
+        for _ in range(3000):
+            size = rng.randint(0, 14)
+            letters = rng.randint(1, 2 * size + 1)  # few letters: many repeats
+            words.append(tuple(rng.randint(-letters, letters) for _ in range(size)))
+        for word in words:
+            assert _inversions(word) == pair_inversions(word)
+            assert _inversions(list(word)) == pair_inversions(word)
+        assert any(len(set(w)) < len(w) for w in words)
+
+    def test_packet_sweep_members(self):
+        checked = 0
+        for sig, ic in packet_sweep_characters():
+            position = {value: k for k, value in enumerate(ic.entries)}
+            for m in enumerate_packet(ic, sig):
+                expected = pair_inversions(m.shuffle_word)
+                assert m.length == expected
+                assert shuffle_length(m.hc, ic) == expected
+                assert pair_inversions([position[x] for x in m.hc.a + m.hc.b]) == expected
+                checked += 1
+        assert checked == 5100

@@ -1,0 +1,165 @@
+"""Values built without a second check, and the checks that stay.
+
+The library builds packet shuffles, dual parameters, coherent and Blattner
+weights, branch constituents and the minimal K-type test's derived values
+through the private `_trusted` constructors, which store doubled tuples as
+they are. These tests rebuild every such value through its public,
+checking constructor over the packet and counting sweeps, pin the places
+that may call `_trusted`, and pin the checks the public constructors keep.
+"""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from helpers import assert_rebuild_together, assert_rebuilds, counting_sweep, packet_sweep_characters
+
+import lpackets
+from lpackets import (
+    HCParameter,
+    RestrictedParameter,
+    Weight,
+    blattner,
+    branch,
+    coherent_parameter,
+    dual_parameter,
+    enumerate_packet,
+    minimal_ktype_test,
+    shifted_weight,
+)
+from lpackets.packets import _packet_parameters
+
+# (module, enclosing function) of every use of `_trusted` in the package.
+TRUSTED_SITES = {
+    ("cartan.py", "Weight.from_doubled"),  # after its own parity check
+    ("packets.py", "_packet_parameters"),  # shuffles, for isomorphism_fraction
+    ("packets.py", "enumerate_packet"),  # shuffles, coherent and Blattner weights
+    ("packets.py", "coherent_parameter"),
+    ("packets.py", "blattner"),
+    ("packets.py", "dual_parameter"),
+    ("branching.py", "branch"),
+    ("minimal_ktype.py", "shifted_weight"),
+    ("minimal_ktype.py", "minimal_ktype_test"),  # hc_double_shift, accepted hc
+}
+
+
+def _trusted_sites(path: Path) -> list[tuple[str, str]]:
+    sites = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+            sites.append((path.name, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return sites
+
+
+def check_member(sig, member) -> int:
+    """Rebuild everything derived from one packet member; returns the
+    number of branch constituents checked. A value equal to a rebuilt one
+    (same stored tuples) needs no rebuild of its own."""
+    hc = member.hc
+    verdict = minimal_ktype_test(member.blattner, sig)
+    for value in (hc, member.blattner, member.coherent, dual_parameter(hc),
+                  verdict.mu_shifted, verdict.hc_double_shift):
+        assert_rebuilds(value)
+    assert blattner(hc) == member.blattner
+    assert coherent_parameter(hc) == member.coherent
+    assert shifted_weight(member.blattner, sig) == verdict.mu_shifted
+    if verdict.accepted:
+        assert verdict.hc == hc
+    if sig.r == 0:
+        return 0
+    constituents = branch(Weight.from_doubled(member.blattner.doubled[: sig.r]))
+    assert_rebuild_together(c.lower for c in constituents)
+    return len(constituents)
+
+
+class TestRebuildOracle:
+    def test_packet_sweep(self):
+        members = constituents = 0
+        for sig, ic in packet_sweep_characters():
+            walked = list(_packet_parameters(ic, sig))
+            packet = enumerate_packet(ic, sig)
+            assert walked == [m.hc for m in packet]
+            for member in packet:
+                constituents += check_member(sig, member)
+                members += 1
+        assert members == 5100
+        assert constituents > 400_000
+
+    def test_counting_sweep(self):
+        members = constituents = 0
+        for places in counting_sweep():
+            for sig, ic in places:
+                walked = list(_packet_parameters(ic, sig))
+                packet = enumerate_packet(ic, sig)
+                assert walked == [m.hc for m in packet]
+                for member in packet:
+                    constituents += check_member(sig, member)
+                    members += 1
+        assert members > 9000
+        assert constituents > 700_000
+
+    def test_oracle_catches_a_bad_value(self):
+        bad_weight = Weight._trusted((2, 1))
+        with pytest.raises(ValueError, match="mixed half-integrality"):
+            assert_rebuilds(bad_weight)
+        with pytest.raises(ValueError, match="mixed half-integrality"):
+            assert_rebuild_together([bad_weight])
+        with pytest.raises(ValueError, match="not strictly decreasing"):
+            assert_rebuilds(HCParameter._trusted((2, 4), ()))
+        with pytest.raises(ValueError, match="singular"):
+            assert_rebuilds(HCParameter._trusted((4,), (4,)))
+        with pytest.raises(AssertionError):
+            assert_rebuilds(Weight._trusted([2, 4]))
+
+
+class TestTrustedSites:
+    def test_call_sites_are_allowlisted(self):
+        package = Path(lpackets.__file__).parent
+        found = [site for path in sorted(package.glob("*.py")) for site in _trusted_sites(path)]
+        assert set(found) - TRUSTED_SITES == set(), "unlisted _trusted( call site"
+        assert TRUSTED_SITES - set(found) == set(), "allowlisted site no longer calls _trusted"
+
+
+class TestPublicChecks:
+    """The public constructors keep every check and every message."""
+
+    def test_weight(self):
+        with pytest.raises(ValueError, match=r"mixed half-integrality in weight \(1,1/2\)"):
+            Weight((1, Fraction(1, 2)))
+        with pytest.raises(ValueError, match=r"mixed half-integrality in weight \(1,1/2\)"):
+            Weight.from_doubled((2, 1))
+        with pytest.raises(ValueError, match="is not a half-integer"):
+            Weight((Fraction(1, 3),))
+
+    @pytest.mark.parametrize("build", [
+        lambda a, b: HCParameter.from_doubled(a, b),
+        lambda a, b: HCParameter([Fraction(x, 2) for x in a], [Fraction(x, 2) for x in b]),
+    ])
+    def test_hc_parameter(self, build):
+        with pytest.raises(ValueError, match=r"mixed half-integrality in weight \(2,1/2,0\)"):
+            build((4, 1), (0,))
+        with pytest.raises(ValueError, match=r"a-block \(1,2\) is not strictly decreasing"):
+            build((2, 4), (0,))
+        with pytest.raises(ValueError, match=r"b-block \(0,1\) is not strictly decreasing"):
+            build((4,), (0, 2))
+        with pytest.raises(ValueError, match=r"parameter \(2;2\) is singular"):
+            build((4,), (4,))
+
+    def test_prime_hc_keeps_checking(self):
+        # Off the spacing hypothesis the descended blocks can collide.
+        collided = RestrictedParameter(doubled_a=(5,), doubled_b=(5,), doubled_u1=0)
+        with pytest.raises(ValueError, match=r"parameter \(5/2;5/2\) is singular"):
+            collided.prime_hc()
+        unordered = RestrictedParameter(doubled_a=(1, 3), doubled_b=(), doubled_u1=0)
+        with pytest.raises(ValueError, match="not strictly decreasing"):
+            unordered.prime_hc()
