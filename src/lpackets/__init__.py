@@ -16,6 +16,7 @@ from .branching import (
     weyl_dim,
 )
 from .cartan import (
+    Signature,
     Weight,
     hodge_parameter,
     pairing,
@@ -62,15 +63,5 @@ from .packets import (
     infinitesimal_character,
     shuffle_length,
 )
-from .roots import (
-    Root,
-    RootSet,
-    Signature,
-    compact_roots,
-    noncompact_positive,
-    positive_on,
-    roots_g,
-    sum_of_roots,
-)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

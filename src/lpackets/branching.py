@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cartan import EntryLike, Weight, double_entry, doubled_text, half_entry
-from .roots import Signature
+from .cartan import EntryLike, Signature, Weight, double_entry, doubled_text, half_entry
 
 __all__ = [
     "BranchConstituent",

@@ -1,4 +1,4 @@
-"""Exact weight arithmetic on the diagonal torus of u(n).
+"""Exact weight arithmetic on the diagonal torus of u(n), and signatures.
 
 Weights are tuples of rationals lying in (1/2)Z, with all entries of one
 weight in a single coset of Z (all integral or all half-odd). Internally a
@@ -12,10 +12,15 @@ The public constructors (`Weight(...)` and `Weight.from_doubled`) check
 the common coset. Values the package derives from weights it has already
 checked, by shifts that keep every parity, are built by the private
 `Weight._trusted` and are not checked again.
+
+A signature (r, s) splits the coordinates of U(r, s) into an a-block (the
+first r) and a b-block (the last s). A root e_i - e_j is the 1-based index
+pair (i, j); it pairs with a weight as entry i minus entry j.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
@@ -24,6 +29,7 @@ from typing import Iterable, Iterator, Sequence, Union
 EntryLike = Union[int, Fraction]
 
 __all__ = [
+    "Signature",
     "Weight",
     "pairing",
     "rho",
@@ -63,6 +69,22 @@ def check_parity(doubled: tuple[int, ...]) -> None:
     """Reject a doubled tuple whose entries lie in two cosets of Z."""
     if len({x & 1 for x in doubled}) > 1:
         raise ValueError(f"mixed half-integrality in weight ({doubled_text(doubled)})")
+
+
+@dataclass(frozen=True)
+class Signature:
+    """Signature (r, s) of U(r, s); n = r + s."""
+
+    r: int
+    s: int
+
+    def __post_init__(self) -> None:
+        if self.r < 0 or self.s < 0 or self.r + self.s < 1:
+            raise ValueError("signature needs r, s >= 0 and r + s >= 1")
+
+    @property
+    def n(self) -> int:
+        return self.r + self.s
 
 
 class Weight:

@@ -23,19 +23,19 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from math import comb
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .branching import branch, weyl_dim
-from .cartan import (Weight, doubled_text, doubled_to_str, entry_from_str, entry_to_str,
-                     weight_to_strings)
+from .cartan import (Signature, Weight, doubled_text, doubled_to_str, entry_from_str,
+                     entry_to_str, weight_to_strings)
 from .descent import (PlacedParameter, RestrictedParameter, RestrictionClass, descent_chain,
                       expected_fraction, isomorphism_fraction, min_entry_in_a,
                       min_entry_in_a_everywhere, noncompact_support_matches, restrict_parameter,
                       restriction_is_discrete_series, well_spaced_everywhere)
 from .minimal_ktype import minimal_ktype_test, regularity_margin
-from .packets import (HCParameter, InfinitesimalCharacter, enumerate_packet,
-                      infinitesimal_character)
-from .roots import Signature
+from .packets import (HCParameter, InfinitesimalCharacter, blattner, coherent_parameter, degree,
+                      enumerate_packet, infinitesimal_character, shuffle_length)
 
 __all__ = ["main", "console_main", "parse_weight", "format_weight"]
 
@@ -349,6 +349,21 @@ def _pretty_fraction(rec: dict) -> Iterator[str]:
     yield f"{rec['fraction']} (expected {rec['expected']}: {status})"
 
 
+def _member_data(hc: HCParameter) -> dict:
+    """A parameter's data as a member of its packet, without the packet.
+    Its index in `enumerate_packet`'s colex order is the sum of
+    C(i_k - 1, k) over the 1-based positions i_1 < ... < i_r of its
+    a-entries in the decreasing infinitesimal character."""
+    ic = InfinitesimalCharacter(Weight.from_doubled(
+        sorted(hc.doubled_a + hc.doubled_b, reverse=True)))
+    position = {value: k for k, value in enumerate(ic.weight.doubled)}
+    return {"degree": degree(hc), "length": shuffle_length(hc, ic),
+            "packet_index": sum(comb(position[value], k)
+                                for k, value in enumerate(hc.doubled_a, 1)),
+            "blattner": weight_to_strings(blattner(hc)),
+            "coherent": weight_to_strings(coherent_parameter(hc))}
+
+
 def _cmd_analyze(args: argparse.Namespace) -> Result:
     p = PlacedParameter(_collect_places(args, "hcp", "parameter", _place_hc))
     if any(sig.r < 1 for sig, _ in p.places):
@@ -356,15 +371,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Result:
     spaced = well_spaced_everywhere(p)
     places = []
     for sig, hc in p.places:
-        ic = InfinitesimalCharacter(Weight.from_doubled(
-            sorted(hc.doubled_a + hc.doubled_b, reverse=True)))
-        packet = enumerate_packet(ic, sig)
-        index, member = next((k, m) for k, m in enumerate(packet) if m.hc == hc)
         rp = restrict_parameter(sig, hc)
-        places.append({"sig": [sig.r, sig.s], **_blocks_json(hc),
-                       "degree": member.degree, "length": member.length, "packet_index": index,
-                       "blattner": weight_to_strings(member.blattner),
-                       "coherent": weight_to_strings(member.coherent),
+        places.append({"sig": [sig.r, sig.s], **_blocks_json(hc), **_member_data(hc),
                        "restricted": _blocks_json(rp),
                        "u1": doubled_to_str(rp.doubled_u1)})
     return Result({"places": places,

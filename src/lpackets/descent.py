@@ -21,14 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cartan import doubled_text, half_entry, two_rho
+from .cartan import Signature, doubled_text, half_entry, two_rho
 from .packets import (
     HCParameter,
     InfinitesimalCharacter,
     _packet_parameters,
     dual_parameter,
 )
-from .roots import Signature
 
 __all__ = [
     "PlacedParameter",

@@ -11,12 +11,13 @@ weakly above the parabolic's root sum, and the recovered parameter
 The full-shift variant (shifted weight minus the whole root sum) is kept
 as a diagnostic; it is singular in general and never drives acceptance.
 
-The root sums come from one sort of the entries, not from a list of
-roots: the roots e_i - e_j pairing strictly positively give index i 2 for
-each entry below it and take 2 for each entry above it, doubled.
-`theta_parabolic` still lists its roots, since it returns them. The test
-checks the weight it is given; what it derives from it is valid by
-construction and built without a second check.
+A root e_i - e_j is its 1-based index pair (i, j), and it pairs strictly
+positively with a weight when entry i exceeds entry j. The test takes its
+root sums from one sort of the entries, not from a list of pairs: those
+roots give index i 2 for each entry below it and take 2 for each entry
+above it, doubled. `theta_parabolic` lists its pairs, since it returns
+them. The test checks the weight it is given; what it derives from it is
+valid by construction and built without a second check.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from fractions import Fraction
 from operator import add, ge, le, sub
 from typing import Optional, Sequence
 
-from .cartan import Weight, doubled_text, half_entry
+from .cartan import Signature, Weight, doubled_text, half_entry
 from .packets import HCParameter, _strictly_decreasing
-from .roots import Root, RootSet, Signature
 
 __all__ = [
     "ThetaParabolic",
@@ -69,9 +69,10 @@ def _twice_below_above(ordered: Sequence[int]) -> tuple[dict[int, int], dict[int
 
 @dataclass(frozen=True)
 class ThetaParabolic:
-    """Nilradical root set of the parabolic a regular weight determines."""
+    """Nilradical roots of the parabolic a weight determines, as 1-based
+    pairs (i, j) in lexicographic order, and their sum."""
 
-    delta_u: RootSet
+    delta_u: tuple[tuple[int, int], ...]
     is_borel: bool
     two_rho_u: Weight
 
@@ -103,7 +104,7 @@ def theta_parabolic(weight: Weight) -> ThetaParabolic:
     n = len(weight)
     pairs = _positive_pairs(weight.doubled, 0, n)
     return ThetaParabolic(
-        delta_u=RootSet(tuple(Root(i + 1, j + 1) for i, j in pairs), n),
+        delta_u=tuple((i + 1, j + 1) for i, j in pairs),
         is_borel=len(pairs) == n * (n - 1) // 2,
         two_rho_u=Weight.from_doubled(_root_sum(pairs, n)),
     )
@@ -166,12 +167,12 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
 
 
 def regularity_margin(weight: Weight) -> Optional[Fraction]:
-    """Smallest |pairing| against any root: the minimal entry gap.
+    """Smallest |pairing| against any root: the minimal entry gap, which
+    lies between two neighbours in sorted order.
 
     None for weights of length < 2 (no roots to pair against).
     """
     if len(weight) < 2:
         return None
-    doubled = weight.doubled
-    return half_entry(min(abs(x - y) for k, x in enumerate(doubled)
-                          for y in doubled[k + 1:]))
+    ordered = sorted(weight.doubled)
+    return half_entry(min(map(sub, ordered[1:], ordered)))

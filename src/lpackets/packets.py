@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .cartan import (
     EntryLike,
+    Signature,
     Weight,
     check_parity,
     double_entry,
@@ -33,7 +34,6 @@ from .cartan import (
     half_entry,
     two_rho,
 )
-from .roots import Signature
 
 __all__ = [
     "HCParameter",

@@ -137,8 +137,9 @@ def test_criterion_05_worked_example_lock():
     parabolic = theta_parabolic(verdict.mu_shifted)
     assert parabolic.two_rho_u == Weight((2, 0, -2))
     assert verdict.positivity_ok
-    equalities = [root for root in parabolic.delta_u
-                  if root.pair(verdict.mu_shifted) == root.pair(parabolic.two_rho_u)]
+    w, t = verdict.mu_shifted.doubled, parabolic.two_rho_u.doubled
+    equalities = [(i, j) for i, j in parabolic.delta_u
+                  if w[i - 1] - w[j - 1] == t[i - 1] - t[j - 1]]
     assert len(equalities) == 1
     assert verdict.accepted
     assert verdict.hc == HCParameter((5, 2), (1,))

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpackets import (
+    Signature,
     Weight,
     hodge_parameter,
     pairing,
@@ -49,6 +50,19 @@ class TestWeight:
 
     def test_empty_weight_allowed(self):
         assert len(Weight(())) == 0
+
+
+class TestSignature:
+    def test_n(self):
+        assert Signature(2, 1).n == 3
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            Signature(0, 0)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            Signature(-1, 2)
 
 
 class TestPairing:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lpackets import Signature, Weight
-from lpackets.cli import format_weight, main, parse_weight
+from helpers import packet_sweep_characters
+
+from lpackets import Signature, Weight, enumerate_packet, weight_to_strings
+from lpackets.cli import _member_data, format_weight, main, parse_weight
 
 
 class TestParseWeight:
@@ -396,6 +398,18 @@ class TestAnalyzeCommand:
     def test_r_zero_rejected(self, capsys):
         assert main(["analyze", "--sig", "0,2", "--hcp", ";3,1"]) == 2
         assert "needs r >= 1" in capsys.readouterr().err
+
+    def test_member_data_matches_the_packet_walk(self):
+        # The route analyze took before: find the parameter in its packet.
+        checked = 0
+        for sig, ic in packet_sweep_characters():
+            for index, m in enumerate(enumerate_packet(ic, sig)):
+                assert _member_data(m.hc) == {
+                    "degree": m.degree, "length": m.length, "packet_index": index,
+                    "blattner": weight_to_strings(m.blattner),
+                    "coherent": weight_to_strings(m.coherent)}
+                checked += 1
+        assert checked == 5100
 
 
 class TestReadableErrors:

@@ -13,12 +13,21 @@ from lpackets import (
     Signature,
     Weight,
     blattner,
+    degree,
     enumerate_packet,
     minimal_ktype_test,
     regularity_margin,
+    rho,
     shifted_weight,
     theta_parabolic,
 )
+
+
+def random_weight(rng: random.Random, n: int) -> Weight:
+    """Entries in a narrow range, so ties are common; half-integral half
+    the time."""
+    parity = rng.randint(0, 1)
+    return Weight.from_doubled(2 * rng.randint(-4, 4) + parity for _ in range(n))
 
 
 class TestShiftedWeight:
@@ -45,11 +54,59 @@ class TestThetaParabolic:
         para = theta_parabolic(Weight((6, 2, 0)))
         assert para.is_borel
         assert para.two_rho_u.entries == (2, 0, -2)
+        rng = random.Random(3)
+        for n in range(2, 8):
+            para = theta_parabolic(random_ic(rng, n).weight)
+            assert para.is_borel
+            assert len(para.delta_u) == n * (n - 1) // 2
 
     def test_singular_weight_not_borel(self):
         para = theta_parabolic(Weight((3, 3, 0)))
         assert not para.is_borel
-        assert len(para.delta_u.roots) == 2
+        assert len(para.delta_u) == 2
+        para = theta_parabolic(Weight((3, 3, 3)))
+        assert not para.is_borel
+        assert para.delta_u == ()
+        assert para.two_rho_u == Weight((0, 0, 0))
+
+    def test_delta_u_is_the_lex_pairs(self):
+        assert theta_parabolic(Weight((5, 2, -1))).delta_u == ((1, 2), (1, 3), (2, 3))
+        assert theta_parabolic(Weight((5, -1, 2))).delta_u == ((1, 2), (1, 3), (3, 2))
+        assert theta_parabolic(Weight((0, 2, 1))).delta_u == ((2, 1), (2, 3), (3, 1))
+        rng = random.Random(11)
+        for n in range(1, 9):
+            for _ in range(40):
+                w = random_weight(rng, n)
+                pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                         if w[i - 1] > w[j - 1]]
+                assert theta_parabolic(w).delta_u == tuple(pairs)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_rho_gives_two_rho(self, n):
+        para = theta_parabolic(rho(n))
+        assert para.two_rho_u == rho(n) + rho(n)
+        assert para.is_borel
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_split_by_signature(self, n):
+        # Over a packet member, the pairs inside a block are every compact
+        # positive root, the a-to-b pairs count the degree, and the b-to-a
+        # pairs the rest of the r*s noncompact ones.
+        rng = random.Random(600 + n)
+        for sig in all_signatures(n):
+            r, s = sig.r, sig.s
+            for m in enumerate_packet(random_ic(rng, n), sig):
+                a_to_b = b_to_a = compact = 0
+                for i, j in theta_parabolic(m.hc.weight).delta_u:
+                    if (i <= r) == (j <= r):
+                        compact += 1
+                    elif i <= r:
+                        a_to_b += 1
+                    else:
+                        b_to_a += 1
+                assert compact == r * (r - 1) // 2 + s * (s - 1) // 2
+                assert a_to_b == degree(m.hc) == m.degree
+                assert b_to_a == r * s - m.degree
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_verdict_carries_the_parabolic(self, n):
@@ -59,7 +116,7 @@ class TestThetaParabolic:
                 verdict = minimal_ktype_test(random_kdominant(rng, sig), sig)
                 para = theta_parabolic(verdict.mu_shifted)
                 assert verdict.doubled_two_rho_u == para.two_rho_u.doubled
-                assert verdict.root_count == len(para.delta_u.roots)
+                assert verdict.root_count == len(para.delta_u)
                 assert verdict.borel_ok is para.is_borel
 
 
@@ -152,6 +209,18 @@ class TestMargin:
     def test_short_weights(self):
         assert regularity_margin(Weight((7,))) is None
         assert regularity_margin(Weight(())) is None
+
+    def test_matches_pair_minimum(self):
+        rng = random.Random(13)
+        ties = halves = 0
+        for n in range(2, 11):
+            for _ in range(200):
+                w = random_weight(rng, n)
+                want = min(abs(x - y) for k, x in enumerate(w) for y in w[k + 1:])
+                assert regularity_margin(w) == want
+                ties += want == 0
+                halves += w.doubled[0] % 2
+        assert ties > 0 and halves > 0
 
 
 class TestPairReference:

@@ -1,0 +1,31 @@
+import os
+import re
+import types
+
+import lpackets
+
+PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+
+PUBLIC_NAMES = {
+    "BranchConstituent", "ChainStep", "HCParameter", "InfinitesimalCharacter",
+    "KRestriction", "MinimalKTypeVerdict", "PacketMember", "PlacedParameter",
+    "RestrictedParameter", "RestrictionClass", "Signature", "ThetaParabolic", "Weight",
+    "blattner", "branch", "classify_restriction", "coherent_parameter", "degree",
+    "descent_chain", "dual_parameter", "enumerate_packet", "expected_fraction", "extremes",
+    "hodge_parameter", "infinitesimal_character", "interlaces", "isomorphism_fraction",
+    "min_entry_in_a", "min_entry_in_a_everywhere", "minimal_ktype_test",
+    "noncompact_support_matches", "pairing", "regularity_margin", "restrict_ktype",
+    "restrict_parameter", "restriction_contains", "restriction_is_discrete_series", "rho",
+    "rho_tilde", "shifted_weight", "shuffle_length", "theta_parabolic", "weight_from_strings",
+    "weight_to_strings", "well_spaced", "well_spaced_everywhere", "weyl_dim",
+}
+
+
+def test_version_and_public_names():
+    # Python 3.10 has no tomllib, so the version line is read by pattern.
+    with open(PYPROJECT) as handle:
+        declared = re.search(r'^version = "([^"]+)"$', handle.read(), re.M).group(1)
+    assert lpackets.__version__ == declared == "0.2.0"
+    exported = {name for name, value in vars(lpackets).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_NAMES
