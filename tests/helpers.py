@@ -40,6 +40,13 @@ def random_dominant(rng: random.Random, n: int, strict: bool = False,
     return Weight(entries)
 
 
+def random_weight(rng: random.Random, n: int) -> Weight:
+    """Entries in a narrow range, so ties are common; half-integral half
+    the time."""
+    parity = rng.randint(0, 1)
+    return Weight.from_doubled(2 * rng.randint(-4, 4) + parity for _ in range(n))
+
+
 def random_ic(rng: random.Random, n: int, strict: bool = False) -> InfinitesimalCharacter:
     """Regular infinitesimal character; consecutive gaps >= 2 when strict."""
     return infinitesimal_character(random_dominant(rng, n, strict=strict))

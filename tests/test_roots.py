@@ -1,114 +1,58 @@
-import pytest
-
-from helpers import all_signatures, random_ic
-
-from lpackets import (
-    Root,
-    RootSet,
-    Signature,
-    Weight,
-    compact_roots,
-    noncompact_positive,
-    positive_on,
-    rho,
-    roots_g,
-    sum_of_roots,
-)
+"""Roots e_i - e_j as 1-based index pairs (i, j), as theta_parabolic
+returns them in delta_u."""
 
 import random
 
+from helpers import random_ic, random_weight
 
-class TestRoot:
-    def test_to_weight(self):
-        assert Root(1, 3).to_weight(3).entries == (1, 0, -1)
-
-    def test_rejects_equal_indices(self):
-        with pytest.raises(ValueError):
-            Root(2, 2)
-
-    def test_rejects_zero_index(self):
-        with pytest.raises(ValueError):
-            Root(0, 1)
-
-    def test_pair(self):
-        assert Root(2, 3).pair(Weight((5, -1, 2))) == -3
+from lpackets import Signature, Weight, theta_parabolic
 
 
-class TestSignature:
-    def test_n(self):
-        assert Signature(2, 1).n == 3
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Signature(0, 0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Signature(-1, 2)
+def noncompact_positive_on(weight: Weight, sig: Signature) -> list[tuple[int, int]]:
+    """The pairs (i, j) with i in the first block, j in the second and
+    weight_i > weight_j, in lexicographic order."""
+    return [(i, j) for i, j in theta_parabolic(weight).delta_u if i <= sig.r < j]
 
 
 class TestRootSets:
-    def test_roots_g_count(self):
-        assert len(roots_g(4)) == 12
-
     def test_roots_g_lex_order(self):
-        assert [(r.i, r.j) for r in roots_g(3)] == [
-            (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
-
-    def test_compact_examples(self):
-        assert {(r.i, r.j) for r in compact_roots(Signature(2, 1))} == {(1, 2), (2, 1)}
-        assert len(compact_roots(Signature(2, 2))) == 4
-
-    def test_noncompact_positive_example(self):
-        assert [(r.i, r.j) for r in noncompact_positive(Signature(2, 1))] == [
-            (1, 3), (2, 3)]
-
-    def test_duplicate_roots_rejected(self):
-        with pytest.raises(ValueError):
-            RootSet((Root(1, 2), Root(1, 2)), 2)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            RootSet((Root(1, 3),), 2)
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_split_counts(self, n):
-        for sig in all_signatures(n):
-            assert (len(compact_roots(sig)) + 2 * len(noncompact_positive(sig))
-                    == len(roots_g(n)))
+        # delta_u lists the pairs positive on the weight in lexicographic
+        # order; a regular weight and its negative between them list every
+        # root of gl(n), each once.
+        assert theta_parabolic(Weight((5, 2, -1))).delta_u == ((1, 2), (1, 3), (2, 3))
+        assert theta_parabolic(Weight((5, -1, 2))).delta_u == ((1, 2), (1, 3), (3, 2))
+        assert theta_parabolic(Weight((0, 2, 1))).delta_u == ((2, 1), (2, 3), (3, 1))
+        w = Weight((0, 2, 1))
+        both = theta_parabolic(w).delta_u + theta_parabolic(-w).delta_u
+        assert sorted(both) == [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+        rng = random.Random(11)
+        for n in range(1, 9):
+            for _ in range(40):
+                w = random_weight(rng, n)
+                pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                         if w[i - 1] > w[j - 1]]
+                assert theta_parabolic(w).delta_u == tuple(pairs)
 
 
 class TestPositiveOn:
     def test_examples(self):
-        nc = noncompact_positive(Signature(2, 1))
-        assert [(r.i, r.j) for r in positive_on(nc, Weight((5, 2, -1)))] == [
-            (1, 3), (2, 3)]
-        assert [(r.i, r.j) for r in positive_on(nc, Weight((5, -1, 2)))] == [(1, 3)]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            positive_on(roots_g(3), Weight((1, 0)))
+        sig = Signature(2, 1)
+        assert noncompact_positive_on(Weight((5, 2, -1)), sig) == [(1, 3), (2, 3)]
+        assert noncompact_positive_on(Weight((5, -1, 2)), sig) == [(1, 3)]
 
     def test_regularity_count(self):
         rng = random.Random(3)
         for n in range(2, 8):
-            w = random_ic(rng, n).weight
-            assert len(positive_on(roots_g(n), w)) == n * (n - 1) // 2
+            para = theta_parabolic(random_ic(rng, n).weight)
+            assert para.is_borel
+            assert len(para.delta_u) == n * (n - 1) // 2
         singular = Weight((3, 3, 0))
-        assert len(positive_on(roots_g(3), singular)) < 3
+        assert len(theta_parabolic(singular).delta_u) < 3
 
 
 class TestSumOfRoots:
-    def test_examples(self):
-        full = RootSet((Root(1, 2), Root(1, 3), Root(2, 3)), 3)
-        assert sum_of_roots(full).entries == (2, 0, -2)
-        nc = RootSet((Root(1, 3), Root(2, 3)), 3)
-        assert sum_of_roots(nc).entries == (1, 1, -2)
-
     def test_empty(self):
-        assert sum_of_roots(RootSet((), 3)).entries == (0, 0, 0)
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_positive_system_halves_to_rho(self, n):
-        doubled = sum_of_roots(positive_on(roots_g(n), rho(n)))
-        assert doubled == rho(n) + rho(n)
+        para = theta_parabolic(Weight((3, 3, 3)))
+        assert not para.is_borel
+        assert para.delta_u == ()
+        assert para.two_rho_u.entries == (0, 0, 0)
