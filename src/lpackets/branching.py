@@ -31,7 +31,7 @@ def _require_dominant(doubled: tuple[int, ...], label: str) -> None:
         raise ValueError(f"{label} ({doubled_text(doubled)}) is not non-increasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchConstituent:
     """One U(m-1) x U(1) constituent of a restricted representation.
 
@@ -43,6 +43,18 @@ class BranchConstituent:
     @property
     def u1(self) -> Fraction:
         return half_entry(self.doubled_u1)
+
+
+_set_lower = BranchConstituent.lower.__set__
+_set_doubled_u1 = BranchConstituent.doubled_u1.__set__
+
+
+def _constituent(lower: Weight, doubled_u1: int) -> BranchConstituent:
+    """A constituent filled in through its slot descriptors."""
+    constituent = object.__new__(BranchConstituent)
+    _set_lower(constituent, lower)
+    _set_doubled_u1(constituent, doubled_u1)
+    return constituent
 
 
 @dataclass(frozen=True, init=False)
@@ -98,7 +110,7 @@ def branch(upper: Weight) -> list[BranchConstituent]:
         raise ValueError("empty highest weight")
     total = sum(doubled)
     choices = [range(top, bottom - 1, -2) for top, bottom in zip(doubled, doubled[1:])]
-    return [BranchConstituent(lower=Weight._trusted(lower), doubled_u1=total - sum(lower))
+    return [_constituent(Weight._trusted(lower), total - sum(lower))
             for lower in itertools.product(*choices)]
 
 

@@ -11,7 +11,12 @@ the string forms. No floating point is used anywhere in the package.
 The public constructors (`Weight(...)` and `Weight.from_doubled`) check
 the common coset. Values the package derives from weights it has already
 checked, by shifts that keep every parity, are built by the private
-`Weight._trusted` and are not checked again.
+`Weight._trusted` and are not checked again. Both store through the slot
+descriptor, as do the records elsewhere in the package.
+
+The Fraction views share one bounded table: `half_entry` is cached, so a
+view of a weight maps its doubled entries through the cache instead of
+building a new `Fraction` per entry.
 
 A signature (r, s) splits the coordinates of U(r, s) into an a-block (the
 first r) and a b-block (the last s). A root e_i - e_j is the 1-based index
@@ -60,8 +65,10 @@ def double_entry(value: EntryLike) -> int:
     raise ValueError(f"weight entry {entry} is not a half-integer")
 
 
+@lru_cache(maxsize=1024)
 def half_entry(doubled: int) -> Fraction:
-    """The public Fraction view of a doubled entry."""
+    """The public Fraction view of a doubled entry; Fractions are
+    immutable, so views of equal entries share one."""
     return Fraction(doubled // 2) if doubled % 2 == 0 else Fraction(doubled, 2)
 
 
@@ -79,6 +86,9 @@ class Signature:
     s: int
 
     def __post_init__(self) -> None:
+        for value in (self.r, self.s):
+            if type(value) is not int:
+                raise ValueError(f"signature entry {value!r} is not an int")
         if self.r < 0 or self.s < 0 or self.r + self.s < 1:
             raise ValueError("signature needs r, s >= 0 and r + s >= 1")
 
@@ -98,7 +108,7 @@ class Weight:
     def __init__(self, entries: Iterable[EntryLike]):
         doubled = tuple(double_entry(v) for v in entries)
         check_parity(doubled)
-        object.__setattr__(self, "doubled", doubled)
+        Weight.doubled.__set__(self, doubled)
 
     @classmethod
     def from_doubled(cls, doubled: Sequence[int]) -> "Weight":
@@ -112,7 +122,7 @@ class Weight:
         """Store a doubled tuple as it is, without the parity check; only
         for tuples whose parity is uniform by construction."""
         weight = object.__new__(cls)
-        object.__setattr__(weight, "doubled", doubled)
+        cls.doubled.__set__(weight, doubled)
         return weight
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -123,17 +133,17 @@ class Weight:
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
-        return tuple(half_entry(d) for d in self.doubled)
+        return tuple(map(half_entry, self.doubled))
 
     def __len__(self) -> int:
         return len(self.doubled)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return (half_entry(d) for d in self.doubled)
+        return map(half_entry, self.doubled)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(half_entry(d) for d in self.doubled[index])
+            return tuple(map(half_entry, self.doubled[index]))
         return half_entry(self.doubled[index])
 
     def __eq__(self, other: object) -> bool:

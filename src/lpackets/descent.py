@@ -106,11 +106,11 @@ class RestrictedParameter:
 
     @property
     def prime_a(self) -> tuple[Fraction, ...]:
-        return tuple(half_entry(d) for d in self.doubled_a)
+        return tuple(map(half_entry, self.doubled_a))
 
     @property
     def prime_b(self) -> tuple[Fraction, ...]:
-        return tuple(half_entry(d) for d in self.doubled_b)
+        return tuple(map(half_entry, self.doubled_b))
 
     @property
     def u1_weight(self) -> Fraction:

@@ -17,7 +17,8 @@ root sums from one sort of the entries, not from a list of pairs: those
 roots give index i 2 for each entry below it and take 2 for each entry
 above it, doubled. `theta_parabolic` lists its pairs, since it returns
 them. The test checks the weight it is given; what it derives from it is
-valid by construction and built without a second check.
+valid by construction and built without a second check, and the verdict
+is filled in through its slot descriptors.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def theta_parabolic(weight: Weight) -> ThetaParabolic:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimalKTypeVerdict:
     """Outcome of the test; hc is present exactly when accepted.
 
@@ -125,6 +126,16 @@ class MinimalKTypeVerdict:
     mu_shifted: Weight
     doubled_two_rho_u: tuple[int, ...]
     root_count: int
+
+
+_set_accepted = MinimalKTypeVerdict.accepted.__set__
+_set_borel_ok = MinimalKTypeVerdict.borel_ok.__set__
+_set_positivity_ok = MinimalKTypeVerdict.positivity_ok.__set__
+_set_hc = MinimalKTypeVerdict.hc.__set__
+_set_hc_double_shift = MinimalKTypeVerdict.hc_double_shift.__set__
+_set_mu_shifted = MinimalKTypeVerdict.mu_shifted.__set__
+_set_doubled_two_rho_u = MinimalKTypeVerdict.doubled_two_rho_u.__set__
+_set_root_count = MinimalKTypeVerdict.root_count.__set__
 
 
 def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
@@ -154,16 +165,16 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
         if len(set(candidate)) == n and _strictly_decreasing(a) and _strictly_decreasing(b):
             hc = HCParameter._trusted(a, b)
             accepted = True
-    return MinimalKTypeVerdict(
-        accepted=accepted,
-        borel_ok=borel_ok,
-        positivity_ok=positivity_ok,
-        hc=hc,
-        hc_double_shift=double_shift,
-        mu_shifted=shifted,
-        doubled_two_rho_u=two_rho_u,
-        root_count=root_count,
-    )
+    verdict = object.__new__(MinimalKTypeVerdict)
+    _set_accepted(verdict, accepted)
+    _set_borel_ok(verdict, borel_ok)
+    _set_positivity_ok(verdict, positivity_ok)
+    _set_hc(verdict, hc)
+    _set_hc_double_shift(verdict, double_shift)
+    _set_mu_shifted(verdict, shifted)
+    _set_doubled_two_rho_u(verdict, two_rho_u)
+    _set_root_count(verdict, root_count)
+    return verdict
 
 
 def regularity_margin(weight: Weight) -> Optional[Fraction]:

@@ -2,17 +2,19 @@
 
 A regular, strictly decreasing infinitesimal character lambda splits into
 an ordered pair of blocks (a; b) in C(n, r) ways, one per r-subset of its
-entries; those shuffles are the packet. Each member carries a degree (the
-count of noncompact positive roots on it), a shuffle word, its coherent
-parameter, and its Blattner parameter (lowest K-type highest weight).
+entries; those shuffles are the packet. Each member stores its parameter,
+its degree (the count of noncompact positive roots on it) and its shuffle
+word. Its coherent parameter, Blattner parameter (lowest K-type highest
+weight) and length are computed from those on each access, by the public
+`coherent_parameter` and `blattner` and by degree + length = rs.
 
-All of a member's data is read off its a-block index set in one pass over
-the indices: the shuffle itself needs no pair of entries compared. The
-public constructors (`HCParameter(...)`, `HCParameter.from_doubled`,
-`InfinitesimalCharacter`) check order, coset and regularity. Shuffles of a
-checked infinitesimal character, their coherent and Blattner weights and
-dual parameters are valid by construction; they are built by the private
-`_trusted` constructors and are not checked again.
+The shuffles and degrees are read off the a-block index sets: the shuffle
+itself needs no pair of entries compared. The public constructors
+(`HCParameter(...)`, `HCParameter.from_doubled`, `InfinitesimalCharacter`)
+check order, coset and regularity. Shuffles of a checked infinitesimal
+character, their coherent and Blattner weights and dual parameters are
+valid by construction; they are built by the private `_trusted`
+constructors and are not checked again.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ class HCParameter:
         """Store doubled blocks as they are, without any check; only for
         blocks that are decreasing, regular and on one coset by construction."""
         hc = object.__new__(cls)
-        object.__setattr__(hc, "doubled_a", a)
-        object.__setattr__(hc, "doubled_b", b)
+        cls.doubled_a.__set__(hc, a)
+        cls.doubled_b.__set__(hc, b)
         return hc
 
     def _init(self, a: tuple[int, ...], b: tuple[int, ...]) -> None:
@@ -106,8 +108,8 @@ class HCParameter:
         if len(set(joint)) != len(joint):
             raise ValueError(
                 f"parameter ({doubled_text(a)};{doubled_text(b)}) is singular")
-        object.__setattr__(self, "doubled_a", a)
-        object.__setattr__(self, "doubled_b", b)
+        HCParameter.doubled_a.__set__(self, a)
+        HCParameter.doubled_b.__set__(self, b)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HCParameter is immutable")
@@ -117,11 +119,11 @@ class HCParameter:
 
     @property
     def a(self) -> tuple[Fraction, ...]:
-        return tuple(half_entry(d) for d in self.doubled_a)
+        return tuple(map(half_entry, self.doubled_a))
 
     @property
     def b(self) -> tuple[Fraction, ...]:
-        return tuple(half_entry(d) for d in self.doubled_b)
+        return tuple(map(half_entry, self.doubled_b))
 
     @property
     def r(self) -> int:
@@ -195,20 +197,32 @@ class InfinitesimalCharacter:
         return f"InfinitesimalCharacter(({doubled_text(self.weight.doubled)}))"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketMember:
-    """One shuffle of the infinitesimal character, with derived data."""
+    """One shuffle of the infinitesimal character. The Blattner and
+    coherent weights and the length are computed on each access."""
 
     hc: HCParameter
     degree: int
     shuffle_word: tuple[int, ...]
-    blattner: Weight
-    coherent: Weight
+
+    @property
+    def blattner(self) -> Weight:
+        return blattner(self.hc)
+
+    @property
+    def coherent(self) -> Weight:
+        return coherent_parameter(self.hc)
 
     @property
     def length(self) -> int:
-        """Inversion count of the shuffle word."""
-        return _inversions(self.shuffle_word)
+        """Inversion count of the shuffle word, which is rs - degree."""
+        return self.hc.r * self.hc.s - self.degree
+
+
+_set_hc = PacketMember.hc.__set__
+_set_degree = PacketMember.degree.__set__
+_set_shuffle_word = PacketMember.shuffle_word.__set__
 
 
 def infinitesimal_character(a_sigma: Iterable[EntryLike]) -> InfinitesimalCharacter:
@@ -300,29 +314,18 @@ def enumerate_packet(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketM
     n, r = ic.n, sig.r
     if sig.n != n:
         raise ValueError("dimension mismatch")
-    # Take a-indices i_0 < ... < i_{r-1} and b-indices j_0 < ... < j_{s-1},
-    # 0-based. The a-entry at block position k lies above n - r - i_k + k
-    # b-entries and the b-entry at position q below j_q - q a-entries, so
-    # the degree is the sum of the first counts, and from the coherent to
-    # the Blattner parameter the first entries gain twice their count and
-    # the second lose twice theirs. Over 1-based indices, the degree is top
-    # minus the sum of the a-indices, and the doubled Blattner entry of
-    # index i at concatenated position p is base[i] + offsets[p].
-    lam = ic.weight.doubled
-    rho2 = two_rho(n)
+    # With 1-based a-indices i_1 < ... < i_r, the a-entry at block position
+    # k lies above n - r - i_k + k b-entries; summed, the degree is top
+    # minus the sum of the a-indices.
     top = r * (n - r) + r * (r + 1) // 2
-    base = [0] + [x - 2 * i for i, x in enumerate(lam)]
-    offsets = tuple([2 * (n - r + k) - rho2[k] for k in range(r)]
-                    + [2 * q - rho2[r + q] for q in range(n - r)])
+    new = object.__new__
     members = []
     for a_index, word, entries in _shuffles(ic, sig):
-        members.append(PacketMember(
-            hc=HCParameter._trusted(entries[:r], entries[r:]),
-            degree=top - sum(a_index),
-            shuffle_word=word,
-            blattner=Weight._trusted(tuple(map(add, map(base.__getitem__, word), offsets))),
-            coherent=Weight._trusted(tuple(map(sub, entries, rho2))),
-        ))
+        member = new(PacketMember)
+        _set_hc(member, HCParameter._trusted(entries[:r], entries[r:]))
+        _set_degree(member, top - sum(a_index))
+        _set_shuffle_word(member, word)
+        members.append(member)
     return members
 
 

@@ -36,6 +36,7 @@ from lpackets import (
     restrict_parameter,
     restriction_contains,
     restriction_is_discrete_series,
+    shuffle_length,
     theta_parabolic,
     weyl_dim,
 )
@@ -75,7 +76,10 @@ def test_criterion_02_degree_length_identity(packet_sweep):
     members = 0
     for sig, ic, packet in sweep:
         for m in packet:
+            # length is rs - degree by definition; the inversion count of
+            # the shuffle is the independent side of the identity.
             assert m.degree + m.length == sig.r * sig.s
+            assert m.degree + shuffle_length(m.hc, ic) == sig.r * sig.s
             members += 1
     _report(2, f"degree + length = rs on {members} members")
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,14 @@ class TestSignature:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Signature(-1, 2)
+
+    @pytest.mark.parametrize("r, s, bad", [
+        (2.5, 0.5, "2.5"), (2.0, 1.0, "2.0"), (2, 1.0, "1.0"), (True, False, "True"),
+        (1, True, "True"), ("2", 1, "'2'"), (2, None, "None"), (Fraction(2), 1, "Fraction(2, 1)"),
+    ])
+    def test_rejects_non_integers(self, r, s, bad):
+        with pytest.raises(ValueError, match=f"signature entry {re.escape(bad)} is not an int"):
+            Signature(r, s)
 
 
 class TestPairing:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -18,6 +19,7 @@ from lpackets import (
     RestrictionClass,
     Signature,
     Weight,
+    branch,
     classify_restriction,
     descent_chain,
     dual_parameter,
@@ -26,6 +28,7 @@ from lpackets import (
     isomorphism_fraction,
     min_entry_in_a,
     min_entry_in_a_everywhere,
+    minimal_ktype_test,
     noncompact_support_matches,
     restrict_parameter,
     restriction_is_discrete_series,
@@ -460,6 +463,12 @@ VALUES = [
     InfinitesimalCharacter(Weight((5, 2, -1))),
     PlacedParameter([(Signature(2, 1), HCParameter((5, 2), (-1,))),
                      (Signature(1, 2), HCParameter((4,), (1, -2)))]),
+    # The slotted records: a packet member, an accepted and a rejected
+    # verdict, a branch constituent.
+    enumerate_packet(InfinitesimalCharacter(Weight((5, 2, -1))), Signature(2, 1))[1],
+    minimal_ktype_test(Weight((5, -1, 2)), Signature(2, 1)),
+    minimal_ktype_test(Weight((2, 0, 0)), Signature(2, 1)),
+    branch(Weight((Fraction(5, 2), Fraction(-1, 2))))[1],
 ]
 
 
@@ -475,6 +484,10 @@ def test_value_types_round_trip(value, clone):
     assert type(twin) is type(value)
     assert twin == value
     assert hash(twin) == hash(value)
+    field = (dataclasses.fields(twin)[0].name if dataclasses.is_dataclass(twin)
+             else type(twin).__slots__[0])
+    with pytest.raises(AttributeError):
+        setattr(twin, field, getattr(twin, field))
 
 
 @pytest.mark.parametrize("call", [

@@ -21,6 +21,7 @@ from lpackets import (
     infinitesimal_character,
     shuffle_length,
 )
+from lpackets.cartan import half_entry
 from lpackets.packets import _inversions
 
 
@@ -105,6 +106,7 @@ class TestEnumerate:
                 assert len({m.hc for m in members}) == len(members)
                 for m in members:
                     assert m.degree + m.length == sig.r * sig.s
+                    assert m.degree + shuffle_length(m.hc, ic) == sig.r * sig.s
 
     def test_colex_order(self):
         ic = InfinitesimalCharacter(Weight((7, 5, 3, 1)))
@@ -145,6 +147,19 @@ class TestFractionReference:
             values = (m.hc.a + m.hc.b + m.blattner.entries + m.coherent.entries
                       + ic.entries + tuple(m.hc.weight))
             assert all(type(x) is Fraction for x in values)
+        # The views share one bounded table: a first pass misses, and the
+        # second, walked back, hits on the last maxsize entries of the first.
+        maxsize = half_entry.cache_info().maxsize
+        span = range(-5000, 5001)
+        assert type(maxsize) is int and 0 < maxsize < len(span)
+        half_entry.cache_clear()
+        for order in (span, reversed(span)):
+            for d in order:
+                value = half_entry(d)
+                assert value == Fraction(d, 2) and type(value) is Fraction
+        info = half_entry.cache_info()
+        assert info.hits >= maxsize and info.misses >= len(span)
+        assert info.currsize == maxsize
 
 
 class TestErrorMessages:
@@ -242,8 +257,9 @@ class TestDual:
 
 
 class TestInversions:
-    """The bisection count of PacketMember.length and shuffle_length
-    against the count over all pairs of positions."""
+    """The bisection count of shuffle_length and the closed form
+    PacketMember.length = rs - degree against the count over all pairs of
+    positions."""
 
     def test_random_words(self):
         rng = random.Random(31)

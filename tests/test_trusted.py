@@ -5,7 +5,10 @@ weights, branch constituents and the minimal K-type test's derived values
 through the private `_trusted` constructors, which store doubled tuples as
 they are. These tests rebuild every such value through its public,
 checking constructor over the packet and counting sweeps, pin the places
-that may call `_trusted`, and pin the checks the public constructors keep.
+that may call `_trusted`, pin the constructors as the only places that
+store into a `Weight` or an `HCParameter` directly (through a slot setter,
+by name, or into a bare `object.__new__` instance), and pin the checks the
+public constructors keep.
 """
 
 import ast
@@ -35,7 +38,7 @@ from lpackets.packets import _packet_parameters
 TRUSTED_SITES = {
     ("cartan.py", "Weight.from_doubled"),  # after its own parity check
     ("packets.py", "_packet_parameters"),  # shuffles, for isomorphism_fraction
-    ("packets.py", "enumerate_packet"),  # shuffles, coherent and Blattner weights
+    ("packets.py", "enumerate_packet"),  # shuffles
     ("packets.py", "coherent_parameter"),
     ("packets.py", "blattner"),
     ("packets.py", "dual_parameter"),
@@ -45,12 +48,48 @@ TRUSTED_SITES = {
 }
 
 
-def _trusted_sites(path: Path) -> list[tuple[str, str]]:
-    sites = []
+# (module, enclosing function) of every direct store into a Weight or an
+# HCParameter: their own constructors, and nothing else.
+STORE_SITES = {
+    ("cartan.py", "Weight.__init__"),
+    ("cartan.py", "Weight._trusted"),
+    ("packets.py", "HCParameter.from_doubled"),
+    ("packets.py", "HCParameter._trusted"),
+    ("packets.py", "HCParameter._init"),
+}
+CHECKED_CLASSES = {"Weight", "HCParameter"}
+STORED_SLOTS = {"doubled", "doubled_a", "doubled_b"}
+
+
+def _is_store(node: ast.AST, scope: tuple[str, ...]) -> bool:
+    """A setter of a slot named like theirs (`X.doubled.__set__`, whatever
+    X is), a store by name (`object.__setattr__(x, "doubled", ...)`,
+    `setattr`), or a bare instance (`object.__new__(Weight)`, or of `cls`
+    inside those classes)."""
+    if isinstance(node, ast.Attribute) and node.attr == "__set__":
+        return isinstance(node.value, ast.Attribute) and node.value.attr in STORED_SLOTS
+    if not isinstance(node, ast.Call) or not node.args:
+        return False
+    func, first = node.func, node.args[0]
+    if isinstance(func, ast.Attribute) and func.attr == "__new__":
+        return isinstance(first, ast.Name) and (
+            first.id in CHECKED_CLASSES
+            or (first.id == "cls" and bool(scope) and scope[0] in CHECKED_CLASSES))
+    is_setattr = ((isinstance(func, ast.Attribute) and func.attr == "__setattr__")
+                  or (isinstance(func, ast.Name) and func.id == "setattr"))
+    name = node.args[1] if len(node.args) > 1 else None
+    return is_setattr and isinstance(name, ast.Constant) and name.value in STORED_SLOTS
+
+
+def _sites(path: Path) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """(`_trusted` uses, direct stores), each as (module, enclosing function)."""
+    trusted, stores = [], []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         if isinstance(node, ast.Attribute) and node.attr == "_trusted":
-            sites.append((path.name, ".".join(scope)))
+            trusted.append((path.name, ".".join(scope)))
+        if _is_store(node, scope):
+            stores.append((path.name, ".".join(scope)))
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
@@ -58,7 +97,7 @@ def _trusted_sites(path: Path) -> list[tuple[str, str]]:
                 visit(child, scope)
 
     visit(ast.parse(path.read_text()), ())
-    return sites
+    return trusted, stores
 
 
 def check_member(sig, member) -> int:
@@ -122,12 +161,48 @@ class TestRebuildOracle:
             assert_rebuilds(Weight._trusted([2, 4]))
 
 
+def _package_sites() -> tuple[set, set]:
+    package = Path(lpackets.__file__).parent
+    trusted, stores = set(), set()
+    for path in sorted(package.glob("*.py")):
+        found_trusted, found_stores = _sites(path)
+        trusted.update(found_trusted)
+        stores.update(found_stores)
+    return trusted, stores
+
+
 class TestTrustedSites:
     def test_call_sites_are_allowlisted(self):
-        package = Path(lpackets.__file__).parent
-        found = [site for path in sorted(package.glob("*.py")) for site in _trusted_sites(path)]
-        assert set(found) - TRUSTED_SITES == set(), "unlisted _trusted( call site"
-        assert TRUSTED_SITES - set(found) == set(), "allowlisted site no longer calls _trusted"
+        found, _ = _package_sites()
+        assert found - TRUSTED_SITES == set(), "unlisted _trusted( call site"
+        assert TRUSTED_SITES - found == set(), "allowlisted site no longer calls _trusted"
+
+    def test_direct_stores_stay_in_the_constructors(self):
+        _, found = _package_sites()
+        assert found - STORE_SITES == set(), "direct store outside the constructors"
+        assert STORE_SITES - found == set(), "allowlisted constructor no longer stores"
+
+    @pytest.mark.parametrize("source", [
+        "def f(w):\n    Weight.doubled.__set__(w, (2,))",
+        "def f(hc):\n    HCParameter.doubled_a.__set__(hc, ())",
+        "def f(hc):\n    type(hc).doubled_b.__set__(hc, ())",
+        "def f():\n    return object.__new__(Weight)",
+        "def f():\n    return Weight.__new__(HCParameter)",
+        "class Weight:\n    def g(cls):\n        return object.__new__(cls)",
+        "def f(w):\n    object.__setattr__(w, 'doubled', (2,))",
+        "def f(w):\n    setattr(w, 'doubled_b', ())",
+    ])
+    def test_each_store_form_is_seen(self, source, tmp_path):
+        path = tmp_path / "planted.py"
+        path.write_text(source)
+        _, stores = _sites(path)
+        assert len(stores) == 1 and stores[0][1] in ("f", "Weight.g")
+
+    def test_other_classes_are_not_stores(self, tmp_path):
+        path = tmp_path / "other.py"
+        path.write_text("class KRestriction:\n    def g(cls):\n        return object.__new__(cls)\n"
+                        "def f(m):\n    PacketMember.hc.__set__(m, None)\n")
+        assert _sites(path) == ([], [])
 
 
 class TestPublicChecks:
