@@ -11,9 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from math import prod
+from operator import add, lt, sub
 
-from .cartan import EntryLike, Signature, Weight, double_entry, doubled_text, half_entry
+from .cartan import EntryLike, Signature, Weight, double_entry, doubled_text, half_entry, two_rho
 
 __all__ = [
     "BranchConstituent",
@@ -27,7 +29,7 @@ __all__ = [
 
 
 def _require_dominant(doubled: tuple[int, ...], label: str) -> None:
-    if any(x < y for x, y in zip(doubled, doubled[1:])):
+    if any(map(lt, doubled, doubled[1:])):
         raise ValueError(f"{label} ({doubled_text(doubled)}) is not non-increasing")
 
 
@@ -47,14 +49,6 @@ class BranchConstituent:
 
 _set_lower = BranchConstituent.lower.__set__
 _set_doubled_u1 = BranchConstituent.doubled_u1.__set__
-
-
-def _constituent(lower: Weight, doubled_u1: int) -> BranchConstituent:
-    """A constituent filled in through its slot descriptors."""
-    constituent = object.__new__(BranchConstituent)
-    _set_lower(constituent, lower)
-    _set_doubled_u1(constituent, doubled_u1)
-    return constituent
 
 
 @dataclass(frozen=True, init=False)
@@ -110,23 +104,41 @@ def branch(upper: Weight) -> list[BranchConstituent]:
         raise ValueError("empty highest weight")
     total = sum(doubled)
     choices = [range(top, bottom - 1, -2) for top, bottom in zip(doubled, doubled[1:])]
-    return [_constituent(Weight._trusted(lower), total - sum(lower))
-            for lower in itertools.product(*choices)]
+    new, trusted = object.__new__, Weight._trusted
+    constituents = []
+    append = constituents.append
+    for lower in itertools.product(*choices):
+        constituent = new(BranchConstituent)
+        _set_lower(constituent, trusted(lower))
+        _set_doubled_u1(constituent, total - sum(lower))
+        append(constituent)
+    return constituents
+
+
+def _vandermonde(values) -> int:
+    """Product over i < j of values_i - values_j."""
+    return prod(itertools.starmap(sub, itertools.combinations(values, 2)))
+
+
+@lru_cache(maxsize=64)
+def _weyl_denominator(m: int) -> int:
+    """Product over i < j < m of 2(j - i): the Vandermonde product of 2 rho(m)."""
+    return _vandermonde(two_rho(m))
 
 
 def weyl_dim(weight: Weight) -> int:
     """Dimension of the irreducible U(m) representation with this highest
-    weight: product over i < j of (w_i - w_j + j - i) / (j - i)."""
+    weight: product over i < j of (w_i - w_j + j - i) / (j - i).
+
+    Doubled, that is the Vandermonde product of 2(w + rho) over the one of
+    2 rho, which depends on m alone."""
     doubled = weight.doubled
     _require_dominant(doubled, "highest weight")
     m = len(doubled)
-    num = den = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            # Each factor, numerator and denominator both doubled.
-            num *= doubled[i] - doubled[j] + 2 * (j - i)
-            den *= 2 * (j - i)
-    value, remainder = divmod(num, den)
+    if m < 2:
+        return 1
+    value, remainder = divmod(_vandermonde(map(add, doubled, two_rho(m))),
+                              _weyl_denominator(m))
     if remainder:
         raise ValueError("dimension formula did not produce an integer")
     return value

@@ -29,9 +29,10 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from .branching import branch, weyl_dim
 from .cartan import (Signature, Weight, doubled_text, doubled_to_str, entry_from_str,
                      entry_to_str, weight_to_strings)
-from .descent import (PlacedParameter, RestrictedParameter, RestrictionClass, descent_chain,
-                      expected_fraction, isomorphism_fraction, min_entry_in_a,
-                      min_entry_in_a_everywhere, noncompact_support_matches, restrict_parameter,
+from .descent import (PlacedParameter, RestrictedParameter, RestrictionClass,
+                      _dual_min_entry_in_a_everywhere, descent_chain, expected_fraction,
+                      isomorphism_fraction, min_entry_in_a, min_entry_in_a_everywhere,
+                      noncompact_support_matches, restrict_parameter,
                       restriction_is_discrete_series, well_spaced_everywhere)
 from .minimal_ktype import minimal_ktype_test, regularity_margin
 from .packets import (HCParameter, InfinitesimalCharacter, blattner, coherent_parameter, degree,
@@ -378,7 +379,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Result:
     return Result({"places": places,
                    "class": (RestrictionClass.ISOMORPHISM if min_entry_in_a_everywhere(p)
                              else RestrictionClass.ZERO).value,
-                   "dual_min_in_a": min_entry_in_a_everywhere(p.dual()),
+                   "dual_min_in_a": _dual_min_entry_in_a_everywhere(p),
                    "well_spaced": spaced}, _spacing(spaced))
 
 

@@ -15,19 +15,16 @@ restriction route and the root-support route are oracles in the tests.
 from __future__ import annotations
 
 import enum
-import math
+import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
+from operator import countOf, itemgetter
 from typing import Iterable, Sequence
 
 from .cartan import Signature, doubled_text, half_entry, two_rho
-from .packets import (
-    HCParameter,
-    InfinitesimalCharacter,
-    _packet_parameters,
-    dual_parameter,
-)
+from .packets import HCParameter, InfinitesimalCharacter, dual_parameter
 
 __all__ = [
     "PlacedParameter",
@@ -164,6 +161,14 @@ def min_entry_in_a_everywhere(p: PlacedParameter) -> bool:
     return all(min_entry_in_a(hc) for _, hc in p.places)
 
 
+def _dual_min_entry_in_a_everywhere(p: PlacedParameter) -> bool:
+    """min_entry_in_a_everywhere(p.dual()) without building the dual: the
+    dual's last a-entry is minus the first a-entry and its minimum is minus
+    the maximum, so at each place the first a-entry must be the maximum."""
+    return all(hc.r > 0 and hc.doubled_a[0] == max(hc.doubled_a + hc.doubled_b)
+               for _, hc in p.places)
+
+
 def _noncompact_support(a: Sequence[int], b: Sequence[int]) -> set[tuple[int, int]]:
     return {(i, j) for i, ai in enumerate(a, start=1)
             for j, bj in enumerate(b, start=1) if ai > bj}
@@ -208,17 +213,25 @@ def isomorphism_fraction(places: Sequence[tuple[Signature, InfinitesimalCharacte
     """Fraction of the product packet classified as isomorphism: a member
     combination is one iff the minimum-entry condition holds at every place,
     so this is the product over places of the share of packet members meeting
-    it. Each packet is walked once; the cost is a sum over places."""
+    it. Each packet is walked once; the cost is a sum over places.
+
+    A member's a-block is an r-subset of the character's entries, in the
+    character's decreasing order, so the member meets the condition iff the
+    subset's last entry is the character's last. The walk counts those
+    subsets one at a time, holding no member and no list."""
     if not places:
         raise ValueError("at least one place is required")
     ranks = {sig.n for sig, _ in places}
     if len(ranks) > 1 or {ic.n for _, ic in places} != ranks:
         raise ValueError("places have unequal rank")
     count = total = 1
+    last = itemgetter(-1)
     for sig, ic in places:
-        flags = [min_entry_in_a(hc) for hc in _packet_parameters(ic, sig)]
-        count *= sum(flags)
-        total *= len(flags)
+        entries = ic.weight.doubled
+        total *= comb(sig.n, sig.r)
+        # With r = 0 the one member's a-block is empty and holds no minimum.
+        count *= (countOf(map(last, itertools.combinations(entries, sig.r)), entries[-1])
+                  if sig.r else 0)
     return Fraction(count, total)
 
 
@@ -226,7 +239,7 @@ def expected_fraction(sigs: Sequence[Signature]) -> Fraction:
     """The closed form prod_v r_v / n for comparison with the enumeration."""
     if not sigs:
         raise ValueError("at least one place is required")
-    return math.prod(Fraction(sig.r, sig.n) for sig in sigs)
+    return Fraction(prod(sig.r for sig in sigs), prod(sig.n for sig in sigs))
 
 
 @dataclass(frozen=True)
@@ -263,7 +276,7 @@ def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[Cha
             raise ValueError("cannot descend a place with r = 0")
         restricted = [restrict_parameter(sig, hc) for sig, hc in current.places]
         classification = _classify(current, warn)
-        dual_flag = min_entry_in_a_everywhere(current.dual())
+        dual_flag = _dual_min_entry_in_a_everywhere(current)
         try:
             current = PlacedParameter((Signature(sig.r - 1, sig.s), rp.prime_hc())
                                       for (sig, _), rp in zip(current.places, restricted))

@@ -301,14 +301,6 @@ def blattner(hc: HCParameter) -> Weight:
     return Weight._trusted(tuple(map(add, _coherent_doubled(hc), gains)))
 
 
-def _packet_parameters(ic: InfinitesimalCharacter, sig: Signature) -> Iterator[HCParameter]:
-    """The parameter of each shuffle, in colexicographic order of the
-    a-block index set; no derived data."""
-    r = sig.r
-    for _, _, entries in _shuffles(ic, sig):
-        yield HCParameter._trusted(entries[:r], entries[r:])
-
-
 def enumerate_packet(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketMember]:
     """All C(n, r) shuffles, in colexicographic order of the a-block index set."""
     n, r = ic.n, sig.r

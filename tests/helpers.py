@@ -13,6 +13,7 @@ from lpackets import (
     HCParameter,
     InfinitesimalCharacter,
     MinimalKTypeVerdict,
+    PlacedParameter,
     RestrictedParameter,
     Signature,
     Weight,
@@ -20,6 +21,7 @@ from lpackets import (
     enumerate_packet,
     infinitesimal_character,
     min_entry_in_a,
+    min_entry_in_a_everywhere,
     restrict_ktype,
 )
 from lpackets.cartan import two_rho
@@ -166,6 +168,37 @@ def product_fraction_reference(places) -> Fraction:
         total += 1
         count += all(combo)
     return Fraction(count, total)
+
+
+def member_fraction_reference(places) -> Fraction:
+    """The isomorphism fraction as a product over places of the share of
+    packet members whose parameter meets the minimum-entry condition, each
+    member built by enumerate_packet."""
+    share = Fraction(1)
+    for sig, ic in places:
+        packet = enumerate_packet(ic, sig)
+        share *= Fraction(sum(min_entry_in_a(m.hc) for m in packet), len(packet))
+    return share
+
+
+def reference_dual_min_in_a(p: PlacedParameter) -> bool:
+    """The dual's minimum-entry flag through the dual parameter itself."""
+    return min_entry_in_a_everywhere(p.dual())
+
+
+def reference_weyl_dim(weight: Weight) -> int:
+    """Weyl's dimension formula one pair at a time: the product over
+    i < j of (w_i - w_j + j - i) / (j - i), on doubled entries."""
+    doubled = weight.doubled
+    m = len(doubled)
+    num = den = 1
+    for i in range(m):
+        for j in range(i + 1, m):
+            num *= doubled[i] - doubled[j] + 2 * (j - i)
+            den *= 2 * (j - i)
+    value, remainder = divmod(num, den)
+    assert remainder == 0, weight
+    return value
 
 
 def reference_restriction(sig: Signature, hc: HCParameter) -> RestrictedParameter:

@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from helpers import reference_weyl_dim
 
 from lpackets import (
     KRestriction,
@@ -93,6 +96,23 @@ class TestWeylDim:
 
     def test_translation_invariance(self):
         assert weyl_dim(Weight((7, 6, 5))) == weyl_dim(Weight((2, 1, 0)))
+
+    def test_rejects_non_dominant(self):
+        with pytest.raises(ValueError, match=r"^highest weight \(0,2\) is not non-increasing$"):
+            weyl_dim(Weight((0, 2)))
+
+    @pytest.mark.parametrize("top", [8, 9], ids=["integral", "half-integral"])
+    def test_matches_pairwise_reference(self, top):
+        # Every dominant weight with m <= 6 and entries in a window of nine
+        # values on one coset: -4..4, or -7/2..9/2.
+        window = range(top, top - 18, -2)
+        checked = 0
+        for m in range(7):
+            for doubled in itertools.combinations_with_replacement(window, m):
+                weight = Weight.from_doubled(doubled)
+                assert weyl_dim(weight) == reference_weyl_dim(weight), weight
+                checked += 1
+        assert checked == 5005
 
 
 class TestRestrictKType:

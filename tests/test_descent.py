@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (all_signatures, counting_sweep, product_fraction_reference, random_ic,
+from helpers import (all_signatures, counting_sweep, member_fraction_reference,
+                     product_fraction_reference, random_ic, reference_dual_min_in_a,
                      reference_restriction)
 
 from lpackets import (
@@ -204,7 +205,7 @@ class TestRouteOracles:
     the K-type route and the support route check them here."""
 
     def check(self, places):
-        counts = {"restricted": 0, "supported": 0, "divergent": 0}
+        counts = {"restricted": 0, "supported": 0, "divergent": 0, "dual": 0}
         for sig, ic in places:
             for m in enumerate_packet(ic, sig):
                 params, chain = chain_parameters(sig, m.hc)
@@ -221,6 +222,8 @@ class TestRouteOracles:
                     assert classify_restriction(q, warn=False) is want
                     if k < len(chain):
                         assert chain[k].classification is want
+                        assert chain[k].dual_min_in_a is reference_dual_min_in_a(q)
+                        counts["dual"] += 1
                     by_support = noncompact_support_matches(s, hc, rp)
                     if well_spaced_everywhere(q):
                         assert by_support == by_minimum
@@ -234,10 +237,12 @@ class TestRouteOracles:
         counts = self.check(places)
         assert counts["restricted"] >= 25000
         assert counts["supported"] >= 20000
+        assert counts["dual"] >= 20000
 
     def test_off_spacing_sweep(self):
         counts = self.check(off_spacing_sweep())
         assert counts["restricted"] >= 4000
+        assert counts["dual"] >= 3000
         # The sweep reaches parameters where the support route diverges.
         assert counts["divergent"] >= 100
 
@@ -319,7 +324,16 @@ class TestFraction:
 
     def test_matches_product_reference_on_counting_sweep(self):
         for places in counting_sweep():
-            assert isomorphism_fraction(places) == product_fraction_reference(places)
+            got = isomorphism_fraction(places)
+            assert got == product_fraction_reference(places)
+            assert got == member_fraction_reference(places)
+
+    def test_expected_fraction_mixed_rank(self):
+        # expected_fraction does not require equal rank: prod r_v / prod n_v.
+        sigs = [Signature(2, 1), Signature(1, 1), Signature(0, 4)]
+        assert expected_fraction(sigs[:2]) == Fraction(1, 3)
+        assert expected_fraction(sigs) == 0
+        assert expected_fraction([Signature(3, 2), Signature(2, 4)]) == Fraction(1, 5)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_product_reference_three_places(self, n):
@@ -432,6 +446,7 @@ class TestChain:
                 continue
             (step,) = descent_chain(p, 1, warn=False)
             assert step.classification is classify_restriction(p, warn=False)
+            assert step.dual_min_in_a is reference_dual_min_in_a(p)
             assert step.u1_weights == tuple(rp.u1_weight for rp in restricted)
             assert [hc for _, hc in step.parameter.places] == [
                 rp.prime_hc() for rp in restricted]
