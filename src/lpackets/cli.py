@@ -29,11 +29,11 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from .branching import branch, weyl_dim
 from .cartan import (Signature, Weight, doubled_text, doubled_to_str, entry_from_str,
                      entry_to_str, weight_to_strings)
-from .descent import (PlacedParameter, RestrictedParameter, RestrictionClass,
-                      _dual_min_entry_in_a_everywhere, descent_chain, expected_fraction,
-                      isomorphism_fraction, min_entry_in_a, min_entry_in_a_everywhere,
-                      noncompact_support_matches, restrict_parameter,
-                      restriction_is_discrete_series, well_spaced_everywhere)
+from .descent import (PlacedParameter, RestrictedParameter, _dual_min_entry_in_a_everywhere,
+                      classify_restriction, descent_chain, expected_fraction,
+                      isomorphism_fraction, min_entry_in_a, noncompact_support_matches,
+                      restrict_parameter, restriction_is_discrete_series,
+                      well_spaced_everywhere)
 from .minimal_ktype import minimal_ktype_test, regularity_margin
 from .packets import (HCParameter, InfinitesimalCharacter, blattner, coherent_parameter, degree,
                       enumerate_packet, infinitesimal_character, shuffle_length)
@@ -118,35 +118,28 @@ def _unblocked(text: str, name: str) -> Weight:
     return weight
 
 
-def _place_hc(text: str, sig: Signature, place: Optional[str]) -> HCParameter:
-    return parse_hc(text, sig)
-
-
 def _place_ic(text: str, sig: Signature, place: Optional[str]) -> InfinitesimalCharacter:
     name = "--hw" if place is None else f"bad place {place!r}: highest weight"
     return infinitesimal_character(_unblocked(text, name))
 
 
-def _collect_places(args: argparse.Namespace, option: str, what: str,
-                    parse: Callable[[str, Signature, Optional[str]], object]) -> list:
-    """(sig, parse(text, sig, place)) for each --place "r,s:text", then for
-    --sig with --<option> (place None); what names the text in errors."""
-    places = []
+def _collect_places(args: argparse.Namespace, option: str,
+                    what: str) -> Iterator[tuple[Signature, str, Optional[str]]]:
+    """(sig, text, place) for each --place "r,s:text", then for --sig with
+    --<option> (place None); what names the text in errors. A generator, so
+    each place's text is parsed before the next place is read."""
     for place in args.place:
         head, sep, text = place.partition(":")
         if not sep:
             raise ValueError(f"bad place {place!r}: expected r,s:{what}")
-        sig = parse_signature(head)
-        places.append((sig, parse(text, sig, place)))
+        yield parse_signature(head), text, place
     value = getattr(args, option)
     if args.sig or value:
         if not (args.sig and value):
             raise ValueError(f"--sig and --{option} must be given together")
-        sig = parse_signature(args.sig)
-        places.append((sig, parse(value, sig, None)))
-    if not places:
+        yield parse_signature(args.sig), value, None
+    elif not args.place:
         raise ValueError(f"give --place entries or --sig with --{option}")
-    return places
 
 
 def _spacing(spaced: bool) -> list[str]:
@@ -307,7 +300,8 @@ def _pretty_restrict(rec: dict) -> Iterator[str]:
 
 
 def _cmd_chain(args: argparse.Namespace) -> Result:
-    p = PlacedParameter(_collect_places(args, "hcp", "parameter", _place_hc))
+    p = PlacedParameter((sig, parse_hc(text, sig))
+                        for sig, text, _ in _collect_places(args, "hcp", "parameter"))
     violations = _spacing(well_spaced_everywhere(p))
     # The only warning left is a stop at a singular descended parameter.
     with warnings.catch_warnings(record=True) as stops:
@@ -337,12 +331,13 @@ def _pretty_chain(steps: list, stopped: bool) -> Iterator[str]:
 
 
 def _cmd_fraction(args: argparse.Namespace) -> Result:
-    places = _collect_places(args, "hw", "highest-weight", _place_ic)
-    enumerated = isomorphism_fraction(places)
+    places = [(sig, _place_ic(text, sig, place))
+              for sig, text, place in _collect_places(args, "hw", "highest-weight")]
+    fraction = isomorphism_fraction(places)
     expected = expected_fraction([sig for sig, _ in places])
-    return Result({"fraction": str(enumerated),
+    return Result({"fraction": str(fraction),
                    "expected": str(expected),
-                   "match": enumerated == expected})
+                   "match": fraction == expected})
 
 
 def _pretty_fraction(rec: dict) -> Iterator[str]:
@@ -366,7 +361,8 @@ def _member_data(hc: HCParameter) -> dict:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> Result:
-    p = PlacedParameter(_collect_places(args, "hcp", "parameter", _place_hc))
+    p = PlacedParameter((sig, parse_hc(text, sig))
+                        for sig, text, _ in _collect_places(args, "hcp", "parameter"))
     if any(sig.r < 1 for sig, _ in p.places):
         raise ValueError("analysis needs r >= 1 at every place")
     spaced = well_spaced_everywhere(p)
@@ -377,8 +373,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Result:
                        "restricted": _blocks_json(rp),
                        "u1": doubled_to_str(rp.doubled_u1)})
     return Result({"places": places,
-                   "class": (RestrictionClass.ISOMORPHISM if min_entry_in_a_everywhere(p)
-                             else RestrictionClass.ZERO).value,
+                   "class": classify_restriction(p, warn=False).value,
                    "dual_min_in_a": _dual_min_entry_in_a_everywhere(p),
                    "well_spaced": spaced}, _spacing(spaced))
 

@@ -9,18 +9,17 @@ last a-block entry is the global minimum of the parameter; otherwise the
 map is zero. That dichotomy is stated under a spacing hypothesis
 (consecutive gaps of the sorted parameter at least 2); off it the
 classifier warns. Each result is computed one way only: the K-type
-restriction route and the root-support route are oracles in the tests.
+restriction route, the root-support route and the walk over a packet's
+members for the isomorphism fraction are oracles in the tests.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from operator import countOf, itemgetter
 from typing import Iterable, Sequence
 
 from .cartan import Signature, doubled_text, half_entry, two_rho
@@ -213,25 +212,22 @@ def isomorphism_fraction(places: Sequence[tuple[Signature, InfinitesimalCharacte
     """Fraction of the product packet classified as isomorphism: a member
     combination is one iff the minimum-entry condition holds at every place,
     so this is the product over places of the share of packet members meeting
-    it. Each packet is walked once; the cost is a sum over places.
+    it.
 
-    A member's a-block is an r-subset of the character's entries, in the
-    character's decreasing order, so the member meets the condition iff the
-    subset's last entry is the character's last. The walk counts those
-    subsets one at a time, holding no member and no list."""
+    The value depends on the signatures alone. A member's a-block is an
+    r-subset of the positions of the character's decreasing entries, and the
+    member meets the condition iff the subset holds the last position, so
+    C(n-1, r-1) of the C(n, r) members do, whatever the character."""
     if not places:
         raise ValueError("at least one place is required")
     ranks = {sig.n for sig, _ in places}
     if len(ranks) > 1 or {ic.n for _, ic in places} != ranks:
         raise ValueError("places have unequal rank")
     count = total = 1
-    last = itemgetter(-1)
-    for sig, ic in places:
-        entries = ic.weight.doubled
+    for sig, _ in places:
         total *= comb(sig.n, sig.r)
         # With r = 0 the one member's a-block is empty and holds no minimum.
-        count *= (countOf(map(last, itertools.combinations(entries, sig.r)), entries[-1])
-                  if sig.r else 0)
+        count *= comb(sig.n - 1, sig.r - 1) if sig.r else 0
     return Fraction(count, total)
 
 

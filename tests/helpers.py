@@ -7,7 +7,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from operator import add
+from math import comb
+from operator import add, countOf, itemgetter
 
 from lpackets import (
     HCParameter,
@@ -179,6 +180,24 @@ def member_fraction_reference(places) -> Fraction:
         packet = enumerate_packet(ic, sig)
         share *= Fraction(sum(min_entry_in_a(m.hc) for m in packet), len(packet))
     return share
+
+
+def walk_fraction_reference(places) -> Fraction:
+    """The isomorphism fraction by walking each place's packet as the
+    r-subsets of its character's entries, which are the members' a-blocks
+    in the character's decreasing order: a member meets the minimum-entry
+    condition iff its subset's last entry is the character's last. The
+    subsets are streamed and counted; the cost is a sum over places of
+    C(n, r)."""
+    count = total = 1
+    last = itemgetter(-1)
+    for sig, ic in places:
+        entries = ic.weight.doubled
+        total *= comb(sig.n, sig.r)
+        # With r = 0 the one member's a-block is empty and holds no minimum.
+        count *= (countOf(map(last, itertools.combinations(entries, sig.r)), entries[-1])
+                  if sig.r else 0)
+    return Fraction(count, total)
 
 
 def reference_dual_min_in_a(p: PlacedParameter) -> bool:

@@ -10,8 +10,8 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import (all_signatures, counting_sweep, packet_sweep_characters, random_ic,
-                     random_kdominant)
+from helpers import (all_signatures, counting_sweep, member_fraction_reference,
+                     packet_sweep_characters, random_ic, random_kdominant)
 
 from lpackets import (
     HCParameter,
@@ -158,8 +158,9 @@ def test_criterion_06_counting_identity(fraction_sweep):
         got = isomorphism_fraction(places)
         want = expected_fraction([sig for sig, _ in places])
         assert got == want
-    _report(6, f"enumerated fraction equals the closed form on "
-               f"{len(fraction_sweep)} signature tuples")
+        assert member_fraction_reference(places) == want
+    _report(6, f"library fraction and the share of enumerated packet members "
+               f"equal the closed form on {len(fraction_sweep)} signature tuples")
 
 
 def test_criterion_07_route_equivalence(fraction_sweep):

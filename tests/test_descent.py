@@ -11,7 +11,7 @@ import pytest
 
 from helpers import (all_signatures, counting_sweep, member_fraction_reference,
                      product_fraction_reference, random_ic, reference_dual_min_in_a,
-                     reference_restriction)
+                     reference_restriction, walk_fraction_reference)
 
 from lpackets import (
     HCParameter,
@@ -327,6 +327,22 @@ class TestFraction:
             got = isomorphism_fraction(places)
             assert got == product_fraction_reference(places)
             assert got == member_fraction_reference(places)
+
+    def test_matches_walk_and_enumeration(self):
+        # The library reads each place's count off its signature; the
+        # subset walk and both enumeration routes are its oracles, over the
+        # counting sweep and every single place with n <= 10.
+        rng = random.Random(67)
+        singles = [[(sig, random_ic(rng, n, strict=strict))]
+                   for n in range(1, 11) for sig in all_signatures(n)
+                   for strict in (False, True)]
+        cases = counting_sweep() + singles
+        assert len(cases) == 756 + 130
+        for places in cases:
+            got = isomorphism_fraction(places)
+            assert got == walk_fraction_reference(places)
+            assert got == member_fraction_reference(places)
+            assert got == product_fraction_reference(places)
 
     def test_expected_fraction_mixed_rank(self):
         # expected_fraction does not require equal rank: prod r_v / prod n_v.
