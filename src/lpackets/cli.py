@@ -142,9 +142,11 @@ def _collect_places(args: argparse.Namespace, option: str,
         raise ValueError(f"give --place entries or --sig with --{option}")
 
 
+_OFF_SPACING = "parameter is outside the spacing hypothesis (a consecutive gap is below 2)"
+
+
 def _spacing(spaced: bool) -> list[str]:
-    return [] if spaced else [
-        "parameter is outside the spacing hypothesis (a consecutive gap is below 2)"]
+    return [] if spaced else [_OFF_SPACING]
 
 
 def _blocks_json(blocks: HCParameter | RestrictedParameter) -> dict:
@@ -307,6 +309,10 @@ def _cmd_chain(args: argparse.Namespace) -> Result:
     with warnings.catch_warnings(record=True) as stops:
         warnings.simplefilter("always")
         steps = descent_chain(p, args.depth, warn=False)
+    # Each later step classifies the parameter the step before descended to.
+    violations += [f"level {step.level}: {_OFF_SPACING}"
+                   for before, step in zip(steps, steps[1:])
+                   if not well_spaced_everywhere(before.parameter)]
     violations += [str(stop.message) for stop in stops]
     return Result([
         {"level": step.level,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, ge, le, sub
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cartan import Signature, Weight, doubled_text, half_entry
 from .packets import HCParameter, _strictly_decreasing
@@ -57,17 +57,6 @@ def _root_sum(pairs: list[tuple[int, int]], n: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def _twice_below_above(ordered: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """Twice the number of entries below and above each distinct value of
-    an increasing sequence, both keyed in increasing order. The doubled sum
-    of the roots e_i - e_j with entry i > entry j is, at an index holding
-    the value v, 2 * (#below - #above): below[v] - above[v]."""
-    steps = range(2 * len(ordered) - 2, -1, -2)
-    # Later pairs overwrite earlier ones: the first occurrence of each
-    # value wins in the reversed walk, the last in the forward one.
-    return dict(zip(reversed(ordered), steps)), dict(zip(ordered, steps))
-
-
 @dataclass(frozen=True)
 class ThetaParabolic:
     """Nilradical roots of the parabolic a weight determines, as 1-based
@@ -92,10 +81,10 @@ def shifted_weight(mu: Weight, sig: Signature) -> Weight:
             raise ValueError(f"weight ({doubled_text(doubled)}) is not K-dominant "
                              f"for sig ({sig.r},{sig.s})")
         # Each entry gains 2 per entry of its block below it and loses 2
-        # per entry above it.
-        below, above = _twice_below_above(block[::-1])
-        shifted += map(sub, map(add, block, map(below.__getitem__, block)),
-                       map(above.__getitem__, block))
+        # per entry above it: those counts are its first position in the
+        # block read upward and read downward.
+        up = block[::-1]
+        shifted += [x + 2 * (up.index(x) - block.index(x)) for x in block]
     return Weight._trusted(tuple(shifted))
 
 
@@ -144,23 +133,28 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
     w = shifted.doubled
     n = len(w)
     # The parabolic of theta_parabolic, as a doubled root sum and a count.
-    below, above = _twice_below_above(sorted(w))
-    two_rho_u = tuple(map(sub, map(below.__getitem__, w), map(above.__getitem__, w)))
-    root_count = sum(map(below.__getitem__, w)) // 2
+    # At an entry, the roots give 2 per entry below it and take 2 per entry
+    # above it; those counts are its first position in the sorted weight
+    # read upward and read downward.
+    up = tuple(sorted(w))
+    down = up[::-1]
+    below = list(map(up.index, w))
+    diff = tuple(map(sub, below, map(down.index, w)))
+    two_rho_u = tuple(map(add, diff, diff))
+    root_count = sum(below)
     borel_ok = root_count == n * (n - 1) // 2
     # w_i - w_j >= t_i - t_j on every root says that w - t does not
-    # decrease with the value, so it is checked between consecutive
-    # distinct values only.
-    lowered = [v - below[v] + above[v] for v in above]
+    # decrease with the value, so it is checked along the sorted weight.
+    lowered = [v - 2 * (up.index(v) - down.index(v)) for v in up]
     positivity_ok = all(map(le, lowered, lowered[1:]))
     double_shift = Weight._trusted(tuple(map(sub, w, two_rho_u)))
 
     hc: Optional[HCParameter] = None
     accepted = False
     if borel_ok and positivity_ok:
-        # Borel case: the half root sum is a permuted rho, so halving the
-        # doubled root sum is exact and keeps uniform half-integrality.
-        candidate = tuple(x - y // 2 for x, y in zip(w, two_rho_u))
+        # Borel case: diff, the half root sum doubled, is a permutation of
+        # two_rho(n), so w - diff keeps uniform half-integrality.
+        candidate = tuple(map(sub, w, diff))
         a, b = candidate[: sig.r], candidate[sig.r:]
         if len(set(candidate)) == n and _strictly_decreasing(a) and _strictly_decreasing(b):
             hc = HCParameter._trusted(a, b)

@@ -9,7 +9,8 @@ weight) and length are computed from those on each access, by the public
 `coherent_parameter` and `blattner` and by degree + length = rs.
 
 The shuffles and degrees are read off the a-block index sets: the shuffle
-itself needs no pair of entries compared. The public constructors
+itself needs no pair of entries compared, and a packet is built in bulk by
+C iterators over those sets. The public constructors
 (`HCParameter(...)`, `HCParameter.from_doubled`, `InfinitesimalCharacter`)
 check order, coset and regularity. Shuffles of a checked infinitesimal
 character, their coherent and Blattner weights and dual parameters are
@@ -19,12 +20,13 @@ constructors and are not checked again.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, gt, sub
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, repeat
+from operator import add, gt, itemgetter, sub
+from typing import Iterable, Sequence
 
 from .cartan import (
     EntryLike,
@@ -54,6 +56,15 @@ __all__ = [
 
 def _strictly_decreasing(values: Sequence) -> bool:
     return all(map(gt, values, values[1:]))
+
+
+_backwards = itemgetter(slice(None, None, -1))
+
+
+def _fill(setter, objects: Iterable, values: Iterable) -> None:
+    """setter(obj, value) pairwise, run in C: a deque of length 0 drains
+    the map."""
+    deque(map(setter, objects, values), maxlen=0)
 
 
 def _inversions(word: Sequence[int]) -> int:
@@ -97,6 +108,16 @@ class HCParameter:
         cls.doubled_a.__set__(hc, a)
         cls.doubled_b.__set__(hc, b)
         return hc
+
+    @classmethod
+    def _trusted_blocks(cls, a_blocks: Sequence[tuple[int, ...]],
+                        b_blocks: Iterable[tuple[int, ...]]) -> list["HCParameter"]:
+        """`_trusted` in bulk: the parameters (a; b) of the paired blocks,
+        in order."""
+        hcs = list(map(object.__new__, repeat(cls, len(a_blocks))))
+        _fill(cls.doubled_a.__set__, hcs, a_blocks)
+        _fill(cls.doubled_b.__set__, hcs, b_blocks)
+        return hcs
 
     def _init(self, a: tuple[int, ...], b: tuple[int, ...]) -> None:
         joint = a + b
@@ -217,7 +238,8 @@ class PacketMember:
     @property
     def length(self) -> int:
         """Inversion count of the shuffle word, which is rs - degree."""
-        return self.hc.r * self.hc.s - self.degree
+        hc = self.hc
+        return len(hc.doubled_a) * len(hc.doubled_b) - self.degree
 
 
 _set_hc = PacketMember.hc.__set__
@@ -238,31 +260,10 @@ def infinitesimal_character(a_sigma: Iterable[EntryLike]) -> InfinitesimalCharac
         Weight.from_doubled(map(add, doubled, two_rho(len(doubled)))))
 
 
-def _shuffles(ic: InfinitesimalCharacter, sig: Signature) -> Iterator[tuple]:
-    """(a-block indices, shuffle word, doubled entries of the word) for every
-    (r, s)-shuffle of ic, in colexicographic order of the a-block index set.
-    Indices are 1-based; the word is the a-indices, then the b-indices, each
-    increasing, so the entries are the a-block, then the b-block.
-
-    Over the indices taken in decreasing order, itertools yields r-subsets
-    in reverse colex order; the complements of colex-ordered subsets come
-    in reverse colex order, so they are the s-subsets in yield order."""
-    n = ic.n
-    if sig.n != n:
-        raise ValueError("dimension mismatch")
-    pick = ((0,) + ic.weight.doubled).__getitem__
-    down = range(n, 0, -1)
-    for a_down, b_down in zip(reversed(list(itertools.combinations(down, sig.r))),
-                              itertools.combinations(down, sig.s)):
-        a_index = a_down[::-1]
-        word = a_index + b_down[::-1]
-        yield a_index, word, tuple(map(pick, word))
-
-
 def _below_counts(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """For each entry of the decreasing block a, the number of entries of
     the decreasing block b below it, by bisection."""
-    return list(map(bisect_left, itertools.repeat(b[::-1]), a))
+    return list(map(bisect_left, repeat(b[::-1]), a))
 
 
 def degree(hc: HCParameter) -> int:
@@ -302,22 +303,35 @@ def blattner(hc: HCParameter) -> Weight:
 
 
 def enumerate_packet(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketMember]:
-    """All C(n, r) shuffles, in colexicographic order of the a-block index set."""
+    """All C(n, r) shuffles, in colexicographic order of the a-block index set.
+
+    Over the indices n, ..., 1, itertools yields the r-subsets in reverse
+    colex order, each subset decreasing, and their complements, the
+    s-subsets, in yield order. So the list of r-subsets is reversed and
+    every subset is read backwards. The blocks come from the same walk over
+    the entries, taken in the same order. Each slot of every member is
+    filled by one map."""
     n, r = ic.n, sig.r
     if sig.n != n:
         raise ValueError("dimension mismatch")
+    down = range(n, 0, -1)
+    a_down = list(combinations(down, r))
+    a_down.reverse()
+    members = list(map(object.__new__, repeat(PacketMember, len(a_down))))
     # With 1-based a-indices i_1 < ... < i_r, the a-entry at block position
     # k lies above n - r - i_k + k b-entries; summed, the degree is top
     # minus the sum of the a-indices.
     top = r * (n - r) + r * (r + 1) // 2
-    new = object.__new__
-    members = []
-    for a_index, word, entries in _shuffles(ic, sig):
-        member = new(PacketMember)
-        _set_hc(member, HCParameter._trusted(entries[:r], entries[r:]))
-        _set_degree(member, top - sum(a_index))
-        _set_shuffle_word(member, word)
-        members.append(member)
+    _fill(_set_degree, members, map(sub, repeat(top), map(sum, a_down)))
+    # The word is the a-indices, then the b-indices, each increasing: the
+    # decreasing b-subset then a-subset, read backwards.
+    _fill(_set_shuffle_word, members, map(_backwards, map(add, combinations(down, sig.s), a_down)))
+    del a_down  # so that it is never held beside the blocks
+    values = ic.weight.doubled[::-1]  # the entries at indices n, ..., 1
+    a_blocks = list(map(_backwards, combinations(values, r)))
+    a_blocks.reverse()
+    _fill(_set_hc, members, HCParameter._trusted_blocks(
+        a_blocks, map(_backwards, combinations(values, sig.s))))
     return members
 
 

@@ -9,11 +9,13 @@ import random
 from fractions import Fraction
 from math import comb
 from operator import add, countOf, itemgetter
+from typing import Iterator
 
 from lpackets import (
     HCParameter,
     InfinitesimalCharacter,
     MinimalKTypeVerdict,
+    PacketMember,
     PlacedParameter,
     RestrictedParameter,
     Signature,
@@ -27,6 +29,7 @@ from lpackets import (
 )
 from lpackets.cartan import two_rho
 from lpackets.minimal_ktype import _positive_pairs, _root_sum
+from lpackets.packets import _set_degree, _set_hc, _set_shuffle_word
 
 
 def all_signatures(n: int) -> list[Signature]:
@@ -156,6 +159,65 @@ def fraction_minimal_ktype(mu, r: int) -> tuple:
             hc = (a, b)
     double_shift = tuple(x - t for x, t in zip(shifted, two_rho_u))
     return hc is not None, borel_ok, positivity_ok, hc, double_shift, tuple(shifted)
+
+
+def _shuffles(ic: InfinitesimalCharacter, sig: Signature) -> Iterator[tuple]:
+    """(a-block indices, shuffle word, doubled entries of the word) for every
+    (r, s)-shuffle of ic, in colexicographic order of the a-block index set.
+    Indices are 1-based; the word is the a-indices, then the b-indices, each
+    increasing, so the entries are the a-block, then the b-block.
+
+    Over the indices taken in decreasing order, itertools yields r-subsets
+    in reverse colex order; the complements of colex-ordered subsets come
+    in reverse colex order, so they are the s-subsets in yield order."""
+    n = ic.n
+    if sig.n != n:
+        raise ValueError("dimension mismatch")
+    pick = ((0,) + ic.weight.doubled).__getitem__
+    down = range(n, 0, -1)
+    for a_down, b_down in zip(reversed(list(itertools.combinations(down, sig.r))),
+                              itertools.combinations(down, sig.s)):
+        a_index = a_down[::-1]
+        word = a_index + b_down[::-1]
+        yield a_index, word, tuple(map(pick, word))
+
+
+def walk_packet_reference(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketMember]:
+    """enumerate_packet one member at a time: a Python loop over the
+    shuffles, each member built and filled in on its own."""
+    n, r = ic.n, sig.r
+    if sig.n != n:
+        raise ValueError("dimension mismatch")
+    # With 1-based a-indices i_1 < ... < i_r, the a-entry at block position
+    # k lies above n - r - i_k + k b-entries; summed, the degree is top
+    # minus the sum of the a-indices.
+    top = r * (n - r) + r * (r + 1) // 2
+    new = object.__new__
+    members = []
+    for a_index, word, entries in _shuffles(ic, sig):
+        member = new(PacketMember)
+        _set_hc(member, HCParameter._trusted(entries[:r], entries[r:]))
+        _set_degree(member, top - sum(a_index))
+        _set_shuffle_word(member, word)
+        members.append(member)
+    return members
+
+
+def gaussian_binomial(n: int, k: int) -> list[int]:
+    """Coefficients of [n choose k]_t, constant term first, by the
+    t-Pascal rule [n, k] = [n-1, k-1] + t^k [n-1, k]; [] (the zero
+    polynomial) when k < 0 or k > n."""
+    if k < 0 or k > n:
+        return []
+    if k == 0 or k == n:
+        return [1]
+    left, right = gaussian_binomial(n - 1, k - 1), gaussian_binomial(n - 1, k)
+    coeffs = [0] * max(len(left), k + len(right))
+    for i, c in enumerate(left):
+        coeffs[i] += c
+    for i, c in enumerate(right):
+        coeffs[k + i] += c
+    return coeffs
 
 
 def product_fraction_reference(places) -> Fraction:

@@ -1,14 +1,18 @@
 import json
 import os
+import random
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import packet_sweep_characters
+from helpers import packet_sweep_characters, random_ic
 
-from lpackets import Signature, Weight, enumerate_packet, weight_to_strings
+from lpackets import (PlacedParameter, Signature, Weight, descent_chain, enumerate_packet,
+                      weight_to_strings)
+from lpackets.cartan import doubled_text
 from lpackets.cli import _member_data, format_weight, main, parse_weight
 
 
@@ -345,6 +349,59 @@ class TestChainCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(stop + "error: hypothesis violation under --strict\n")
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "tsv"])
+    def test_later_step_off_spacing_warns(self, capsys, fmt):
+        # The start is well spaced; the step at level 2 classifies
+        # (17/2,9/2;7/2), whose entries 9/2 and 7/2 are 1 apart.
+        argv = ["chain", "--sig", "3,1", "--hcp", "9,5,1;3", "--depth", "3", "--format", fmt]
+        warning = ("warning: level 2: parameter is outside the spacing hypothesis "
+                   "(a consecutive gap is below 2)\n")
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == warning
+        if fmt == "json":
+            assert [step["level"] for step in json.loads(captured.out)] == [3, 2, 1]
+        assert main(argv + ["--strict"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == warning + "error: hypothesis violation under --strict\n"
+
+    def test_well_spaced_chain_is_silent(self, capsys):
+        assert main(["chain", "--sig", "2,1", "--hcp", "5,-1;2", "--depth", "2",
+                     "--strict"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_spacing_warnings_match_the_library(self, capsys):
+        """The library's chain with warn=True warns once per parameter it
+        classifies off the hypothesis, including the one whose descent
+        stopped the chain. The CLI warns for the start and for each later
+        finished step, so it misses only that last one, and only when some
+        step finished; a descent collides only off the hypothesis."""
+        rng = random.Random(41)
+        later = 0
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            r = rng.randint(1, n)
+            sig = Signature(r, n - r)
+            hc = rng.choice(enumerate_packet(random_ic(rng, n), sig)).hc
+            depth = rng.randint(1, r)
+            text = f"{sig.r},{sig.s}:{doubled_text(hc.doubled_a)};{doubled_text(hc.doubled_b)}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                steps = descent_chain(PlacedParameter([(sig, hc)]), depth)
+            library = sum("spacing hypothesis" in str(w.message) for w in caught)
+            stopped = any("chain stops" in str(w.message) for w in caught)
+            code = main(["chain", "--place", text, "--depth", str(depth), "--format", "json"])
+            err = capsys.readouterr().err
+            cli = err.count("spacing hypothesis")
+            assert code == 0
+            assert cli == library - (stopped and bool(steps)), (text, depth, err)
+            later += err.count("warning: level ")
+            assert main(["chain", "--place", text, "--depth", str(depth), "--strict"]) == (
+                3 if cli or stopped else 0)
+            capsys.readouterr()
+        assert later > 0
 
     def test_requires_some_place(self, capsys):
         assert main(["chain", "--depth", "1"]) == 2

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (all_signatures, packet_sweep_characters, pair_inversions, random_ic,
-                     reference_packet)
+from helpers import (all_signatures, gaussian_binomial, packet_sweep_characters, pair_inversions,
+                     random_ic, reference_packet, walk_packet_reference)
 
 from lpackets import (
     HCParameter,
     InfinitesimalCharacter,
+    PacketMember,
     Signature,
     Weight,
     blattner,
@@ -19,6 +20,7 @@ from lpackets import (
     enumerate_packet,
     extremes,
     infinitesimal_character,
+    min_entry_in_a,
     shuffle_length,
 )
 from lpackets.cartan import half_entry
@@ -127,6 +129,77 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="dimension mismatch"):
             enumerate_packet(ic, sig)
         assert isinstance(enumerate_packet(ic, Signature(2, 1)), list)
+
+
+def doubled_character(rng: random.Random, n: int, parity: int) -> InfinitesimalCharacter:
+    """A regular character whose doubled entries all have the given parity:
+    integral for 0, half-integral for 1."""
+    entries = sorted((2 * k + parity for k in rng.sample(range(-12, 13), n)), reverse=True)
+    return InfinitesimalCharacter(Weight.from_doubled(entries))
+
+
+class TestBulkKernel:
+    """enumerate_packet fills its members in bulk; the walk it replaced
+    builds them one at a time and is the reference."""
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["integral", "half-integral"])
+    def test_matches_walk(self, parity):
+        rng = random.Random(300 + parity)
+        members = 0
+        for n in range(1, 11):
+            ic = doubled_character(rng, n, parity)
+            for sig in all_signatures(n):
+                got = enumerate_packet(ic, sig)
+                want = walk_packet_reference(ic, sig)
+                assert len(got) == len(want) == math.comb(n, sig.r)
+                for g, w in zip(got, want):
+                    assert type(g) is PacketMember and type(g.hc) is HCParameter
+                    assert (g.hc.doubled_a, g.hc.doubled_b, g.degree, g.shuffle_word) == \
+                        (w.hc.doubled_a, w.hc.doubled_b, w.degree, w.shuffle_word)
+                    assert {x & 1 for x in g.hc.doubled_a + g.hc.doubled_b} <= {parity}
+                members += len(got)
+        assert members == 2046
+
+    def test_dimension_mismatch_in_both(self):
+        ic = InfinitesimalCharacter(Weight((5, 2, -1)))
+        for build in (enumerate_packet, walk_packet_reference):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                build(ic, Signature(2, 2))
+
+
+class TestDegreeCounting:
+    """Summed over the packet, t^degree is the Gaussian binomial
+    [n choose r]_t; over the members meeting the minimum-entry condition
+    (their a-block holds the last entry) it is [n-1 choose r-1]_t."""
+
+    @staticmethod
+    def polynomial(degrees) -> list[int]:
+        coeffs: list[int] = []
+        for d in degrees:
+            coeffs += [0] * (d + 1 - len(coeffs))
+            coeffs[d] += 1
+        return coeffs
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["integral", "half-integral"])
+    def test_by_degree(self, parity):
+        rng = random.Random(310 + parity)
+        for n in range(1, 11):
+            ic = doubled_character(rng, n, parity)
+            for sig in all_signatures(n):
+                packet = enumerate_packet(ic, sig)
+                assert self.polynomial(m.degree for m in packet) == gaussian_binomial(n, sig.r)
+                iso = [m.degree for m in packet if min_entry_in_a(m.hc)]
+                assert self.polynomial(iso) == gaussian_binomial(n - 1, sig.r - 1)
+
+    def test_gaussian_binomial(self):
+        assert gaussian_binomial(4, 2) == [1, 1, 2, 1, 1]
+        assert gaussian_binomial(3, 0) == [1]
+        assert gaussian_binomial(3, -1) == gaussian_binomial(2, 3) == []
+        for n in range(8):
+            for k in range(n + 1):
+                coeffs = gaussian_binomial(n, k)
+                assert sum(coeffs) == math.comb(n, k)
+                assert coeffs == coeffs[::-1] and len(coeffs) == k * (n - k) + 1
 
 
 class TestFractionReference:

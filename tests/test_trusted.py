@@ -33,10 +33,15 @@ from lpackets import (
     shifted_weight,
 )
 
-# (module, enclosing function) of every use of `_trusted` in the package.
+# The private constructors: `_trusted`, and `HCParameter._trusted_blocks`,
+# which builds many parameters at once.
+TRUSTED_NAMES = {"_trusted", "_trusted_blocks"}
+
+# (module, enclosing function) of every use of a `_trusted` constructor in
+# the package.
 TRUSTED_SITES = {
     ("cartan.py", "Weight.from_doubled"),  # after its own parity check
-    ("packets.py", "enumerate_packet"),  # shuffles
+    ("packets.py", "enumerate_packet"),  # shuffles, in bulk
     ("packets.py", "coherent_parameter"),
     ("packets.py", "blattner"),
     ("packets.py", "dual_parameter"),
@@ -53,6 +58,7 @@ STORE_SITES = {
     ("cartan.py", "Weight._trusted"),
     ("packets.py", "HCParameter.from_doubled"),
     ("packets.py", "HCParameter._trusted"),
+    ("packets.py", "HCParameter._trusted_blocks"),
     ("packets.py", "HCParameter._init"),
 }
 CHECKED_CLASSES = {"Weight", "HCParameter"}
@@ -80,11 +86,12 @@ def _is_store(node: ast.AST, scope: tuple[str, ...]) -> bool:
 
 
 def _sites(path: Path) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
-    """(`_trusted` uses, direct stores), each as (module, enclosing function)."""
+    """(uses of a `_trusted` constructor, direct stores), each as (module,
+    enclosing function)."""
     trusted, stores = [], []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
-        if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+        if isinstance(node, ast.Attribute) and node.attr in TRUSTED_NAMES:
             trusted.append((path.name, ".".join(scope)))
         if _is_store(node, scope):
             stores.append((path.name, ".".join(scope)))
@@ -150,6 +157,8 @@ class TestRebuildOracle:
             assert_rebuilds(HCParameter._trusted((2, 4), ()))
         with pytest.raises(ValueError, match="singular"):
             assert_rebuilds(HCParameter._trusted((4,), (4,)))
+        with pytest.raises(ValueError, match="singular"):
+            assert_rebuilds(HCParameter._trusted_blocks([(6,), (4,)], [(2,), (4,)])[1])
         with pytest.raises(AssertionError):
             assert_rebuilds(Weight._trusted([2, 4]))
 
@@ -190,6 +199,13 @@ class TestTrustedSites:
         path.write_text(source)
         _, stores = _sites(path)
         assert len(stores) == 1 and stores[0][1] in ("f", "Weight.g")
+
+    @pytest.mark.parametrize("call", ["HCParameter._trusted((2,), ())",
+                                      "HCParameter._trusted_blocks([(2,)], [()])"])
+    def test_each_trusted_constructor_is_seen(self, call, tmp_path):
+        path = tmp_path / "planted.py"
+        path.write_text(f"def f():\n    return {call}\n")
+        assert _sites(path) == ([("planted.py", "f")], [])
 
     def test_other_classes_are_not_stores(self, tmp_path):
         path = tmp_path / "other.py"
