@@ -64,4 +64,4 @@ from .packets import (
     shuffle_length,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -454,7 +454,8 @@ _COMMANDS = {
         "iterated descent",
         (_PLACE_SIG, _PLACE_HCP, _PLACES_HC,
          ("--depth", {"type": int, "required": True,
-                      "help": "number of descent steps (clamped to n-1)"})),
+                      "help": "number of descent steps (clamped to n-1); each step "
+                              "needs r >= 1 at every place"})),
         _cmd_chain, _pretty_chain,
         columns=("level", "class", "dual_min_in_a", "u1", "places")),
     "fraction": _Command(

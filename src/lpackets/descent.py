@@ -255,8 +255,10 @@ def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[Cha
     """Iterate restriction depth times (clamped to n-1 steps).
 
     Each step classifies the current parameter, records whether its dual
-    satisfies the minimum-entry condition, then descends every place.
-    Raises if a pending step would restrict a place with r = 0. When two
+    satisfies the minimum-entry condition, then descends every place,
+    lowering its r by 1. So each step needs r >= 1 at every place: a
+    pending step at a place with r = 0 raises ValueError, and a depth above
+    the least r of the places raises unless the clamp cuts it. When two
     descended entries collide (off the spacing hypothesis, and deeper in
     some well-spaced chains), the chain stops there and returns the steps
     it finished; that warning is always given, while warn only governs

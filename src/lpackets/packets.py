@@ -2,13 +2,13 @@
 
 A regular, strictly decreasing infinitesimal character lambda splits into
 an ordered pair of blocks (a; b) in C(n, r) ways, one per r-subset of its
-entries; those shuffles are the packet. Each member stores its parameter,
-its degree (the count of noncompact positive roots on it) and its shuffle
-word. Its coherent parameter, Blattner parameter (lowest K-type highest
+entries; those shuffles are the packet. Each member stores its parameter
+and its degree (the count of noncompact positive roots on it). Its shuffle
+word, coherent parameter, Blattner parameter (lowest K-type highest
 weight) and length are computed from those on each access, by the public
 `coherent_parameter` and `blattner` and by degree + length = rs.
 
-The shuffles and degrees are read off the a-block index sets: the shuffle
+The blocks and degrees are read off the a-block index sets: the shuffle
 itself needs no pair of entries compared, and a packet is built in bulk by
 C iterators over those sets. The public constructors
 (`HCParameter(...)`, `HCParameter.from_doubled`, `InfinitesimalCharacter`)
@@ -220,12 +220,21 @@ class InfinitesimalCharacter:
 
 @dataclass(frozen=True, slots=True)
 class PacketMember:
-    """One shuffle of the infinitesimal character. The Blattner and
-    coherent weights and the length are computed on each access."""
+    """One shuffle of the infinitesimal character. The shuffle word, the
+    Blattner and coherent weights and the length are computed on each
+    access."""
 
     hc: HCParameter
     degree: int
-    shuffle_word: tuple[int, ...]
+
+    @property
+    def shuffle_word(self) -> tuple[int, ...]:
+        """The 1-based positions of the a-entries, then of the b-entries, in
+        the decreasing concatenation of the blocks (the infinitesimal
+        character)."""
+        joint = self.hc.doubled_a + self.hc.doubled_b
+        position = {value: k for k, value in enumerate(sorted(joint, reverse=True), 1)}
+        return tuple(map(position.__getitem__, joint))
 
     @property
     def blattner(self) -> Weight:
@@ -244,7 +253,6 @@ class PacketMember:
 
 _set_hc = PacketMember.hc.__set__
 _set_degree = PacketMember.degree.__set__
-_set_shuffle_word = PacketMember.shuffle_word.__set__
 
 
 def infinitesimal_character(a_sigma: Iterable[EntryLike]) -> InfinitesimalCharacter:
@@ -306,27 +314,23 @@ def enumerate_packet(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketM
     """All C(n, r) shuffles, in colexicographic order of the a-block index set.
 
     Over the indices n, ..., 1, itertools yields the r-subsets in reverse
-    colex order, each subset decreasing, and their complements, the
-    s-subsets, in yield order. So the list of r-subsets is reversed and
-    every subset is read backwards. The blocks come from the same walk over
-    the entries, taken in the same order. Each slot of every member is
-    filled by one map."""
+    colex order, each subset decreasing; the a-blocks come from the same
+    walk over the entries, taken in the same order. So the degrees and the
+    a-blocks are reversed lists, every block is read backwards, and the
+    b-blocks, the complements, come in yield order. Each slot of every
+    member is filled by one map."""
     n, r = ic.n, sig.r
     if sig.n != n:
         raise ValueError("dimension mismatch")
-    down = range(n, 0, -1)
-    a_down = list(combinations(down, r))
-    a_down.reverse()
-    members = list(map(object.__new__, repeat(PacketMember, len(a_down))))
     # With 1-based a-indices i_1 < ... < i_r, the a-entry at block position
     # k lies above n - r - i_k + k b-entries; summed, the degree is top
     # minus the sum of the a-indices.
     top = r * (n - r) + r * (r + 1) // 2
-    _fill(_set_degree, members, map(sub, repeat(top), map(sum, a_down)))
-    # The word is the a-indices, then the b-indices, each increasing: the
-    # decreasing b-subset then a-subset, read backwards.
-    _fill(_set_shuffle_word, members, map(_backwards, map(add, combinations(down, sig.s), a_down)))
-    del a_down  # so that it is never held beside the blocks
+    degrees = list(map(sub, repeat(top), map(sum, combinations(range(n, 0, -1), r))))
+    degrees.reverse()
+    members = list(map(object.__new__, repeat(PacketMember, len(degrees))))
+    _fill(_set_degree, members, degrees)
+    del degrees  # so that it is never held beside the blocks
     values = ic.weight.doubled[::-1]  # the entries at indices n, ..., 1
     a_blocks = list(map(_backwards, combinations(values, r)))
     a_blocks.reverse()

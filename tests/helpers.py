@@ -29,7 +29,7 @@ from lpackets import (
 )
 from lpackets.cartan import two_rho
 from lpackets.minimal_ktype import _positive_pairs, _root_sum
-from lpackets.packets import _set_degree, _set_hc, _set_shuffle_word
+from lpackets.packets import _set_degree, _set_hc
 
 
 def all_signatures(n: int) -> list[Signature]:
@@ -182,9 +182,12 @@ def _shuffles(ic: InfinitesimalCharacter, sig: Signature) -> Iterator[tuple]:
         yield a_index, word, tuple(map(pick, word))
 
 
-def walk_packet_reference(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketMember]:
+def walk_packet_reference(ic: InfinitesimalCharacter, sig: Signature
+                          ) -> tuple[list[PacketMember], list[tuple[int, ...]]]:
     """enumerate_packet one member at a time: a Python loop over the
-    shuffles, each member built and filled in on its own."""
+    shuffles, each member built and filled in on its own. Beside the
+    members it returns their shuffle words, each read off the member's own
+    index sets."""
     n, r = ic.n, sig.r
     if sig.n != n:
         raise ValueError("dimension mismatch")
@@ -193,14 +196,14 @@ def walk_packet_reference(ic: InfinitesimalCharacter, sig: Signature) -> list[Pa
     # minus the sum of the a-indices.
     top = r * (n - r) + r * (r + 1) // 2
     new = object.__new__
-    members = []
+    members, words = [], []
     for a_index, word, entries in _shuffles(ic, sig):
         member = new(PacketMember)
         _set_hc(member, HCParameter._trusted(entries[:r], entries[r:]))
         _set_degree(member, top - sum(a_index))
-        _set_shuffle_word(member, word)
         members.append(member)
-    return members
+        words.append(word)
+    return members, words
 
 
 def gaussian_binomial(n: int, k: int) -> list[int]:

@@ -315,6 +315,17 @@ class TestChainCommand:
                      "--depth", "5"]) == 0
         assert capsys.readouterr().out == "empty chain (nothing to descend)\n"
 
+    def test_depth_help_names_the_r_bound(self, capsys):
+        # The clamp to n-1 is not the only bound: a step at a place with
+        # r = 0 exits 2, as the golden corpus pins for
+        # `chain --sig 1,2 --hcp "5;2,-1" --depth 2`.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chain", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "number of descent steps (clamped to n-1); each step needs r >= 1 at every place" \
+            in text
+
     def test_multi_place(self, capsys):
         assert main(["chain", "--place", "2,1:5,-1;2", "--place", "2,1:7,0;4",
                      "--depth", "1", "--format", "tsv"]) == 0

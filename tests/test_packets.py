@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -150,12 +151,12 @@ class TestBulkKernel:
             ic = doubled_character(rng, n, parity)
             for sig in all_signatures(n):
                 got = enumerate_packet(ic, sig)
-                want = walk_packet_reference(ic, sig)
-                assert len(got) == len(want) == math.comb(n, sig.r)
-                for g, w in zip(got, want):
+                want, words = walk_packet_reference(ic, sig)
+                assert len(got) == len(want) == len(words) == math.comb(n, sig.r)
+                for g, w, word in zip(got, want, words):
                     assert type(g) is PacketMember and type(g.hc) is HCParameter
                     assert (g.hc.doubled_a, g.hc.doubled_b, g.degree, g.shuffle_word) == \
-                        (w.hc.doubled_a, w.hc.doubled_b, w.degree, w.shuffle_word)
+                        (w.hc.doubled_a, w.hc.doubled_b, w.degree, word)
                     assert {x & 1 for x in g.hc.doubled_a + g.hc.doubled_b} <= {parity}
                 members += len(got)
         assert members == 2046
@@ -244,6 +245,23 @@ class TestErrorMessages:
 
 
 class TestMemberData:
+    def test_stored_fields(self):
+        # A member stores its parameter and its degree; everything else,
+        # the shuffle word included, is computed on access.
+        assert tuple(f.name for f in dataclasses.fields(PacketMember)) == ("hc", "degree")
+        assert PacketMember.__slots__ == ("hc", "degree")
+
+    def test_shuffle_word_of_hand_built_member(self):
+        # (5, -1; 2) is a shuffle of the character (5, 2, -1): the a-entries
+        # sit at positions 1 and 3, the b-entry at position 2.
+        member = PacketMember(HCParameter((5, -1), (2,)), 1)
+        assert member.shuffle_word == (1, 3, 2)
+        assert member.length == 1 == pair_inversions(member.shuffle_word)
+        half = PacketMember(HCParameter((Fraction(-1, 2),), (Fraction(7, 2), Fraction(3, 2))), 0)
+        assert half.shuffle_word == (3, 1, 2)
+        assert PacketMember(HCParameter((), (4, 0)), 0).shuffle_word == (1, 2)
+        assert PacketMember(HCParameter((), ()), 0).shuffle_word == ()
+
     def test_shuffle_length_examples(self):
         ic = InfinitesimalCharacter(Weight((5, 2, -1)))
         assert shuffle_length(HCParameter((2, -1), (5,)), ic) == 2
