@@ -322,11 +322,16 @@ class TestFraction:
                 places = [(sig, spaced_ic(rng, n))]
                 assert isomorphism_fraction(places) == expected_fraction([sig])
 
+    def test_matches_product_reference_on_counting_sweep(self):
+        for places in counting_sweep():
+            got = isomorphism_fraction(places)
+            assert got == product_fraction_reference(places)
+            assert got == member_fraction_reference(places)
+
     def test_matches_walk_and_enumeration(self):
         # The library reads each place's count off its signature; the
         # subset walk and both enumeration routes are its oracles, over the
-        # counting sweep (756 cases, each enumerated once here) and every
-        # single place with n <= 10.
+        # counting sweep and every single place with n <= 10.
         rng = random.Random(67)
         singles = [[(sig, random_ic(rng, n, strict=strict))]
                    for n in range(1, 11) for sig in all_signatures(n)
