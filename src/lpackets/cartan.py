@@ -215,13 +215,12 @@ def hodge_parameter(weight: Weight) -> Weight:
 # Serialization: each entry renders as "p" (integral) or "p/2" (odd p).
 
 def entry_to_str(entry: Fraction) -> str:
-    if entry.denominator == 1:
-        return str(entry.numerator)
-    return f"{entry.numerator}/2"
+    """doubled_to_str of the doubled entry; rejects other rationals."""
+    return doubled_to_str(double_entry(entry))
 
 
 def doubled_to_str(doubled: int) -> str:
-    """entry_to_str of the entry doubled/2, without building a Fraction."""
+    """The entry doubled/2, without building a Fraction."""
     return str(doubled // 2) if doubled % 2 == 0 else f"{doubled}/2"
 
 

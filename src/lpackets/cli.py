@@ -29,14 +29,14 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from .branching import branch, weyl_dim
 from .cartan import (Signature, Weight, doubled_text, doubled_to_str, entry_from_str,
                      entry_to_str, weight_to_strings)
-from .descent import (PlacedParameter, RestrictedParameter, _dual_min_entry_in_a_everywhere,
-                      classify_restriction, descent_chain, expected_fraction,
-                      isomorphism_fraction, min_entry_in_a, noncompact_support_matches,
-                      restrict_parameter, restriction_is_discrete_series,
-                      well_spaced_everywhere)
+from .descent import (_OFF_SPACING, PlacedParameter, RestrictedParameter,
+                      _dual_min_entry_in_a_everywhere, classify_restriction, descent_chain,
+                      expected_fraction, isomorphism_fraction, min_entry_in_a,
+                      noncompact_support_matches, restrict_parameter,
+                      restriction_is_discrete_series, well_spaced_everywhere)
 from .minimal_ktype import minimal_ktype_test, regularity_margin
-from .packets import (HCParameter, InfinitesimalCharacter, blattner, coherent_parameter, degree,
-                      enumerate_packet, infinitesimal_character, shuffle_length)
+from .packets import (HCParameter, InfinitesimalCharacter, PacketMember, degree,
+                      enumerate_packet, infinitesimal_character)
 
 __all__ = ["main", "console_main", "parse_weight", "format_weight"]
 
@@ -118,7 +118,7 @@ def _unblocked(text: str, name: str) -> Weight:
     return weight
 
 
-def _place_ic(text: str, sig: Signature, place: Optional[str]) -> InfinitesimalCharacter:
+def _place_ic(text: str, place: Optional[str]) -> InfinitesimalCharacter:
     name = "--hw" if place is None else f"bad place {place!r}: highest weight"
     return infinitesimal_character(_unblocked(text, name))
 
@@ -140,9 +140,6 @@ def _collect_places(args: argparse.Namespace, option: str,
         yield parse_signature(args.sig), value, None
     elif not args.place:
         raise ValueError(f"give --place entries or --sig with --{option}")
-
-
-_OFF_SPACING = "parameter is outside the spacing hypothesis (a consecutive gap is below 2)"
 
 
 def _spacing(spaced: bool) -> list[str]:
@@ -199,7 +196,7 @@ _YES = {True: "yes", False: "no"}
 
 def _cmd_packet(args: argparse.Namespace) -> Result:
     sig = parse_signature(args.sig)
-    ic = infinitesimal_character(_unblocked(args.hw, "--hw"))
+    ic = _place_ic(args.hw, None)
     return Result([{**_blocks_json(m.hc), "degree": m.degree, "length": m.length,
                     "blattner": weight_to_strings(m.blattner),
                     "coherent": weight_to_strings(m.coherent)}
@@ -337,7 +334,7 @@ def _pretty_chain(steps: list, stopped: bool) -> Iterator[str]:
 
 
 def _cmd_fraction(args: argparse.Namespace) -> Result:
-    places = [(sig, _place_ic(text, sig, place))
+    places = [(sig, _place_ic(text, place))
               for sig, text, place in _collect_places(args, "hw", "highest-weight")]
     fraction = isomorphism_fraction(places)
     expected = expected_fraction([sig for sig, _ in places])
@@ -355,15 +352,14 @@ def _member_data(hc: HCParameter) -> dict:
     """A parameter's data as a member of its packet, without the packet.
     Its index in `enumerate_packet`'s colex order is the sum of
     C(i_k - 1, k) over the 1-based positions i_1 < ... < i_r of its
-    a-entries in the decreasing infinitesimal character."""
-    ic = InfinitesimalCharacter(Weight.from_doubled(
-        sorted(hc.doubled_a + hc.doubled_b, reverse=True)))
-    position = {value: k for k, value in enumerate(ic.weight.doubled)}
-    return {"degree": degree(hc), "length": shuffle_length(hc, ic),
-            "packet_index": sum(comb(position[value], k)
-                                for k, value in enumerate(hc.doubled_a, 1)),
-            "blattner": weight_to_strings(blattner(hc)),
-            "coherent": weight_to_strings(coherent_parameter(hc))}
+    a-entries in the decreasing infinitesimal character, the first r
+    letters of its shuffle word."""
+    member = PacketMember(hc, degree(hc))
+    return {"degree": member.degree, "length": member.length,
+            "packet_index": sum(comb(i - 1, k)
+                                for k, i in enumerate(member.shuffle_word[:hc.r], 1)),
+            "blattner": weight_to_strings(member.blattner),
+            "coherent": weight_to_strings(member.coherent)}
 
 
 def _cmd_analyze(args: argparse.Namespace) -> Result:

@@ -116,6 +116,9 @@ class RestrictedParameter:
         return HCParameter.from_doubled(self.doubled_a, self.doubled_b)
 
 
+_OFF_SPACING = "parameter is outside the spacing hypothesis (a consecutive gap is below 2)"
+
+
 def well_spaced(entries: Sequence[Fraction]) -> bool:
     """Consecutive gaps of a decreasing sequence are all >= 2."""
     return all(x - y >= 2 for x, y in zip(entries, entries[1:]))
@@ -201,8 +204,7 @@ def _classify(p: PlacedParameter, warn: bool) -> RestrictionClass:
     """classify_restriction without the r >= 1 check."""
     if warn and not well_spaced_everywhere(p):
         warnings.warn(
-            "parameter is outside the spacing hypothesis (a consecutive gap "
-            "is below 2); classification follows the minimum-entry condition",
+            f"{_OFF_SPACING}; classification follows the minimum-entry condition",
             stacklevel=3)
     return (RestrictionClass.ISOMORPHISM if min_entry_in_a_everywhere(p)
             else RestrictionClass.ZERO)

@@ -67,18 +67,6 @@ def _fill(setter, objects: Iterable, values: Iterable) -> None:
     deque(map(setter, objects, values), maxlen=0)
 
 
-def _inversions(word: Sequence[int]) -> int:
-    """Pairs x before y with x > y: for each letter from the right, the
-    number of smaller letters after it, by bisection in their sorted list."""
-    after: list[int] = []
-    count = 0
-    for x in reversed(word):
-        k = bisect_left(after, x)
-        count += k
-        after.insert(k, x)
-    return count
-
-
 class HCParameter:
     """Harish-Chandra parameter (a; b): two strictly decreasing blocks,
     jointly regular, with uniform half-integrality.
@@ -281,13 +269,12 @@ def degree(hc: HCParameter) -> int:
 
 
 def shuffle_length(hc: HCParameter, ic: InfinitesimalCharacter) -> int:
-    """Inversion count of the permutation taking ic to the concatenation."""
-    entries = ic.weight.doubled
-    concat = hc.doubled_a + hc.doubled_b
-    if tuple(sorted(concat, reverse=True)) != entries:
+    """Inversion count of the permutation taking ic to the concatenation.
+    Both blocks decrease, so the inversions are the pairs a_i < b_j, and the
+    length equals rs - degree."""
+    if tuple(sorted(hc.doubled_a + hc.doubled_b, reverse=True)) != ic.weight.doubled:
         raise ValueError("parameter is not a shuffle of the infinitesimal character")
-    position = {value: k for k, value in enumerate(entries)}
-    return _inversions([position[value] for value in concat])
+    return hc.r * hc.s - degree(hc)
 
 
 def _coherent_doubled(hc: HCParameter) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from helpers import (all_signatures, counting_sweep, member_fraction_reference,
-                     packet_sweep_characters, random_ic, random_kdominant)
+                     packet_sweep_characters, pair_inversions, random_ic, random_kdominant)
 
 from lpackets import (
     HCParameter,
@@ -76,10 +76,12 @@ def test_criterion_02_degree_length_identity(packet_sweep):
     members = 0
     for sig, ic, packet in sweep:
         for m in packet:
-            # length is rs - degree by definition; the inversion count of
-            # the shuffle is the independent side of the identity.
+            # length and shuffle_length are rs - degree by definition; the
+            # inversion count of the shuffle word over all pairs of
+            # positions is the independent side of the identity.
             assert m.degree + m.length == sig.r * sig.s
             assert m.degree + shuffle_length(m.hc, ic) == sig.r * sig.s
+            assert m.length == pair_inversions(m.shuffle_word)
             members += 1
     _report(2, f"degree + length = rs on {members} members")
 

@@ -175,6 +175,11 @@ class TestSerialization:
         for text in ("5", "-1", "0", "5/2", "-7/2"):
             assert entry_to_str(entry_from_str(text)) == text
 
+    def test_entry_to_str_rejects_non_half_integer(self):
+        for entry in (Fraction(1, 3), Fraction(-7, 4)):
+            with pytest.raises(ValueError, match=f"weight entry {entry} is not a half-integer"):
+                entry_to_str(entry)
+
     def test_weight_round_trip(self):
         w = Weight((Fraction(9, 2), Fraction(5, 2), Fraction(-1, 2)))
         assert weight_from_strings(weight_to_strings(w)) == w

@@ -25,7 +25,6 @@ from lpackets import (
     shuffle_length,
 )
 from lpackets.cartan import half_entry
-from lpackets.packets import _inversions
 
 
 def blattner_oracle(hc: HCParameter) -> Weight:
@@ -110,6 +109,7 @@ class TestEnumerate:
                 for m in members:
                     assert m.degree + m.length == sig.r * sig.s
                     assert m.degree + shuffle_length(m.hc, ic) == sig.r * sig.s
+                    assert m.length == pair_inversions(m.shuffle_word)
 
     def test_colex_order(self):
         ic = InfinitesimalCharacter(Weight((7, 5, 3, 1)))
@@ -348,21 +348,8 @@ class TestDual:
 
 
 class TestInversions:
-    """The bisection count of shuffle_length and the closed form
-    PacketMember.length = rs - degree against the count over all pairs of
-    positions."""
-
-    def test_random_words(self):
-        rng = random.Random(31)
-        words = [(), (3,), (2, 2), (1, 2), (2, 1)]
-        for _ in range(3000):
-            size = rng.randint(0, 14)
-            letters = rng.randint(1, 2 * size + 1)  # few letters: many repeats
-            words.append(tuple(rng.randint(-letters, letters) for _ in range(size)))
-        for word in words:
-            assert _inversions(word) == pair_inversions(word)
-            assert _inversions(list(word)) == pair_inversions(word)
-        assert any(len(set(w)) < len(w) for w in words)
+    """shuffle_length and PacketMember.length, both rs - degree, against
+    the count over all pairs of positions."""
 
     def test_packet_sweep_members(self):
         checked = 0
