@@ -97,13 +97,14 @@ class Signature:
         return self.r + self.s
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Weight:
     """Immutable n-tuple in (1/2)Z^n with uniform half-integrality.
 
     `doubled` holds twice each entry; `entries` is the Fraction view.
     """
 
-    __slots__ = ("doubled",)
+    doubled: tuple[int, ...]
 
     def __init__(self, entries: Iterable[EntryLike]):
         doubled = tuple(double_entry(v) for v in entries)
@@ -125,9 +126,6 @@ class Weight:
         cls.doubled.__set__(weight, doubled)
         return weight
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Weight is immutable")
-
     def __reduce__(self):
         return (Weight.from_doubled, (self.doubled,))
 
@@ -145,14 +143,6 @@ class Weight:
         if isinstance(index, slice):
             return tuple(map(half_entry, self.doubled[index]))
         return half_entry(self.doubled[index])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Weight):
-            return NotImplemented
-        return self.doubled == other.doubled
-
-    def __hash__(self) -> int:
-        return hash(self.doubled)
 
     def __add__(self, other: "Weight") -> "Weight":
         if not isinstance(other, Weight):

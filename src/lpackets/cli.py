@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -93,7 +94,11 @@ def parse_signature(text: str) -> Signature:
     return Signature(r, s)
 
 
-def _check_block_sizes(blocks: Optional[Blocks], sig: Signature) -> None:
+def _check_shape(weight: Weight, blocks: Optional[Blocks], sig: Signature) -> None:
+    """Reject a weight whose length, then whose block sizes, do not fit sig."""
+    if len(weight) != sig.n:
+        raise ValueError(
+            f"weight has {len(weight)} entries, signature {sig.r},{sig.s} needs {sig.n}")
     if blocks is not None:
         sizes = tuple(len(b) for b in blocks)
         if sizes != (sig.r, sig.s):
@@ -103,10 +108,7 @@ def _check_block_sizes(blocks: Optional[Blocks], sig: Signature) -> None:
 
 def parse_hc(text: str, sig: Signature) -> HCParameter:
     weight, blocks = parse_weight(text)
-    if len(weight) != sig.n:
-        raise ValueError(
-            f"weight has {len(weight)} entries, signature {sig.r},{sig.s} needs {sig.n}")
-    _check_block_sizes(blocks, sig)
+    _check_shape(weight, blocks, sig)
     return HCParameter.from_doubled(weight.doubled[: sig.r], weight.doubled[sig.r:])
 
 
@@ -118,9 +120,11 @@ def _unblocked(text: str, name: str) -> Weight:
     return weight
 
 
-def _place_ic(text: str, place: Optional[str]) -> InfinitesimalCharacter:
+def _place_ic(text: str, sig: Signature, place: Optional[str]) -> InfinitesimalCharacter:
     name = "--hw" if place is None else f"bad place {place!r}: highest weight"
-    return infinitesimal_character(_unblocked(text, name))
+    weight = _unblocked(text, name)
+    _check_shape(weight, None, sig)
+    return infinitesimal_character(weight)
 
 
 def _collect_places(args: argparse.Namespace, option: str,
@@ -196,7 +200,7 @@ _YES = {True: "yes", False: "no"}
 
 def _cmd_packet(args: argparse.Namespace) -> Result:
     sig = parse_signature(args.sig)
-    ic = _place_ic(args.hw, None)
+    ic = _place_ic(args.hw, sig, None)
     return Result([{**_blocks_json(m.hc), "degree": m.degree, "length": m.length,
                     "blattner": weight_to_strings(m.blattner),
                     "coherent": weight_to_strings(m.coherent)}
@@ -217,7 +221,7 @@ def _pretty_packet(members: list) -> Iterator[str]:
 def _cmd_sr(args: argparse.Namespace) -> Result:
     sig = parse_signature(args.sig)
     weight, blocks = parse_weight(args.ktype)
-    _check_block_sizes(blocks, sig)
+    _check_shape(weight, blocks, sig)
     verdict = minimal_ktype_test(weight, sig)
     margin = regularity_margin(verdict.mu_shifted)
     violations = ([f"shifted weight margin {margin} is below --margin {args.margin}"]
@@ -334,7 +338,7 @@ def _pretty_chain(steps: list, stopped: bool) -> Iterator[str]:
 
 
 def _cmd_fraction(args: argparse.Namespace) -> Result:
-    places = [(sig, _place_ic(text, place))
+    places = [(sig, _place_ic(text, sig, place))
               for sig, text, place in _collect_places(args, "hw", "highest-weight")]
     fraction = isomorphism_fraction(places)
     expected = expected_fraction([sig for sig, _ in places])
@@ -500,8 +504,29 @@ def _render(command: _Command, result: Result, fmt: str) -> Iterator[str]:
         yield from command.pretty(record, **extra)
 
 
+_VALUED = {flag for command in _COMMANDS.values()
+           for flag, options in command.options + _COMMON
+           if options.get("action") != "store_true"}
+_NEGATIVE = re.compile("-[0-9]")
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """argv with each value-taking option and a following "-<digit>..."
+    token written as one "--opt=value" token. argparse reads a separate
+    value such as "-1;1" as an option unless it is a plain number, and what
+    counts as one differs across Python versions."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _VALUED and _NEGATIVE.match(token):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_negative_values(sys.argv[1:] if argv is None else argv))
     command = _COMMANDS[args.command]
     try:
         result = command.run(args)

@@ -67,6 +67,7 @@ def _fill(setter, objects: Iterable, values: Iterable) -> None:
     deque(map(setter, objects, values), maxlen=0)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class HCParameter:
     """Harish-Chandra parameter (a; b): two strictly decreasing blocks,
     jointly regular, with uniform half-integrality.
@@ -75,7 +76,8 @@ class HCParameter:
     are their Fraction views.
     """
 
-    __slots__ = ("doubled_a", "doubled_b")
+    doubled_a: tuple[int, ...]
+    doubled_b: tuple[int, ...]
 
     def __init__(self, a: Iterable[EntryLike], b: Iterable[EntryLike]):
         self._init(tuple(double_entry(x) for x in a),
@@ -120,9 +122,6 @@ class HCParameter:
         HCParameter.doubled_a.__set__(self, a)
         HCParameter.doubled_b.__set__(self, b)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HCParameter is immutable")
-
     def __reduce__(self):
         return (HCParameter.from_doubled, (self.doubled_a, self.doubled_b))
 
@@ -155,22 +154,15 @@ class HCParameter:
         """Concatenated (a, b) as a plain weight."""
         return Weight.from_doubled(self.doubled_a + self.doubled_b)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HCParameter):
-            return NotImplemented
-        return self.doubled_a == other.doubled_a and self.doubled_b == other.doubled_b
-
-    def __hash__(self) -> int:
-        return hash((self.doubled_a, self.doubled_b))
-
     def __repr__(self) -> str:
         return f"HCParameter(({doubled_text(self.doubled_a)};{doubled_text(self.doubled_b)}))"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class InfinitesimalCharacter:
     """Strictly decreasing regular weight; the packet-defining datum."""
 
-    __slots__ = ("weight",)
+    weight: Weight
 
     def __init__(self, entries: Iterable[EntryLike]):
         weight = entries if isinstance(entries, Weight) else Weight(entries)
@@ -178,10 +170,7 @@ class InfinitesimalCharacter:
             raise ValueError(
                 f"infinitesimal character ({doubled_text(weight.doubled)}) is not "
                 "strictly decreasing (singular or misordered)")
-        object.__setattr__(self, "weight", weight)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("InfinitesimalCharacter is immutable")
+        InfinitesimalCharacter.weight.__set__(self, weight)
 
     def __reduce__(self):
         return (InfinitesimalCharacter, (self.weight,))
@@ -193,14 +182,6 @@ class InfinitesimalCharacter:
     @property
     def n(self) -> int:
         return len(self.weight)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InfinitesimalCharacter):
-            return NotImplemented
-        return self.weight == other.weight
-
-    def __hash__(self) -> int:
-        return hash(self.weight)
 
     def __repr__(self) -> str:
         return f"InfinitesimalCharacter(({doubled_text(self.weight.doubled)}))"

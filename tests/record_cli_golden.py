@@ -37,6 +37,7 @@ HAND_PICKED = [
     ["packet", "--sig", "2,1", "--hw", "1,1/2,0"],
     ["packet", "--sig", "2,1", "--hw", "0,2,4"],
     ["packet", "--sig", "2,1", "--hw", "4,x,0"],
+    ["packet", "--sig", "2,1", "--hw", "4,2"],
     ["sr", "--sig", "2,1", "--ktype", "5;3,0"],
     ["sr", "--sig", "2,1", "--ktype", "3,5;0"],
     ["sr", "--sig", "2,1", "--ktype", "5,3;0", "--margin", "3"],
@@ -44,6 +45,7 @@ HAND_PICKED = [
     ["sr", "--sig", "2,1", "--ktype", "3,3;0"],
     ["sr", "--sig", "1,1", "--ktype", "1;0"],
     ["sr", "--sig", "1,0", "--ktype", "2"],
+    ["sr", "--sig", "2,1", "--ktype", "5,3"],
     ["branch", "--hw", "3,5"],
     ["branch", "--hw", "1/2,5/2"],
     ["branch", "--hw", "4;2"],
@@ -72,6 +74,7 @@ HAND_PICKED = [
     ["fraction"],
     ["fraction", "--place", "2,1:4,2,0", "--place", "1,1:3,0"],
     ["fraction", "--place", "2,1-4,2,0"],
+    ["fraction", "--sig", "2,1", "--hw", "4,2"],
     ["analyze", "--sig", "0,2", "--hcp", ";3,1"],
     ["analyze", "--sig", "2,1", "--hcp", "3,2;1"],
     ["analyze", "--sig", "2,1", "--hcp", "3,2;1", "--strict"],

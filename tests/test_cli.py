@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -526,6 +527,35 @@ class TestErrors:
     def test_sig_without_hcp(self, capsys):
         assert main(["chain", "--sig", "2,1", "--depth", "1"]) == 2
         assert "must be given together" in capsys.readouterr().err
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one run, argparse's own exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command, options", [
+    ("restrict", [("--sig", "1,1"), ("--hcp", "-1;1")]),
+    ("chain", [("--sig", "2,1"), ("--hcp", "-1,-5;1"), ("--depth", "2")]),
+    ("chain", [("--sig", "2,1"), ("--hcp", "-1,-5;1"), ("--depth", "-1")]),
+    ("packet", [("--sig", "2,1"), ("--hw", "-1,-2,-3")]),
+    ("branch", [("--hw", "-1,-3")]),
+    ("sr", [("--sig", "2,1"), ("--ktype", "-1,-3;-5"), ("--margin", "-1")]),
+], ids=["restrict", "chain", "chain-negative-depth", "packet", "branch", "sr"])
+def test_negative_value_as_separate_argument(capsys, monkeypatch, command, options):
+    # A value that starts with "-" may follow its option or be joined to it
+    # by "="; both go through sys.argv when main gets no argv.
+    separate = [command, *(token for option in options for token in option)]
+    joined = [command, *(f"{flag}={value}" for flag, value in options)]
+    expected = _outcome(capsys, joined)
+    assert _outcome(capsys, separate) == expected
+    monkeypatch.setattr(sys, "argv", ["lpackets", *separate])
+    assert _outcome(capsys, None) == expected
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")

@@ -515,10 +515,45 @@ def test_value_types_round_trip(value, clone):
     assert type(twin) is type(value)
     assert twin == value
     assert hash(twin) == hash(value)
-    field = (dataclasses.fields(twin)[0].name if dataclasses.is_dataclass(twin)
-             else type(twin).__slots__[0])
+    field = dataclasses.fields(twin)[0].name
     with pytest.raises(AttributeError):
         setattr(twin, field, getattr(twin, field))
+    with pytest.raises(AttributeError):
+        delattr(twin, field)
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (Weight, ("doubled",)),
+    (HCParameter, ("doubled_a", "doubled_b")),
+    (InfinitesimalCharacter, ("weight",)),
+], ids=["Weight", "HCParameter", "InfinitesimalCharacter"])
+def test_value_type_stored_fields(cls, fields):
+    # Each core value type is a slotted dataclass over exactly these fields.
+    assert tuple(f.name for f in dataclasses.fields(cls)) == fields
+    assert cls.__slots__ == fields
+
+
+def _tampered_character() -> InfinitesimalCharacter:
+    ic = object.__new__(InfinitesimalCharacter)
+    InfinitesimalCharacter.weight.__set__(ic, Weight((1, 2)))
+    return ic
+
+
+@pytest.mark.parametrize("value, message", [
+    (Weight._trusted((2, 1)), r"mixed half-integrality in weight \(1,1/2\)"),
+    (HCParameter._trusted((2, 4), ()), r"a-block \(1,2\) is not strictly decreasing"),
+    (_tampered_character(), r"infinitesimal character \(1,2\) is not strictly decreasing"),
+], ids=["Weight", "HCParameter", "InfinitesimalCharacter"])
+@pytest.mark.parametrize("clone", [
+    lambda v: pickle.loads(pickle.dumps(v)),
+    lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+    copy.copy,
+], ids=["pickle", "pickle-0", "copy"])
+def test_tampered_value_fails_to_clone(value, message, clone):
+    # Unpickling and copying go through the checking constructors (their
+    # `__reduce__`), not through the dataclass's own state restore.
+    with pytest.raises(ValueError, match=message):
+        clone(value)
 
 
 @pytest.mark.parametrize("call", [
