@@ -7,395 +7,26 @@ input, 3 hypothesis violation under --strict.
 Each run computes one record. JSON output is the record itself; TSV
 output is its table and/or its key/value lines, all cells written by one
 formatter; pretty output is a short template per subcommand that reads
-the record. Hypothesis violations go to stderr as warnings.
-
-Weight syntax: comma-separated entries, each "p" or "p/2" with odd p.
-Blocks are separated by ";" or by "/" between two entries; a token "p/2"
-with odd integer p always reads as the half-integral entry, so "1,1/2"
-is the mixed-coset weight (1, 1/2), not a block split, while "5,3/0" is
-the blocks (5,3),(0). Use ";" when a "/" boundary would be ambiguous.
+the record. Hypothesis violations go to stderr as warnings. The
+subcommands live in `commands`, the weight syntax in `syntax`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-import warnings
-from fractions import Fraction
-from math import comb
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .branching import branch, weyl_dim
-from .cartan import (Signature, Weight, doubled_text, doubled_to_str, entry_from_str,
-                     entry_to_str, weight_to_strings)
-from .descent import (_OFF_SPACING, PlacedParameter, RestrictedParameter,
-                      _dual_min_entry_in_a_everywhere, classify_restriction, descent_chain,
-                      expected_fraction, isomorphism_fraction, min_entry_in_a,
-                      noncompact_support_matches, restrict_parameter,
-                      restriction_is_discrete_series, well_spaced_everywhere)
-from .minimal_ktype import minimal_ktype_test, regularity_margin
-from .packets import (HCParameter, InfinitesimalCharacter, PacketMember, degree,
-                      enumerate_packet, infinitesimal_character)
+from .commands import (Result, _cmd_analyze, _cmd_branch, _cmd_chain, _cmd_fraction,
+                       _cmd_packet, _cmd_restrict, _cmd_sr, _pretty_analyze, _pretty_branch,
+                       _pretty_chain, _pretty_fraction, _pretty_packet, _pretty_restrict,
+                       _pretty_sr)
+from .syntax import _cell, format_weight, parse_weight
 
 __all__ = ["main", "console_main", "parse_weight", "format_weight"]
-
-Blocks = list[tuple[Fraction, ...]]
-
-
-def _is_odd_int(text: str) -> bool:
-    try:
-        return int(text) % 2 != 0
-    except ValueError:
-        return False
-
-
-def parse_weight(text: str) -> tuple[Weight, Optional[Blocks]]:
-    """Parse a weight with optional block structure.
-
-    Returns (weight, blocks) where blocks is None when no separator
-    appeared. Mixed half-integrality is rejected by Weight itself.
-    """
-    if text.strip() == "":
-        raise ValueError("empty weight")
-    blocks: Blocks = []
-    for segment in text.split(";"):
-        current: list[Fraction] = []
-        for field in segment.split(",") if segment.strip() else ():
-            left, slash, right = field.strip().partition("/")
-            if not slash:
-                current.append(entry_from_str(left))
-            elif right == "2" and _is_odd_int(left):
-                current.append(Fraction(int(left), 2))
-            else:
-                blocks.append((*current, entry_from_str(left)))
-                current = [entry_from_str(right)]
-        blocks.append(tuple(current))
-    weight = Weight(x for block in blocks for x in block)
-    return weight, blocks if len(blocks) > 1 else None
-
-
-def format_weight(weight: Weight, sig: Optional[Signature] = None) -> str:
-    """Inverse of parse_weight; uses ";" for the block separator."""
-    if sig is None:
-        return doubled_text(weight.doubled)
-    if len(weight) != sig.n:
-        raise ValueError("dimension mismatch")
-    return f"{doubled_text(weight.doubled[: sig.r])};{doubled_text(weight.doubled[sig.r:])}"
-
-
-def parse_signature(text: str) -> Signature:
-    head, _, tail = text.partition(",")
-    try:
-        r, s = int(head), int(tail)
-    except ValueError:
-        raise ValueError(f"bad signature {text!r}: expected r,s") from None
-    return Signature(r, s)
-
-
-def _check_shape(weight: Weight, blocks: Optional[Blocks], sig: Signature) -> None:
-    """Reject a weight whose length, then whose block sizes, do not fit sig."""
-    if len(weight) != sig.n:
-        raise ValueError(
-            f"weight has {len(weight)} entries, signature {sig.r},{sig.s} needs {sig.n}")
-    if blocks is not None:
-        sizes = tuple(len(b) for b in blocks)
-        if sizes != (sig.r, sig.s):
-            raise ValueError(f"block sizes ({','.join(map(str, sizes))})"
-                             f" do not match signature ({sig.r},{sig.s})")
-
-
-def parse_hc(text: str, sig: Signature) -> HCParameter:
-    weight, blocks = parse_weight(text)
-    _check_shape(weight, blocks, sig)
-    return HCParameter.from_doubled(weight.doubled[: sig.r], weight.doubled[sig.r:])
-
-
-def _unblocked(text: str, name: str) -> Weight:
-    """A weight given without block split; name is how errors refer to it."""
-    weight, blocks = parse_weight(text)
-    if blocks is not None:
-        raise ValueError(f"{name} takes no block split")
-    return weight
-
-
-def _place_ic(text: str, sig: Signature, place: Optional[str]) -> InfinitesimalCharacter:
-    name = "--hw" if place is None else f"bad place {place!r}: highest weight"
-    weight = _unblocked(text, name)
-    _check_shape(weight, None, sig)
-    return infinitesimal_character(weight)
-
-
-def _collect_places(args: argparse.Namespace, option: str,
-                    what: str) -> Iterator[tuple[Signature, str, Optional[str]]]:
-    """(sig, text, place) for each --place "r,s:text", then for --sig with
-    --<option> (place None); what names the text in errors. A generator, so
-    each place's text is parsed before the next place is read."""
-    for place in args.place:
-        head, sep, text = place.partition(":")
-        if not sep:
-            raise ValueError(f"bad place {place!r}: expected r,s:{what}")
-        yield parse_signature(head), text, place
-    value = getattr(args, option)
-    if args.sig or value:
-        if not (args.sig and value):
-            raise ValueError(f"--sig and --{option} must be given together")
-        yield parse_signature(args.sig), value, None
-    elif not args.place:
-        raise ValueError(f"give --place entries or --sig with --{option}")
-
-
-def _spacing(spaced: bool) -> list[str]:
-    return [] if spaced else [_OFF_SPACING]
-
-
-def _blocks_json(blocks: HCParameter | RestrictedParameter) -> dict:
-    """The doubled_a and doubled_b blocks of a parameter as entry strings."""
-    return {"a": [doubled_to_str(d) for d in blocks.doubled_a],
-            "b": [doubled_to_str(d) for d in blocks.doubled_b]}
-
-
-class Result(NamedTuple):
-    """What a subcommand computed: its record (the JSON document), the
-    hypothesis violations to warn about, and the pretty-only fields that
-    the record does not carry."""
-
-    record: object
-    violations: Sequence[str] = ()
-    extra: Mapping[str, object] = {}
-
-
-# Cells and pretty text, from the record's strings, ints and booleans.
-
-def _join(entries: Sequence[str]) -> str:
-    return ",".join(entries)
-
-
-def _blocks(value: Mapping) -> str:
-    return f"{_join(value['a'])};{_join(value['b'])}"
-
-
-def _split(entries: Sequence[str], r: int) -> str:
-    """A weight's entries as blocks of sizes r and n - r, in parentheses."""
-    return f"({_join(entries[:r])};{_join(entries[r:])})"
-
-
-def _cell(value: object) -> str:
-    """One TSV cell: None empty, booleans in lower case, {a, b} blocks as
-    "a;b", entry lists joined by ",", places as "r,s:a;b" joined by spaces."""
-    if isinstance(value, list):
-        if value and isinstance(value[0], dict):
-            return " ".join(f"{_cell(place['sig'])}:{_blocks(place)}" for place in value)
-        return ",".join(map(str, value))
-    if isinstance(value, dict):
-        return _blocks(value)
-    if isinstance(value, bool):
-        return str(value).lower()
-    return "" if value is None else str(value)
-
-
-_YES = {True: "yes", False: "no"}
-
-
-def _cmd_packet(args: argparse.Namespace) -> Result:
-    sig = parse_signature(args.sig)
-    ic = _place_ic(args.hw, sig, None)
-    return Result([{**_blocks_json(m.hc), "degree": m.degree, "length": m.length,
-                    "blattner": weight_to_strings(m.blattner),
-                    "coherent": weight_to_strings(m.coherent)}
-                   for m in enumerate_packet(ic, sig)])
-
-
-def _pretty_packet(members: list) -> Iterator[str]:
-    a, b = members[0]["a"], members[0]["b"]
-    ic = sorted(a + b, key=entry_from_str, reverse=True)
-    yield (f"packet for sig ({len(a)},{len(b)}), infinitesimal character "
-           f"({_join(ic)}): {len(members)} members")
-    for k, m in enumerate(members):
-        yield (f"  {k}. ({_blocks(m)}) degree={m['degree']} length={m['length']} "
-               f"blattner={_split(m['blattner'], len(a))} "
-               f"coherent={_split(m['coherent'], len(a))}")
-
-
-def _cmd_sr(args: argparse.Namespace) -> Result:
-    sig = parse_signature(args.sig)
-    weight, blocks = parse_weight(args.ktype)
-    _check_shape(weight, blocks, sig)
-    verdict = minimal_ktype_test(weight, sig)
-    margin = regularity_margin(verdict.mu_shifted)
-    violations = ([f"shifted weight margin {margin} is below --margin {args.margin}"]
-                  if margin is not None and margin < args.margin else [])
-    return Result({
-        "accepted": verdict.accepted,
-        "borel_ok": verdict.borel_ok,
-        "positivity_ok": verdict.positivity_ok,
-        "hc": _blocks_json(verdict.hc) if verdict.hc is not None else None,
-        "hc_double_shift": weight_to_strings(verdict.hc_double_shift),
-        "mu_shifted": weight_to_strings(verdict.mu_shifted),
-        "margin": entry_to_str(margin) if margin is not None else None,
-    }, violations, {"root_sum": doubled_text(verdict.doubled_two_rho_u),
-                    "roots": verdict.root_count})
-
-
-def _pretty_sr(rec: dict, root_sum: str, roots: int) -> Iterator[str]:
-    if rec["accepted"]:
-        yield f"PASS with hc ({_blocks(rec['hc'])})"
-    elif not rec["borel_ok"]:
-        yield "FAIL: shifted weight is singular (parabolic is not a Borel)"
-    elif not rec["positivity_ok"]:
-        yield "FAIL: positivity against the parabolic root sum fails"
-    else:
-        yield "FAIL: recovered parameter is singular"
-    yield f"  shifted weight: ({_join(rec['mu_shifted'])})"
-    yield f"  parabolic root sum: ({root_sum}) over {roots} roots"
-    yield f"  full-shift diagnostic: ({_join(rec['hc_double_shift'])})"
-    if rec["margin"] is not None:
-        yield f"  margin: {rec['margin']}"
-
-
-def _cmd_branch(args: argparse.Namespace) -> Result:
-    weight = _unblocked(args.hw, "--hw")
-    constituents = branch(weight)
-    return Result({
-        "upper": weight_to_strings(weight),
-        "count": len(constituents),
-        "dim": weyl_dim(weight),
-        "dim_sum": sum(weyl_dim(c.lower) for c in constituents),
-        "constituents": [
-            {"lower": weight_to_strings(c.lower), "u1": doubled_to_str(c.doubled_u1)}
-            for c in constituents],
-    })
-
-
-def _pretty_branch(rec: dict) -> Iterator[str]:
-    check = "OK" if rec["dim_sum"] == rec["dim"] else "MISMATCH"
-    yield (f"{rec['count']} constituents; "
-           f"dim {rec['dim']}, constituent dims sum to {rec['dim_sum']}: {check}")
-    for c in rec["constituents"]:
-        yield f"  ({_join(c['lower'])}) u1={c['u1']}"
-
-
-def _cmd_restrict(args: argparse.Namespace) -> Result:
-    sig = parse_signature(args.sig)
-    hc = parse_hc(args.hcp, sig)
-    spaced = well_spaced_everywhere(PlacedParameter([(sig, hc)]))
-    rp = restrict_parameter(sig, hc)
-    return Result({
-        "sig": [sig.r, sig.s],
-        "prime": _blocks_json(rp),
-        "u1": doubled_to_str(rp.doubled_u1),
-        "discrete_series": restriction_is_discrete_series(rp, sig.n),
-        "min_in_a": min_entry_in_a(hc),
-        "support_matches": noncompact_support_matches(sig, hc, rp),
-        "well_spaced": spaced,
-    }, _spacing(spaced))
-
-
-def _pretty_restrict(rec: dict) -> Iterator[str]:
-    r, s = rec["sig"]
-    # U(1,0) descends to U(0): there is no signature (0,0).
-    base = "the trivial group U(0)" if r + s == 1 else f"sig ({r - 1},{s})"
-    yield f"restricted parameter ({_blocks(rec['prime'])}) for {base}, u1={rec['u1']}"
-    yield f"  names a discrete series: {_YES[rec['discrete_series']]}"
-    yield f"  minimum entry in a-block: {_YES[rec['min_in_a']]}"
-    yield f"  noncompact support preserved: {_YES[rec['support_matches']]}"
-
-
-def _cmd_chain(args: argparse.Namespace) -> Result:
-    p = PlacedParameter((sig, parse_hc(text, sig))
-                        for sig, text, _ in _collect_places(args, "hcp", "parameter"))
-    violations = _spacing(well_spaced_everywhere(p))
-    # The only warning left is a stop at a singular descended parameter.
-    with warnings.catch_warnings(record=True) as stops:
-        warnings.simplefilter("always")
-        steps = descent_chain(p, args.depth, warn=False)
-    # Each later step classifies the parameter the step before descended to.
-    violations += [f"level {step.level}: {_OFF_SPACING}"
-                   for before, step in zip(steps, steps[1:])
-                   if not well_spaced_everywhere(before.parameter)]
-    violations += [str(stop.message) for stop in stops]
-    return Result([
-        {"level": step.level,
-         "places": [{"sig": [sig.r, sig.s], **_blocks_json(hc)}
-                    for sig, hc in step.parameter.places],
-         "u1": [entry_to_str(u) for u in step.u1_weights],
-         "class": step.classification.value,
-         "dual_min_in_a": step.dual_min_in_a}
-        for step in steps], violations, {"stopped": bool(stops)})
-
-
-def _pretty_chain(steps: list, stopped: bool) -> Iterator[str]:
-    if not steps:
-        yield ("empty chain (the first descended parameter is singular)" if stopped
-               else "empty chain (nothing to descend)")
-    for step in steps:
-        places = " ".join(f"({_blocks(place)})@({_cell(place['sig'])})"
-                          for place in step["places"])
-        yield (f"level {step['level']}: class={step['class']} "
-               f"dual_min_in_a={_cell(step['dual_min_in_a'])} "
-               f"u1=[{_join(step['u1'])}] {places}")
-
-
-def _cmd_fraction(args: argparse.Namespace) -> Result:
-    places = [(sig, _place_ic(text, sig, place))
-              for sig, text, place in _collect_places(args, "hw", "highest-weight")]
-    fraction = isomorphism_fraction(places)
-    expected = expected_fraction([sig for sig, _ in places])
-    return Result({"fraction": str(fraction),
-                   "expected": str(expected),
-                   "match": fraction == expected})
-
-
-def _pretty_fraction(rec: dict) -> Iterator[str]:
-    status = "OK" if rec["match"] else "MISMATCH"
-    yield f"{rec['fraction']} (expected {rec['expected']}: {status})"
-
-
-def _member_data(hc: HCParameter) -> dict:
-    """A parameter's data as a member of its packet, without the packet.
-    Its index in `enumerate_packet`'s colex order is the sum of
-    C(i_k - 1, k) over the 1-based positions i_1 < ... < i_r of its
-    a-entries in the decreasing infinitesimal character, the first r
-    letters of its shuffle word."""
-    member = PacketMember(hc, degree(hc))
-    return {"degree": member.degree, "length": member.length,
-            "packet_index": sum(comb(i - 1, k)
-                                for k, i in enumerate(member.shuffle_word[:hc.r], 1)),
-            "blattner": weight_to_strings(member.blattner),
-            "coherent": weight_to_strings(member.coherent)}
-
-
-def _cmd_analyze(args: argparse.Namespace) -> Result:
-    p = PlacedParameter((sig, parse_hc(text, sig))
-                        for sig, text, _ in _collect_places(args, "hcp", "parameter"))
-    if any(sig.r < 1 for sig, _ in p.places):
-        raise ValueError("analysis needs r >= 1 at every place")
-    spaced = well_spaced_everywhere(p)
-    places = []
-    for sig, hc in p.places:
-        rp = restrict_parameter(sig, hc)
-        places.append({"sig": [sig.r, sig.s], **_blocks_json(hc), **_member_data(hc),
-                       "restricted": _blocks_json(rp),
-                       "u1": doubled_to_str(rp.doubled_u1)})
-    return Result({"places": places,
-                   "class": classify_restriction(p, warn=False).value,
-                   "dual_min_in_a": _dual_min_entry_in_a_everywhere(p),
-                   "well_spaced": spaced}, _spacing(spaced))
-
-
-def _pretty_analyze(rec: dict) -> Iterator[str]:
-    for place in rec["places"]:
-        r, s = place["sig"]
-        yield f"place ({r},{s}): ({_blocks(place)})"
-        yield (f"  packet index {place['packet_index']}, degree {place['degree']}, "
-               f"length {place['length']}")
-        yield (f"  blattner {_split(place['blattner'], r)}, "
-               f"coherent {_split(place['coherent'], r)}")
-        yield f"  restricted ({_blocks(place['restricted'])}), u1={place['u1']}"
-    yield f"class: {rec['class']}"
-    yield f"dual satisfies minimum condition: {_cell(rec['dual_min_in_a'])}"
-    yield f"well spaced: {_cell(rec['well_spaced'])}"
 
 
 # The parser and the renderers, one table entry per subcommand.
@@ -477,7 +108,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's shared parser, built on the first call; callers must
+    not mutate it. Parsing keeps no state on it between calls."""
     parser = argparse.ArgumentParser(
         prog="lpackets",
         description="Exact discrete-series packet combinatorics for U(r,s)")
@@ -504,20 +138,36 @@ def _render(command: _Command, result: Result, fmt: str) -> Iterator[str]:
         yield from command.pretty(record, **extra)
 
 
-_VALUED = {flag for command in _COMMANDS.values()
-           for flag, options in command.options + _COMMON
-           if options.get("action") != "store_true"}
+# Per subcommand, whether each of its option strings takes a value;
+# argparse gives every subparser the flag --help.
+_TAKES_VALUE = {name: {"--help": False,
+                       **{flag: options.get("action") != "store_true"
+                          for flag, options in command.options + _COMMON}}
+                for name, command in _COMMANDS.items()}
 _NEGATIVE = re.compile("-[0-9]")
 
 
+def _takes_value(options: Mapping[str, bool], token: str) -> bool:
+    """Whether argparse reads token as a value-taking option of options:
+    the option itself, or a "--" prefix of it and of no other option."""
+    if token in options:
+        return options[token]
+    if not token.startswith("--") or "=" in token:
+        return False
+    matches = [flag for flag in options if flag.startswith(token)]
+    return len(matches) == 1 and options[matches[0]]
+
+
 def _join_negative_values(argv: Sequence[str]) -> list[str]:
-    """argv with each value-taking option and a following "-<digit>..."
-    token written as one "--opt=value" token. argparse reads a separate
-    value such as "-1;1" as an option unless it is a plain number, and what
-    counts as one differs across Python versions."""
+    """argv with each value-taking option of the subcommand argv[0], or a
+    unique prefix of one, and a following "-<digit>..." token written as
+    one "--opt=value" token. argparse reads a separate value such as "-1;1"
+    as an option unless it is a plain number, and what counts as one
+    differs across Python versions."""
+    options = _TAKES_VALUE.get(argv[0], {}) if argv else {}
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in _VALUED and _NEGATIVE.match(token):
+        if joined and _NEGATIVE.match(token) and _takes_value(options, joined[-1]):
             joined[-1] += f"={token}"
         else:
             joined.append(token)

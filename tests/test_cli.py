@@ -14,7 +14,8 @@ from helpers import packet_sweep_characters, random_ic
 from lpackets import (PlacedParameter, Signature, Weight, descent_chain, enumerate_packet,
                       weight_to_strings)
 from lpackets.cartan import doubled_text
-from lpackets.cli import _member_data, format_weight, main, parse_weight
+from lpackets.cli import _PLACES_HC, build_parser, format_weight, main, parse_weight
+from lpackets.commands import _member_data
 
 
 class TestParseWeight:
@@ -546,16 +547,51 @@ def _outcome(capsys, argv):
     ("packet", [("--sig", "2,1"), ("--hw", "-1,-2,-3")]),
     ("branch", [("--hw", "-1,-3")]),
     ("sr", [("--sig", "2,1"), ("--ktype", "-1,-3;-5"), ("--margin", "-1")]),
-], ids=["restrict", "chain", "chain-negative-depth", "packet", "branch", "sr"])
+    ("restrict", [("--sig", "1,1"), ("--hc", "-1;1")]),
+    ("sr", [("--sig", "2,1"), ("--kt", "-1,-3;-5")]),
+    ("chain", [("--sig", "2,1"), ("--hc", "-1,-5;1"), ("--depth", "2")]),
+    ("sr", [("--sig", "2,1"), ("--ktype", "5,3;0"), ("--mar", "-1")]),
+    ("chain", [("--sig", "2,1"), ("--hcp", "5,-1;2"), ("--dep", "-1")]),
+], ids=["restrict", "chain", "chain-negative-depth", "packet", "branch", "sr",
+        "restrict-abbreviated", "sr-abbreviated", "chain-abbreviated",
+        "sr-abbreviated-margin", "chain-abbreviated-depth"])
 def test_negative_value_as_separate_argument(capsys, monkeypatch, command, options):
-    # A value that starts with "-" may follow its option or be joined to it
-    # by "="; both go through sys.argv when main gets no argv.
+    # A value that starts with "-" may follow its option, or a unique prefix
+    # of it, or be joined to it by "="; both go through sys.argv when main
+    # gets no argv.
     separate = [command, *(token for option in options for token in option)]
     joined = [command, *(f"{flag}={value}" for flag, value in options)]
     expected = _outcome(capsys, joined)
     assert _outcome(capsys, separate) == expected
     monkeypatch.setattr(sys, "argv", ["lpackets", *separate])
     assert _outcome(capsys, None) == expected
+
+
+@pytest.mark.parametrize("head, prefix, value, tail", [
+    (["packet", "--sig", "2,1"], "--h", "-1,-2,-3", []),
+    (["restrict"], "--s", "-1,1", ["--hcp", "1;1"]),
+], ids=["help-or-hw", "sig-or-strict"])
+def test_ambiguous_prefix_before_negative_value(capsys, head, prefix, value, tail):
+    # --help and --strict take no value but still make a prefix ambiguous,
+    # so argparse reports it in the separate form as in the "=" form.
+    for option in ([prefix, value], [f"{prefix}={value}"]):
+        code, out, err = _outcome(capsys, head + option + tail)
+        assert (code, out) == (2, "")
+        assert f"error: ambiguous option: {option[0]} could match" in err
+
+
+def test_parser_is_shared_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    two = _outcome(capsys, ["chain", "--place", "1,1:3;1", "--place", "1,1:5;-3",
+                            "--depth", "1", "--format", "json"])
+    one = _outcome(capsys, ["chain", "--place", "1,1:5;-3", "--depth", "1",
+                            "--format", "json"])
+    assert two[0] == one[0] == 0
+    assert [len(step["places"]) for step in json.loads(two[1])] == [2]
+    assert [step["places"] for step in json.loads(one[1])] == [
+        [step["places"][1] for step in json.loads(two[1])]]
+    assert _PLACES_HC[1]["default"] == []
+    assert build_parser().parse_args(["chain", "--depth", "1"]).place == []
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
@@ -570,3 +606,14 @@ def test_golden_output(capsys, entry):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         entry["exit"], entry["stdout"], entry["stderr"])
+
+
+def test_golden_corpus_replays_twice_shuffled(capsys):
+    # One parser serves every request of a process: replaying the corpus
+    # twice in a shuffled order must give every recorded byte again.
+    replay = CORPUS * 2
+    random.Random(20261018).shuffle(replay)
+    mismatched = [" ".join(entry["argv"]) for entry in replay
+                  if _outcome(capsys, entry["argv"])
+                  != (entry["exit"], entry["stdout"], entry["stderr"])]
+    assert mismatched == []
