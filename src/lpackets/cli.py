@@ -7,8 +7,8 @@ input, 3 hypothesis violation under --strict.
 Each run computes one record. JSON output is the record itself; TSV
 output is its table and/or its key/value lines, all cells written by one
 formatter; pretty output is a short template per subcommand that reads
-the record. Hypothesis violations go to stderr as warnings. The
-subcommands live in `commands`, the weight syntax in `syntax`.
+the record. Hypothesis violations go to stderr as warnings. This is the
+generic driver: each subcommand, and the weight syntax, is in `commands`.
 """
 
 from __future__ import annotations
@@ -18,94 +18,11 @@ import functools
 import json
 import re
 import sys
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .commands import (Result, _cmd_analyze, _cmd_branch, _cmd_chain, _cmd_fraction,
-                       _cmd_packet, _cmd_restrict, _cmd_sr, _pretty_analyze, _pretty_branch,
-                       _pretty_chain, _pretty_fraction, _pretty_packet, _pretty_restrict,
-                       _pretty_sr)
-from .syntax import _cell, format_weight, parse_weight
+from .commands import _COMMANDS, _COMMON, Result, _cell, _Command, format_weight, parse_weight
 
 __all__ = ["main", "console_main", "parse_weight", "format_weight"]
-
-
-# The parser and the renderers, one table entry per subcommand.
-
-_SIG = ("--sig", {"required": True, "help": "signature r,s"})
-_PLACE_SIG = ("--sig", {"help": "signature r,s (single place)"})
-_PLACE_HCP = ("--hcp", {"help": "parameter a-block/b-block (single place)"})
-_PLACES_HC = ("--place", {"action": "append", "default": [],
-                          "help": 'place "r,s:a-block/b-block" (repeatable)'})
-_COMMON = (("--format", {"choices": ("pretty", "json", "tsv"), "default": "pretty",
-                         "help": "output format"}),
-           ("--strict", {"action": "store_true",
-                         "help": "exit 3 on hypothesis violations instead of warning"}))
-
-
-class _Command(NamedTuple):
-    """A subcommand: its help and options, the handler that computes its
-    Result, the pretty template, and its TSV shape: the columns of the
-    table over rows(record) (default: the record is the list of rows),
-    then key/value lines for keys."""
-
-    help: str
-    options: tuple[tuple[str, dict], ...]
-    run: Callable[[argparse.Namespace], Result]
-    pretty: Callable[..., Iterator[str]]
-    columns: tuple[str, ...] = ()
-    rows: Optional[Callable[[object], list]] = None
-    keys: tuple[str, ...] = ()
-
-
-_COMMANDS = {
-    "packet": _Command(
-        "enumerate a packet",
-        (_SIG, ("--hw", {"required": True, "help": "highest weight a_sigma"})),
-        _cmd_packet, _pretty_packet,
-        columns=("a", "b", "degree", "length", "blattner", "coherent")),
-    "sr": _Command(
-        "minimal K-type test",
-        (_SIG, ("--ktype", {"required": True, "help": "K-highest weight mu"}),
-         ("--margin", {"type": int, "default": 2,
-                       "help": "required regularity margin of the shifted weight"})),
-        _cmd_sr, _pretty_sr,
-        keys=("accepted", "borel_ok", "positivity_ok", "hc", "hc_double_shift",
-              "mu_shifted", "margin")),
-    "branch": _Command(
-        "restrict U(m) to U(m-1) x U(1)",
-        (("--hw", {"required": True, "help": "dominant highest weight"}),),
-        _cmd_branch, _pretty_branch,
-        columns=("lower", "u1"), rows=lambda rec: rec["constituents"]),
-    "restrict": _Command(
-        "descend one parameter",
-        (_SIG, ("--hcp", {"required": True, "help": "parameter a-block/b-block"})),
-        _cmd_restrict, _pretty_restrict,
-        keys=("prime", "u1", "discrete_series", "min_in_a", "support_matches", "well_spaced")),
-    "chain": _Command(
-        "iterated descent",
-        (_PLACE_SIG, _PLACE_HCP, _PLACES_HC,
-         ("--depth", {"type": int, "required": True,
-                      "help": "number of descent steps (clamped to n-1); each step "
-                              "needs r >= 1 at every place"})),
-        _cmd_chain, _pretty_chain,
-        columns=("level", "class", "dual_min_in_a", "u1", "places")),
-    "fraction": _Command(
-        "isomorphism fraction of a product packet",
-        (_PLACE_SIG, ("--hw", {"help": "highest weight a_sigma (single place)"}),
-         ("--place", {"action": "append", "default": [],
-                      "help": 'place "r,s:highest-weight" (repeatable)'})),
-        _cmd_fraction, _pretty_fraction,
-        columns=("fraction", "expected", "match"), rows=lambda rec: [rec]),
-    "analyze": _Command(
-        "full report for one parameter",
-        (_PLACE_SIG, _PLACE_HCP, _PLACES_HC),
-        _cmd_analyze, _pretty_analyze,
-        # The parameter column is each place's own blocks.
-        columns=("sig", "parameter", "degree", "length", "packet_index", "blattner",
-                 "coherent", "restricted", "u1"),
-        rows=lambda rec: [{**place, "parameter": place} for place in rec["places"]],
-        keys=("class", "dual_min_in_a", "well_spaced")),
-}
 
 
 @functools.cache

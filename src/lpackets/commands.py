@@ -1,28 +1,168 @@
-"""The subcommands: what each computes from its arguments, and its pretty
-template.
+"""The subcommands: each one's options, handler, TSV shape and pretty
+template, and the command-line text they share: weights, parameters,
+signatures and places read from the arguments, record values written.
 
 A handler returns a Result whose record is the JSON document; the pretty
 template reads the record.
+
+Weight syntax: comma-separated entries, each "p" or "p/2" with odd p.
+Blocks are separated by ";" or by "/" between two entries; a token "p/2"
+with odd integer p always reads as the half-integral entry, so "1,1/2"
+is the mixed-coset weight (1, 1/2), not a block split, while "5,3/0" is
+the blocks (5,3),(0). Use ";" when a "/" boundary would be ambiguous.
 """
 
 from __future__ import annotations
 
 import argparse
 import warnings
+from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .branching import branch, weyl_dim
-from .cartan import doubled_text, doubled_to_str, entry_from_str, entry_to_str, weight_to_strings
-from .descent import (_OFF_SPACING, PlacedParameter, _dual_min_entry_in_a_everywhere,
-                      classify_restriction, descent_chain, expected_fraction,
-                      isomorphism_fraction, min_entry_in_a, noncompact_support_matches,
-                      restrict_parameter, restriction_is_discrete_series,
-                      well_spaced_everywhere)
+from .cartan import (Signature, Weight, doubled_text, doubled_to_str, entry_from_str,
+                     entry_to_str, weight_to_strings)
+from .descent import (_OFF_SPACING, PlacedParameter, RestrictedParameter,
+                      _dual_min_entry_in_a_everywhere, classify_restriction, descent_chain,
+                      expected_fraction, isomorphism_fraction, min_entry_in_a,
+                      noncompact_support_matches, restrict_parameter,
+                      restriction_is_discrete_series, well_spaced_everywhere)
 from .minimal_ktype import minimal_ktype_test, regularity_margin
-from .packets import HCParameter, PacketMember, degree, enumerate_packet
-from .syntax import (_blocks, _blocks_json, _cell, _check_shape, _collect_places, _join,
-                     _place_ic, _split, _unblocked, parse_hc, parse_signature, parse_weight)
+from .packets import (HCParameter, InfinitesimalCharacter, PacketMember, degree,
+                      enumerate_packet, infinitesimal_character)
+
+Blocks = list[tuple[Fraction, ...]]
+
+
+def _is_odd_int(text: str) -> bool:
+    try:
+        return int(text) % 2 != 0
+    except ValueError:
+        return False
+
+
+def parse_weight(text: str) -> tuple[Weight, Optional[Blocks]]:
+    """Parse a weight with optional block structure.
+
+    Returns (weight, blocks) where blocks is None when no separator
+    appeared. Mixed half-integrality is rejected by Weight itself.
+    """
+    if text.strip() == "":
+        raise ValueError("empty weight")
+    blocks: Blocks = []
+    for segment in text.split(";"):
+        current: list[Fraction] = []
+        for field in segment.split(",") if segment.strip() else ():
+            left, slash, right = field.strip().partition("/")
+            if not slash:
+                current.append(entry_from_str(left))
+            elif right == "2" and _is_odd_int(left):
+                current.append(Fraction(int(left), 2))
+            else:
+                blocks.append((*current, entry_from_str(left)))
+                current = [entry_from_str(right)]
+        blocks.append(tuple(current))
+    weight = Weight(x for block in blocks for x in block)
+    return weight, blocks if len(blocks) > 1 else None
+
+
+def format_weight(weight: Weight, sig: Optional[Signature] = None) -> str:
+    """Inverse of parse_weight; uses ";" for the block separator."""
+    if sig is None:
+        return doubled_text(weight.doubled)
+    if len(weight) != sig.n:
+        raise ValueError("dimension mismatch")
+    return f"{doubled_text(weight.doubled[: sig.r])};{doubled_text(weight.doubled[sig.r:])}"
+
+
+def parse_signature(text: str) -> Signature:
+    head, _, tail = text.partition(",")
+    try:
+        r, s = int(head), int(tail)
+    except ValueError:
+        raise ValueError(f"bad signature {text!r}: expected r,s") from None
+    return Signature(r, s)
+
+
+def _check_shape(weight: Weight, blocks: Optional[Blocks], sig: Signature) -> None:
+    """Reject a weight whose length, then whose block sizes, do not fit sig."""
+    if len(weight) != sig.n:
+        raise ValueError(
+            f"weight has {len(weight)} entries, signature {sig.r},{sig.s} needs {sig.n}")
+    if blocks is not None:
+        sizes = tuple(len(b) for b in blocks)
+        if sizes != (sig.r, sig.s):
+            raise ValueError(f"block sizes ({','.join(map(str, sizes))})"
+                             f" do not match signature ({sig.r},{sig.s})")
+
+
+def parse_hc(text: str, sig: Signature) -> HCParameter:
+    weight, blocks = parse_weight(text)
+    _check_shape(weight, blocks, sig)
+    return HCParameter.from_doubled(weight.doubled[: sig.r], weight.doubled[sig.r:])
+
+
+def _unblocked(text: str, name: str) -> Weight:
+    """A weight given without block split; name is how errors refer to it."""
+    weight, blocks = parse_weight(text)
+    if blocks is not None:
+        raise ValueError(f"{name} takes no block split")
+    return weight
+
+
+def _place_ic(text: str, sig: Signature, place: Optional[str]) -> InfinitesimalCharacter:
+    name = "--hw" if place is None else f"bad place {place!r}: highest weight"
+    weight = _unblocked(text, name)
+    _check_shape(weight, None, sig)
+    return infinitesimal_character(weight)
+
+
+def _collect_places(args: argparse.Namespace, option: str,
+                    what: str) -> Iterator[tuple[Signature, str, Optional[str]]]:
+    """(sig, text, place) for each --place "r,s:text", then for --sig with
+    --<option> (place None); what names the text in errors. A generator, so
+    each place's text is parsed before the next place is read."""
+    for place in args.place:
+        head, sep, text = place.partition(":")
+        if not sep:
+            raise ValueError(f"bad place {place!r}: expected r,s:{what}")
+        yield parse_signature(head), text, place
+    value = getattr(args, option)
+    if args.sig or value:
+        if not (args.sig and value):
+            raise ValueError(f"--sig and --{option} must be given together")
+        yield parse_signature(args.sig), value, None
+    elif not args.place:
+        raise ValueError(f"give --place entries or --sig with --{option}")
+
+
+# Record values as text: a parameter's blocks for the record, then cells
+# and pretty text from the record's strings, ints and booleans.
+
+def _blocks_json(blocks: HCParameter | RestrictedParameter) -> dict:
+    """The doubled_a and doubled_b blocks of a parameter as entry strings."""
+    return {"a": [doubled_to_str(d) for d in blocks.doubled_a],
+            "b": [doubled_to_str(d) for d in blocks.doubled_b]}
+
+
+def _split(entries: Sequence[str], r: int) -> str:
+    """A weight's entries as blocks of sizes r and n - r, in parentheses."""
+    return f"({_cell(entries[:r])};{_cell(entries[r:])})"
+
+
+def _cell(value: object) -> str:
+    """One TSV cell: None empty, booleans in lower case, {a, b} blocks as
+    "a;b", entry lists joined by ",", places as "r,s:a;b" joined by spaces."""
+    if isinstance(value, list):
+        if value and isinstance(value[0], dict):
+            return " ".join(f"{_cell(place['sig'])}:{_cell(place)}" for place in value)
+        return ",".join(map(str, value))
+    if isinstance(value, dict):
+        return f"{_cell(value['a'])};{_cell(value['b'])}"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "" if value is None else str(value)
 
 
 def _spacing(spaced: bool) -> list[str]:
@@ -52,12 +192,12 @@ def _cmd_packet(args: argparse.Namespace) -> Result:
 
 
 def _pretty_packet(members: list) -> Iterator[str]:
+    # Member 0 is (top r entries; the rest): a + b is the decreasing character.
     a, b = members[0]["a"], members[0]["b"]
-    ic = sorted(a + b, key=entry_from_str, reverse=True)
     yield (f"packet for sig ({len(a)},{len(b)}), infinitesimal character "
-           f"({_join(ic)}): {len(members)} members")
+           f"({_cell(a + b)}): {len(members)} members")
     for k, m in enumerate(members):
-        yield (f"  {k}. ({_blocks(m)}) degree={m['degree']} length={m['length']} "
+        yield (f"  {k}. ({_cell(m)}) degree={m['degree']} length={m['length']} "
                f"blattner={_split(m['blattner'], len(a))} "
                f"coherent={_split(m['coherent'], len(a))}")
 
@@ -84,16 +224,16 @@ def _cmd_sr(args: argparse.Namespace) -> Result:
 
 def _pretty_sr(rec: dict, root_sum: str, roots: int) -> Iterator[str]:
     if rec["accepted"]:
-        yield f"PASS with hc ({_blocks(rec['hc'])})"
+        yield f"PASS with hc ({_cell(rec['hc'])})"
     elif not rec["borel_ok"]:
         yield "FAIL: shifted weight is singular (parabolic is not a Borel)"
     elif not rec["positivity_ok"]:
         yield "FAIL: positivity against the parabolic root sum fails"
     else:
         yield "FAIL: recovered parameter is singular"
-    yield f"  shifted weight: ({_join(rec['mu_shifted'])})"
+    yield f"  shifted weight: ({_cell(rec['mu_shifted'])})"
     yield f"  parabolic root sum: ({root_sum}) over {roots} roots"
-    yield f"  full-shift diagnostic: ({_join(rec['hc_double_shift'])})"
+    yield f"  full-shift diagnostic: ({_cell(rec['hc_double_shift'])})"
     if rec["margin"] is not None:
         yield f"  margin: {rec['margin']}"
 
@@ -117,7 +257,7 @@ def _pretty_branch(rec: dict) -> Iterator[str]:
     yield (f"{rec['count']} constituents; "
            f"dim {rec['dim']}, constituent dims sum to {rec['dim_sum']}: {check}")
     for c in rec["constituents"]:
-        yield f"  ({_join(c['lower'])}) u1={c['u1']}"
+        yield f"  ({_cell(c['lower'])}) u1={c['u1']}"
 
 
 def _cmd_restrict(args: argparse.Namespace) -> Result:
@@ -140,7 +280,7 @@ def _pretty_restrict(rec: dict) -> Iterator[str]:
     r, s = rec["sig"]
     # U(1,0) descends to U(0): there is no signature (0,0).
     base = "the trivial group U(0)" if r + s == 1 else f"sig ({r - 1},{s})"
-    yield f"restricted parameter ({_blocks(rec['prime'])}) for {base}, u1={rec['u1']}"
+    yield f"restricted parameter ({_cell(rec['prime'])}) for {base}, u1={rec['u1']}"
     yield f"  names a discrete series: {_YES[rec['discrete_series']]}"
     yield f"  minimum entry in a-block: {_YES[rec['min_in_a']]}"
     yield f"  noncompact support preserved: {_YES[rec['support_matches']]}"
@@ -174,11 +314,11 @@ def _pretty_chain(steps: list, stopped: bool) -> Iterator[str]:
         yield ("empty chain (the first descended parameter is singular)" if stopped
                else "empty chain (nothing to descend)")
     for step in steps:
-        places = " ".join(f"({_blocks(place)})@({_cell(place['sig'])})"
+        places = " ".join(f"({_cell(place)})@({_cell(place['sig'])})"
                           for place in step["places"])
         yield (f"level {step['level']}: class={step['class']} "
                f"dual_min_in_a={_cell(step['dual_min_in_a'])} "
-               f"u1=[{_join(step['u1'])}] {places}")
+               f"u1=[{_cell(step['u1'])}] {places}")
 
 
 def _cmd_fraction(args: argparse.Namespace) -> Result:
@@ -231,12 +371,91 @@ def _cmd_analyze(args: argparse.Namespace) -> Result:
 def _pretty_analyze(rec: dict) -> Iterator[str]:
     for place in rec["places"]:
         r, s = place["sig"]
-        yield f"place ({r},{s}): ({_blocks(place)})"
+        yield f"place ({r},{s}): ({_cell(place)})"
         yield (f"  packet index {place['packet_index']}, degree {place['degree']}, "
                f"length {place['length']}")
         yield (f"  blattner {_split(place['blattner'], r)}, "
                f"coherent {_split(place['coherent'], r)}")
-        yield f"  restricted ({_blocks(place['restricted'])}), u1={place['u1']}"
+        yield f"  restricted ({_cell(place['restricted'])}), u1={place['u1']}"
     yield f"class: {rec['class']}"
     yield f"dual satisfies minimum condition: {_cell(rec['dual_min_in_a'])}"
     yield f"well spaced: {_cell(rec['well_spaced'])}"
+
+
+# The option table, one entry per subcommand.
+
+_SIG = ("--sig", {"required": True, "help": "signature r,s"})
+_PLACE_SIG = ("--sig", {"help": "signature r,s (single place)"})
+_PLACE_HCP = ("--hcp", {"help": "parameter a-block/b-block (single place)"})
+_PLACES_HC = ("--place", {"action": "append", "default": [],
+                          "help": 'place "r,s:a-block/b-block" (repeatable)'})
+_COMMON = (("--format", {"choices": ("pretty", "json", "tsv"), "default": "pretty",
+                         "help": "output format"}),
+           ("--strict", {"action": "store_true",
+                         "help": "exit 3 on hypothesis violations instead of warning"}))
+
+
+class _Command(NamedTuple):
+    """A subcommand: its help and options, the handler that computes its
+    Result, the pretty template, and its TSV shape: the columns of the
+    table over rows(record) (default: the record is the list of rows),
+    then key/value lines for keys."""
+
+    help: str
+    options: tuple[tuple[str, dict], ...]
+    run: Callable[[argparse.Namespace], Result]
+    pretty: Callable[..., Iterator[str]]
+    columns: tuple[str, ...] = ()
+    rows: Optional[Callable[[object], list]] = None
+    keys: tuple[str, ...] = ()
+
+
+_COMMANDS = {
+    "packet": _Command(
+        "enumerate a packet",
+        (_SIG, ("--hw", {"required": True, "help": "highest weight a_sigma"})),
+        _cmd_packet, _pretty_packet,
+        columns=("a", "b", "degree", "length", "blattner", "coherent")),
+    "sr": _Command(
+        "minimal K-type test",
+        (_SIG, ("--ktype", {"required": True, "help": "K-highest weight mu"}),
+         ("--margin", {"type": int, "default": 2,
+                       "help": "required regularity margin of the shifted weight"})),
+        _cmd_sr, _pretty_sr,
+        keys=("accepted", "borel_ok", "positivity_ok", "hc", "hc_double_shift",
+              "mu_shifted", "margin")),
+    "branch": _Command(
+        "restrict U(m) to U(m-1) x U(1)",
+        (("--hw", {"required": True, "help": "dominant highest weight"}),),
+        _cmd_branch, _pretty_branch,
+        columns=("lower", "u1"), rows=lambda rec: rec["constituents"]),
+    "restrict": _Command(
+        "descend one parameter",
+        (_SIG, ("--hcp", {"required": True, "help": "parameter a-block/b-block"})),
+        _cmd_restrict, _pretty_restrict,
+        keys=("prime", "u1", "discrete_series", "min_in_a", "support_matches", "well_spaced")),
+    "chain": _Command(
+        "iterated descent",
+        (_PLACE_SIG, _PLACE_HCP, _PLACES_HC,
+         ("--depth", {"type": int, "required": True,
+                      "help": "number of descent steps (clamped to n-1); each step "
+                              "needs r >= 1 at every place"})),
+        _cmd_chain, _pretty_chain,
+        columns=("level", "class", "dual_min_in_a", "u1", "places")),
+    "fraction": _Command(
+        "isomorphism fraction of a product packet",
+        (_PLACE_SIG, ("--hw", {"help": "highest weight a_sigma (single place)"}),
+         ("--place", {"action": "append", "default": [],
+                      "help": 'place "r,s:highest-weight" (repeatable)'})),
+        _cmd_fraction, _pretty_fraction,
+        columns=("fraction", "expected", "match"), rows=lambda rec: [rec]),
+    "analyze": _Command(
+        "full report for one parameter",
+        (_PLACE_SIG, _PLACE_HCP, _PLACES_HC),
+        _cmd_analyze, _pretty_analyze,
+        # The parameter column is each place's own blocks.
+        columns=("sig", "parameter", "degree", "length", "packet_index", "blattner",
+                 "coherent", "restricted", "u1"),
+        rows=lambda rec: [{**place, "parameter": place} for place in rec["places"]],
+        keys=("class", "dual_min_in_a", "well_spaced")),
+}

@@ -4,18 +4,19 @@ import random
 import sys
 import warnings
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import packet_sweep_characters, random_ic
+from helpers import all_signatures, packet_sweep_characters, random_dominant, random_ic
 
 from lpackets import (PlacedParameter, Signature, Weight, descent_chain, enumerate_packet,
-                      weight_to_strings)
+                      infinitesimal_character, weight_to_strings)
 from lpackets.cartan import doubled_text
-from lpackets.cli import _PLACES_HC, build_parser, format_weight, main, parse_weight
-from lpackets.commands import _member_data
+from lpackets.cli import build_parser, format_weight, main, parse_weight
+from lpackets.commands import _PLACES_HC, _member_data
 
 
 class TestParseWeight:
@@ -143,6 +144,20 @@ class TestPacketCommand:
     def test_block_split_rejected(self, capsys):
         assert main(["packet", "--sig", "2,1", "--hw", "4,2;0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_pretty_header_over_every_signature(self, capsys):
+        # The header reads the character off member 0's blocks.
+        rng = random.Random(73)
+        for n in range(1, 7):
+            for sig in all_signatures(n):
+                for parity in (0, 1):
+                    hw = Weight.from_doubled(d + parity for d in random_dominant(rng, n).doubled)
+                    assert main(["packet", "--sig", f"{sig.r},{sig.s}",
+                                 "--hw", format_weight(hw)]) == 0
+                    header = capsys.readouterr().out.splitlines()[0]
+                    ic = format_weight(infinitesimal_character(hw).weight)
+                    assert header == (f"packet for sig ({sig.r},{sig.s}), infinitesimal "
+                                      f"character ({ic}): {comb(n, sig.r)} members")
 
     def test_deterministic(self, capsys):
         main(["packet", "--sig", "2,2", "--hw", "6,4,2,0"])
