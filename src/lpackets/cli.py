@@ -18,7 +18,7 @@ import functools
 import json
 import re
 import sys
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .commands import _COMMANDS, _COMMON, Result, _cell, _Command, format_weight, parse_weight
 
@@ -35,6 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         sub = subs.add_parser(name, help=command.help)
+        # A token "-<digit>..." or "-.<digit>..." is a value, such as "-1;1", never an option.
+        sub._negative_number_matcher = re.compile(r"-\.?[0-9]")
         for flag, options in command.options + _COMMON:
             sub.add_argument(flag, **options)
     return parser
@@ -55,45 +57,8 @@ def _render(command: _Command, result: Result, fmt: str) -> Iterator[str]:
         yield from command.pretty(record, **extra)
 
 
-# Per subcommand, whether each of its option strings takes a value;
-# argparse gives every subparser the flag --help.
-_TAKES_VALUE = {name: {"--help": False,
-                       **{flag: options.get("action") != "store_true"
-                          for flag, options in command.options + _COMMON}}
-                for name, command in _COMMANDS.items()}
-_NEGATIVE = re.compile("-[0-9]")
-
-
-def _takes_value(options: Mapping[str, bool], token: str) -> bool:
-    """Whether argparse reads token as a value-taking option of options:
-    the option itself, or a "--" prefix of it and of no other option."""
-    if token in options:
-        return options[token]
-    if not token.startswith("--") or "=" in token:
-        return False
-    matches = [flag for flag in options if flag.startswith(token)]
-    return len(matches) == 1 and options[matches[0]]
-
-
-def _join_negative_values(argv: Sequence[str]) -> list[str]:
-    """argv with each value-taking option of the subcommand argv[0], or a
-    unique prefix of one, and a following "-<digit>..." token written as
-    one "--opt=value" token. argparse reads a separate value such as "-1;1"
-    as an option unless it is a plain number, and what counts as one
-    differs across Python versions."""
-    options = _TAKES_VALUE.get(argv[0], {}) if argv else {}
-    joined: list[str] = []
-    for token in argv:
-        if joined and _NEGATIVE.match(token) and _takes_value(options, joined[-1]):
-            joined[-1] += f"={token}"
-        else:
-            joined.append(token)
-    return joined
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(
-        _join_negative_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:
         result = command.run(args)

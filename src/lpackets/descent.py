@@ -19,7 +19,7 @@ import enum
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 from typing import Iterable, Sequence
 
 from .cartan import Signature, doubled_text, half_entry, two_rho
@@ -219,18 +219,14 @@ def isomorphism_fraction(places: Sequence[tuple[Signature, InfinitesimalCharacte
     The value depends on the signatures alone. A member's a-block is an
     r-subset of the positions of the character's decreasing entries, and the
     member meets the condition iff the subset holds the last position, so
-    C(n-1, r-1) of the C(n, r) members do, whatever the character."""
+    C(n-1, r-1) of the C(n, r) members do, whatever the character: a share
+    of r/n, which is 0 when r = 0."""
     if not places:
         raise ValueError("at least one place is required")
     ranks = {sig.n for sig, _ in places}
     if len(ranks) > 1 or {ic.n for _, ic in places} != ranks:
         raise ValueError("places have unequal rank")
-    count = total = 1
-    for sig, _ in places:
-        total *= comb(sig.n, sig.r)
-        # With r = 0 the one member's a-block is empty and holds no minimum.
-        count *= comb(sig.n - 1, sig.r - 1) if sig.r else 0
-    return Fraction(count, total)
+    return expected_fraction([sig for sig, _ in places])
 
 
 def expected_fraction(sigs: Sequence[Signature]) -> Fraction:

@@ -567,9 +567,10 @@ def _outcome(capsys, argv):
     ("chain", [("--sig", "2,1"), ("--hc", "-1,-5;1"), ("--depth", "2")]),
     ("sr", [("--sig", "2,1"), ("--ktype", "5,3;0"), ("--mar", "-1")]),
     ("chain", [("--sig", "2,1"), ("--hcp", "5,-1;2"), ("--dep", "-1")]),
+    ("branch", [("--hw", "-.5")]),
 ], ids=["restrict", "chain", "chain-negative-depth", "packet", "branch", "sr",
         "restrict-abbreviated", "sr-abbreviated", "chain-abbreviated",
-        "sr-abbreviated-margin", "chain-abbreviated-depth"])
+        "sr-abbreviated-margin", "chain-abbreviated-depth", "branch-dot-number"])
 def test_negative_value_as_separate_argument(capsys, monkeypatch, command, options):
     # A value that starts with "-" may follow its option, or a unique prefix
     # of it, or be joined to it by "="; both go through sys.argv when main
