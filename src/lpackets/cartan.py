@@ -8,6 +8,11 @@ the coset is the common parity and all arithmetic is integer arithmetic.
 the public views (`Weight.entries`, indexing, iteration, `pairing`) and
 the string forms. No floating point is used anywhere in the package.
 
+Constructors take each entry as an int or a Fraction (`double_entry`) and
+reject floats, bools, strings and any other type, as `Signature` does for
+r and s. Text enters through `weight_from_strings` or the CLI's weight
+syntax; `doubled_from_str` is the one parser of an entry token.
+
 The public constructors (`Weight(...)` and `Weight.from_doubled`) check
 the common coset. Values the package derives from weights it has already
 checked, by shifts that keep every parity, are built by the private
@@ -40,29 +45,23 @@ __all__ = [
     "rho",
     "rho_tilde",
     "hodge_parameter",
-    "entry_to_str",
-    "entry_from_str",
     "weight_to_strings",
     "weight_from_strings",
-    "two_rho",
-    "check_parity",
-    "double_entry",
-    "half_entry",
-    "doubled_to_str",
-    "doubled_text",
 ]
 
 
 def double_entry(value: EntryLike) -> int:
-    """Twice a half-integral entry, as an int; rejects other rationals."""
+    """Twice a half-integral entry, as an int; rejects other rationals,
+    bools and anything else that is neither an int nor a Fraction."""
     if type(value) is int:
         return 2 * value
-    entry = value if isinstance(value, Fraction) else Fraction(value)
-    if entry.denominator == 1:
-        return 2 * entry.numerator
-    if entry.denominator == 2:
-        return entry.numerator
-    raise ValueError(f"weight entry {entry} is not a half-integer")
+    if not isinstance(value, Fraction):
+        raise ValueError(f"weight entry {value!r} is not an int or a Fraction")
+    if value.denominator == 1:
+        return 2 * value.numerator
+    if value.denominator == 2:
+        return value.numerator
+    raise ValueError(f"weight entry {value} is not a half-integer")
 
 
 @lru_cache(maxsize=1024)
@@ -204,8 +203,8 @@ def hodge_parameter(weight: Weight) -> Weight:
 
 # Serialization: each entry renders as "p" (integral) or "p/2" (odd p).
 
-def entry_to_str(entry: Fraction) -> str:
-    """doubled_to_str of the doubled entry; rejects other rationals."""
+def entry_to_str(entry: EntryLike) -> str:
+    """doubled_to_str of the doubled entry; rejects what double_entry does."""
     return doubled_to_str(double_entry(entry))
 
 
@@ -219,27 +218,28 @@ def doubled_text(doubled: Iterable[int]) -> str:
     return ",".join(map(doubled_to_str, doubled))
 
 
-def entry_from_str(text: str) -> Fraction:
-    """Parse "p" or "p/2" with odd p; any other denominator is rejected."""
+def doubled_from_str(text: str) -> int:
+    """Twice the entry "p", "p/1" or "p/2" with odd p: the one parser of
+    an entry token; any other denominator is rejected."""
     token = text.strip()
-    if "/" in token:
-        num_text, _, den_text = token.partition("/")
-        try:
-            num = int(num_text)
-            den = int(den_text)
-        except ValueError:
-            raise ValueError(f"bad weight entry {token!r}") from None
-        if den == 1:
-            return Fraction(num)
-        if den != 2:
-            raise ValueError(f"bad weight entry {token!r}: denominator must be 1 or 2")
-        if num % 2 == 0:
-            raise ValueError(f"bad weight entry {token!r}: not in lowest terms")
-        return Fraction(num, 2)
+    num_text, slash, den_text = token.partition("/")
     try:
-        return Fraction(int(token))
+        num = int(num_text)
+        den = int(den_text) if slash else 1
     except ValueError:
         raise ValueError(f"bad weight entry {token!r}") from None
+    if den == 1:
+        return 2 * num
+    if den != 2:
+        raise ValueError(f"bad weight entry {token!r}: denominator must be 1 or 2")
+    if num % 2 == 0:
+        raise ValueError(f"bad weight entry {token!r}: not in lowest terms")
+    return num
+
+
+def entry_from_str(text: str) -> Fraction:
+    """The Fraction view of doubled_from_str(text)."""
+    return half_entry(doubled_from_str(text))
 
 
 def weight_to_strings(weight: Weight) -> list[str]:
@@ -247,4 +247,4 @@ def weight_to_strings(weight: Weight) -> list[str]:
 
 
 def weight_from_strings(items: Iterable[str]) -> Weight:
-    return Weight(entry_from_str(s) for s in items)
+    return Weight.from_doubled(map(doubled_from_str, items))

@@ -1,11 +1,15 @@
 import re
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lpackets import (
+    HCParameter,
+    InfinitesimalCharacter,
+    KRestriction,
     Signature,
     Weight,
     hodge_parameter,
@@ -15,7 +19,7 @@ from lpackets import (
     weight_from_strings,
     weight_to_strings,
 )
-from lpackets.cartan import entry_from_str, entry_to_str
+from lpackets.cartan import doubled_from_str, doubled_to_str, entry_from_str, entry_to_str
 
 
 def weights(n_min=1, n_max=5):
@@ -48,9 +52,56 @@ class TestWeight:
     def test_add_sub_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Weight((1, 2)) + Weight((1,))
+        with pytest.raises(ValueError):
+            Weight((1, 2)) - Weight((1,))
+
+    @pytest.mark.parametrize("w, v", [
+        (Weight((5, 2, -1)), Weight((0, -3, 4))),
+        (Weight((Fraction(5, 2), Fraction(1, 2))), Weight((Fraction(-3, 2), Fraction(7, 2)))),
+        (Weight((Fraction(5, 2), Fraction(-1, 2))), Weight((1, -4))),
+    ], ids=["integral", "half-integral", "mixed"])
+    def test_sub_and_neg_identities(self, w, v):
+        assert w - w == Weight((0,) * len(w))
+        assert -(-w) == w
+        assert (w + v) - v == w
+
+    @pytest.mark.parametrize("op", [add, sub])
+    def test_non_weight_operand(self, op):
+        w = Weight((1, 2))
+        for other in ((1, 2), 1, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                op(w, other)
+            with pytest.raises(TypeError):
+                op(other, w)
 
     def test_empty_weight_allowed(self):
         assert len(Weight(())) == 0
+
+
+# Each public constructor of a weight entry, and how to read that entry back doubled.
+ENTRY_BUILDERS = {
+    "Weight": (lambda v: Weight([v]), lambda w: w.doubled[0]),
+    "HCParameter": (lambda v: HCParameter([v], []), lambda hc: hc.doubled_a[0]),
+    "InfinitesimalCharacter": (lambda v: InfinitesimalCharacter([v]),
+                               lambda ic: ic.weight.doubled[0]),
+    "KRestriction": (lambda v: KRestriction(Weight(()), v, Weight(())),
+                     lambda split: split.doubled_u1),
+    "entry_to_str": (entry_to_str, doubled_from_str),
+}
+
+
+@pytest.mark.parametrize("builder", ENTRY_BUILDERS)
+@pytest.mark.parametrize("value", [0.5, 2.0, True, "1/2", None,
+                                   3, -2, 0, Fraction(5, 2), Fraction(-1, 2), Fraction(4)])
+def test_entry_boundary(builder, value):
+    """Only ints (not bools) and Fractions enter; others name the value."""
+    build, read = ENTRY_BUILDERS[builder]
+    if type(value) in (int, Fraction):
+        assert read(build(value)) == int(2 * value)
+    else:
+        with pytest.raises(ValueError, match=f"^weight entry {re.escape(repr(value))} "
+                                             "is not an int or a Fraction$"):
+            build(value)
 
 
 class TestSignature:
@@ -174,6 +225,11 @@ class TestSerialization:
     def test_entry_round_trip(self):
         for text in ("5", "-1", "0", "5/2", "-7/2"):
             assert entry_to_str(entry_from_str(text)) == text
+
+    @given(st.integers(-10**6, 10**6))
+    def test_doubled_round_trip(self, d):
+        assert doubled_from_str(doubled_to_str(d)) == d
+        assert doubled_from_str(f"{d}/1") == 2 * d
 
     def test_entry_to_str_rejects_non_half_integer(self):
         for entry in (Fraction(1, 3), Fraction(-7, 4)):
