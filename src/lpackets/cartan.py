@@ -11,7 +11,8 @@ the string forms. No floating point is used anywhere in the package.
 Constructors take each entry as an int or a Fraction (`double_entry`) and
 reject floats, bools, strings and any other type, as `Signature` does for
 r and s. Text enters through `weight_from_strings` or the CLI's weight
-syntax; `doubled_from_str` is the one parser of an entry token.
+syntax, and both read each token through `doubled_from_str` straight to
+its doubled int: an optional sign and ASCII digits, "p" or "p/2".
 
 The public constructors (`Weight(...)` and `Weight.from_doubled`) check
 the common coset. Values the package derives from weights it has already
@@ -30,6 +31,7 @@ pair (i, j); it pairs with a weight as entry i minus entry j.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -203,11 +205,6 @@ def hodge_parameter(weight: Weight) -> Weight:
 
 # Serialization: each entry renders as "p" (integral) or "p/2" (odd p).
 
-def entry_to_str(entry: EntryLike) -> str:
-    """doubled_to_str of the doubled entry; rejects what double_entry does."""
-    return doubled_to_str(double_entry(entry))
-
-
 def doubled_to_str(doubled: int) -> str:
     """The entry doubled/2, without building a Fraction."""
     return str(doubled // 2) if doubled % 2 == 0 else f"{doubled}/2"
@@ -218,16 +215,19 @@ def doubled_text(doubled: Iterable[int]) -> str:
     return ",".join(map(doubled_to_str, doubled))
 
 
+# An integer as int() reads it, less underscores and non-ASCII digits.
+_INT = r"\s*([+-]?[0-9]+)\s*"
+_ENTRY = re.compile(f"{_INT}(?:/{_INT})?")
+
+
 def doubled_from_str(text: str) -> int:
     """Twice the entry "p", "p/1" or "p/2" with odd p: the one parser of
     an entry token; any other denominator is rejected."""
     token = text.strip()
-    num_text, slash, den_text = token.partition("/")
-    try:
-        num = int(num_text)
-        den = int(den_text) if slash else 1
-    except ValueError:
-        raise ValueError(f"bad weight entry {token!r}") from None
+    match = _ENTRY.fullmatch(token)
+    if not match:
+        raise ValueError(f"bad weight entry {token!r}")
+    num, den = int(match[1]), int(match[2] or 1)
     if den == 1:
         return 2 * num
     if den != 2:
@@ -235,11 +235,6 @@ def doubled_from_str(text: str) -> int:
     if num % 2 == 0:
         raise ValueError(f"bad weight entry {token!r}: not in lowest terms")
     return num
-
-
-def entry_from_str(text: str) -> Fraction:
-    """The Fraction view of doubled_from_str(text)."""
-    return half_entry(doubled_from_str(text))
 
 
 def weight_to_strings(weight: Weight) -> list[str]:

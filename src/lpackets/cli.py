@@ -18,11 +18,19 @@ import functools
 import json
 import re
 import sys
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .commands import _COMMANDS, _COMMON, Result, _cell, _Command, format_weight, parse_weight
+from .cartan import Weight, half_entry
+from .commands import _COMMANDS, _COMMON, Result, _cell, _Command, _parse_weight, format_weight
 
 __all__ = ["main", "console_main", "parse_weight", "format_weight"]
+
+
+def parse_weight(text: str) -> tuple[Weight, Optional[list[tuple[Fraction, ...]]]]:
+    """(weight, blocks), blocks None when no separator appeared."""
+    weight, blocks = _parse_weight(text)
+    return weight, None if blocks is None else [tuple(map(half_entry, b)) for b in blocks]
 
 
 @functools.cache

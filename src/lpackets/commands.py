@@ -5,49 +5,39 @@ signatures and places read from the arguments, record values written.
 A handler returns a Result whose record is the JSON document; the pretty
 template reads the record.
 
-Weight syntax: comma-separated entries, each "p" or "p/2" with odd p.
-Blocks are separated by ";" or by "/" between two entries; a token "p/2"
-with odd integer p always reads as the half-integral entry, so "1,1/2"
-is the mixed-coset weight (1, 1/2), not a block split, while "5,3/0" is
-the blocks (5,3),(0). Use ";" when a "/" boundary would be ambiguous.
+Weight syntax: comma-separated entries, each "p" or "p/2" with odd p, p
+an optional sign and ASCII digits. Blocks are separated by ";" or by "/"
+between two entries; a token "p/2" with odd integer p always reads as the
+half-integral entry, so "1,1/2" is the mixed-coset weight (1, 1/2), not a
+block split, while "5,3/0" is the blocks (5,3),(0). Use ";" when a "/"
+boundary would be ambiguous. `doubled_from_str` reads each token to its
+doubled int, and entries stay doubled up to the record's text.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import warnings
-from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .branching import branch, weyl_dim
-from .cartan import (Signature, Weight, doubled_from_str, doubled_text, doubled_to_str,
-                     entry_to_str, half_entry, weight_to_strings)
+from .cartan import (_INT, Signature, Weight, doubled_from_str, doubled_text, doubled_to_str,
+                     weight_to_strings)
 from .descent import (_OFF_SPACING, PlacedParameter, RestrictedParameter,
                       _dual_min_entry_in_a_everywhere, classify_restriction, descent_chain,
                       isomorphism_fraction, min_entry_in_a,
                       noncompact_support_matches, restrict_parameter,
                       restriction_is_discrete_series, well_spaced_everywhere)
-from .minimal_ktype import minimal_ktype_test, regularity_margin
+from .minimal_ktype import _doubled_margin, minimal_ktype_test
 from .packets import (HCParameter, InfinitesimalCharacter, PacketMember, degree,
                       enumerate_packet, infinitesimal_character)
 
-Blocks = list[tuple[Fraction, ...]]
 
-
-def _is_odd_int(text: str) -> bool:
-    try:
-        return int(text) % 2 != 0
-    except ValueError:
-        return False
-
-
-def parse_weight(text: str) -> tuple[Weight, Optional[Blocks]]:
-    """Parse a weight with optional block structure.
-
-    Returns (weight, blocks) where blocks is None when no separator
-    appeared. Mixed half-integrality is rejected by Weight itself.
-    """
+def _parse_weight(text: str) -> tuple[Weight, Optional[list[list[int]]]]:
+    """(weight, blocks of doubled entries), blocks None when no separator
+    appeared. Mixed half-integrality is rejected by Weight itself."""
     if text.strip() == "":
         raise ValueError("empty weight")
     blocks: list[list[int]] = []
@@ -55,14 +45,16 @@ def parse_weight(text: str) -> tuple[Weight, Optional[Blocks]]:
         current: list[int] = []
         for field in segment.split(",") if segment.strip() else ():
             left, slash, right = field.strip().partition("/")
-            if slash and not (right == "2" and _is_odd_int(left)):
-                blocks.append([*current, doubled_from_str(left)])
+            doubled = doubled_from_str(left)
+            # "p/2" with odd p, whose p doubled is 2 mod 4, is one entry.
+            if slash and not (right == "2" and doubled % 4 == 2):
+                blocks.append([*current, doubled])
                 current = [doubled_from_str(right)]
             else:
-                current.append(doubled_from_str(field))
+                current.append(doubled // 2 if slash else doubled)
         blocks.append(current)
     weight = Weight.from_doubled(x for block in blocks for x in block)
-    return weight, [tuple(map(half_entry, b)) for b in blocks] if len(blocks) > 1 else None
+    return weight, blocks if len(blocks) > 1 else None
 
 
 def format_weight(weight: Weight, sig: Optional[Signature] = None) -> str:
@@ -75,15 +67,13 @@ def format_weight(weight: Weight, sig: Optional[Signature] = None) -> str:
 
 
 def parse_signature(text: str) -> Signature:
-    head, _, tail = text.partition(",")
-    try:
-        r, s = int(head), int(tail)
-    except ValueError:
-        raise ValueError(f"bad signature {text!r}: expected r,s") from None
-    return Signature(r, s)
+    match = re.fullmatch(f"{_INT},{_INT}", text)
+    if not match:
+        raise ValueError(f"bad signature {text!r}: expected r,s")
+    return Signature(int(match[1]), int(match[2]))
 
 
-def _check_shape(weight: Weight, blocks: Optional[Blocks], sig: Signature) -> None:
+def _check_shape(weight: Weight, blocks: Optional[list[list[int]]], sig: Signature) -> None:
     """Reject a weight whose length, then whose block sizes, do not fit sig."""
     if len(weight) != sig.n:
         raise ValueError(
@@ -96,14 +86,14 @@ def _check_shape(weight: Weight, blocks: Optional[Blocks], sig: Signature) -> No
 
 
 def parse_hc(text: str, sig: Signature) -> HCParameter:
-    weight, blocks = parse_weight(text)
+    weight, blocks = _parse_weight(text)
     _check_shape(weight, blocks, sig)
     return HCParameter.from_doubled(weight.doubled[: sig.r], weight.doubled[sig.r:])
 
 
 def _unblocked(text: str, name: str) -> Weight:
     """A weight given without block split; name is how errors refer to it."""
-    weight, blocks = parse_weight(text)
+    weight, blocks = _parse_weight(text)
     if blocks is not None:
         raise ValueError(f"{name} takes no block split")
     return weight
@@ -183,10 +173,14 @@ _YES = {True: "yes", False: "no"}
 def _cmd_packet(args: argparse.Namespace) -> Result:
     sig = parse_signature(args.sig)
     ic = _place_ic(args.hw, sig, None)
-    return Result([{**_blocks_json(m.hc), "degree": m.degree, "length": m.length,
-                    "blattner": weight_to_strings(m.blattner),
-                    "coherent": weight_to_strings(m.coherent)}
-                   for m in enumerate_packet(ic, sig)])
+    return Result([{**_blocks_json(m.hc), **_member_row(m)} for m in enumerate_packet(ic, sig)])
+
+
+def _member_row(member: PacketMember, **index: int) -> dict:
+    """A member's fields in packet and analyze records, index among them."""
+    return {"degree": member.degree, "length": member.length, **index,
+            "blattner": weight_to_strings(member.blattner),
+            "coherent": weight_to_strings(member.coherent)}
 
 
 def _pretty_packet(members: list) -> Iterator[str]:
@@ -202,12 +196,13 @@ def _pretty_packet(members: list) -> Iterator[str]:
 
 def _cmd_sr(args: argparse.Namespace) -> Result:
     sig = parse_signature(args.sig)
-    weight, blocks = parse_weight(args.ktype)
+    weight, blocks = _parse_weight(args.ktype)
     _check_shape(weight, blocks, sig)
     verdict = minimal_ktype_test(weight, sig)
-    margin = regularity_margin(verdict.mu_shifted)
-    violations = ([f"shifted weight margin {margin} is below --margin {args.margin}"]
-                  if margin is not None and margin < args.margin else [])
+    margin = _doubled_margin(verdict.mu_shifted.doubled)
+    margin_text = doubled_to_str(margin) if margin is not None else None
+    violations = ([f"shifted weight margin {margin_text} is below --margin {args.margin}"]
+                  if margin is not None and margin < 2 * args.margin else [])
     return Result({
         "accepted": verdict.accepted,
         "borel_ok": verdict.borel_ok,
@@ -215,7 +210,7 @@ def _cmd_sr(args: argparse.Namespace) -> Result:
         "hc": _blocks_json(verdict.hc) if verdict.hc is not None else None,
         "hc_double_shift": weight_to_strings(verdict.hc_double_shift),
         "mu_shifted": weight_to_strings(verdict.mu_shifted),
-        "margin": entry_to_str(margin) if margin is not None else None,
+        "margin": margin_text,
     }, violations, {"root_sum": doubled_text(verdict.doubled_two_rho_u),
                     "roots": verdict.root_count})
 
@@ -301,7 +296,7 @@ def _cmd_chain(args: argparse.Namespace) -> Result:
         {"level": step.level,
          "places": [{"sig": [sig.r, sig.s], **_blocks_json(hc)}
                     for sig, hc in step.parameter.places],
-         "u1": [entry_to_str(u) for u in step.u1_weights],
+         "u1": [doubled_to_str(u) for u in step.doubled_u1],
          "class": step.classification.value,
          "dual_min_in_a": step.dual_min_in_a}
         for step in steps], violations, {"stopped": bool(stops)})
@@ -338,11 +333,8 @@ def _member_data(hc: HCParameter) -> dict:
     a-entries in the decreasing infinitesimal character, the first r
     letters of its shuffle word."""
     member = PacketMember(hc, degree(hc))
-    return {"degree": member.degree, "length": member.length,
-            "packet_index": sum(comb(i - 1, k)
-                                for k, i in enumerate(member.shuffle_word[:hc.r], 1)),
-            "blattner": weight_to_strings(member.blattner),
-            "coherent": weight_to_strings(member.coherent)}
+    return _member_row(member, packet_index=sum(
+        comb(i - 1, k) for k, i in enumerate(member.shuffle_word[:hc.r], 1)))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> Result:

@@ -238,15 +238,19 @@ def expected_fraction(sigs: Sequence[Signature]) -> Fraction:
 
 @dataclass(frozen=True)
 class ChainStep:
-    """One descent step: the parameter after restriction, the class of the
-    parameter that was restricted, its dual's minimum-entry flag, and the
-    U(1) weights split off at each place."""
+    """One descent step: the parameter after restriction, the U(1) weights
+    split off at each place, doubled, the class of the parameter that was
+    restricted and its dual's minimum-entry flag."""
 
     level: int
     parameter: PlacedParameter
-    u1_weights: tuple[Fraction, ...]
+    doubled_u1: tuple[int, ...]
     classification: RestrictionClass
     dual_min_in_a: bool
+
+    @property
+    def u1_weights(self) -> tuple[Fraction, ...]:
+        return tuple(map(half_entry, self.doubled_u1))
 
 
 def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[ChainStep]:
@@ -281,11 +285,6 @@ def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[Cha
             # the only failure is a singular descended parameter.
             warnings.warn(f"descended {exc}; the chain stops here", stacklevel=2)
             break
-        chain.append(ChainStep(
-            level=current.n,
-            parameter=current,
-            u1_weights=tuple(rp.u1_weight for rp in restricted),
-            classification=classification,
-            dual_min_in_a=dual_flag,
-        ))
+        chain.append(ChainStep(current.n, current, tuple(rp.doubled_u1 for rp in restricted),
+                               classification, dual_flag))
     return chain

@@ -177,7 +177,11 @@ def regularity_margin(weight: Weight) -> Optional[Fraction]:
 
     None for weights of length < 2 (no roots to pair against).
     """
-    if len(weight) < 2:
-        return None
-    ordered = sorted(weight.doubled)
-    return half_entry(min(map(sub, ordered[1:], ordered)))
+    margin = _doubled_margin(weight.doubled)
+    return None if margin is None else half_entry(margin)
+
+
+def _doubled_margin(doubled: tuple[int, ...]) -> Optional[int]:
+    """Twice regularity_margin, from the doubled entries."""
+    ordered = sorted(doubled)
+    return min(map(sub, ordered[1:], ordered), default=None)

@@ -19,7 +19,7 @@ from lpackets import (
     weight_from_strings,
     weight_to_strings,
 )
-from lpackets.cartan import doubled_from_str, doubled_to_str, entry_from_str, entry_to_str
+from lpackets.cartan import double_entry, doubled_from_str, doubled_to_str, half_entry
 
 
 def weights(n_min=1, n_max=5):
@@ -86,7 +86,8 @@ ENTRY_BUILDERS = {
                                lambda ic: ic.weight.doubled[0]),
     "KRestriction": (lambda v: KRestriction(Weight(()), v, Weight(())),
                      lambda split: split.doubled_u1),
-    "entry_to_str": (entry_to_str, doubled_from_str),
+    # An entry's text, read back by the one text parser.
+    "entry_to_str": (lambda v: doubled_to_str(double_entry(v)), doubled_from_str),
 }
 
 
@@ -224,17 +225,17 @@ class TestHodgeParameter:
 class TestSerialization:
     def test_entry_round_trip(self):
         for text in ("5", "-1", "0", "5/2", "-7/2"):
-            assert entry_to_str(entry_from_str(text)) == text
+            assert doubled_to_str(double_entry(half_entry(doubled_from_str(text)))) == text
 
     @given(st.integers(-10**6, 10**6))
     def test_doubled_round_trip(self, d):
         assert doubled_from_str(doubled_to_str(d)) == d
         assert doubled_from_str(f"{d}/1") == 2 * d
 
-    def test_entry_to_str_rejects_non_half_integer(self):
+    def test_double_entry_rejects_non_half_integer(self):
         for entry in (Fraction(1, 3), Fraction(-7, 4)):
             with pytest.raises(ValueError, match=f"weight entry {entry} is not a half-integer"):
-                entry_to_str(entry)
+                double_entry(entry)
 
     def test_weight_round_trip(self):
         w = Weight((Fraction(9, 2), Fraction(5, 2), Fraction(-1, 2)))
@@ -247,15 +248,27 @@ class TestSerialization:
 
     def test_rejects_bad_denominator(self):
         with pytest.raises(ValueError):
-            entry_from_str("1/3")
+            doubled_from_str("1/3")
 
     def test_rejects_unreduced(self):
         with pytest.raises(ValueError):
-            entry_from_str("4/2")
+            doubled_from_str("4/2")
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
-            entry_from_str("x")
+            doubled_from_str("x")
+
+    @pytest.mark.parametrize("token", ["1_0", "1_0/2", "3/2_0", "\u0661", "1/\u0662",
+                                       "\uff15", "\u00b2", "--1", "+-1", "0x1"])
+    def test_rejects_what_int_reads_beyond_ascii_digits(self, token):
+        # int() reads underscores and non-ASCII digits; the entry syntax does not.
+        with pytest.raises(ValueError, match=f"^bad weight entry {re.escape(repr(token))}$"):
+            doubled_from_str(token)
+
+    @pytest.mark.parametrize("token, doubled", [("+3", 6), ("-0", 0), (" 5 / 2 ", 5),
+                                                ("007", 14), ("-7/2", -7)])
+    def test_accepts_signs_digits_and_spaces(self, token, doubled):
+        assert doubled_from_str(token) == doubled
 
     def test_mixed_coset_rejected(self):
         with pytest.raises(ValueError, match=r"mixed half-integrality in weight \(1,1/2\)"):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import sys
 import warnings
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import all_signatures, packet_sweep_characters, random_dominant, random_ic
 
+import lpackets.commands
 from lpackets import (PlacedParameter, Signature, Weight, descent_chain, enumerate_packet,
                       infinitesimal_character, weight_to_strings)
 from lpackets.cartan import doubled_text
@@ -513,6 +516,16 @@ class TestReadableErrors:
          "error: block sizes (1,2) do not match signature (2,1)\n"),
         (["analyze", "--sig", "1,2", "--hcp", "5,2;-1"],
          "error: block sizes (2,1) do not match signature (1,2)\n"),
+        # int() reads "1_0" as 10 and other scripts' digits as digits; the
+        # syntax takes an optional sign and ASCII digits.
+        (["branch", "--hw", "1_0,0"], "error: bad weight entry '1_0'\n"),
+        (["branch", "--hw", "\u0661,0"], "error: bad weight entry '\u0661'\n"),
+        (["packet", "--sig", "1,1", "--hw", "1_1/2,1/2"], "error: bad weight entry '1_1'\n"),
+        (["packet", "--sig", "1_0,0", "--hw", "1,0"],
+         "error: bad signature '1_0,0': expected r,s\n"),
+        (["packet", "--sig", "1,\u0661", "--hw", "1,0"],
+         "error: bad signature '1,\u0661': expected r,s\n"),
+        (["fraction", "--place", "1,1_0:0,0"], "error: bad signature '1,1_0': expected r,s\n"),
     ])
     def test_invalid_input(self, capsys, argv, message):
         assert main(argv) == 2
@@ -525,6 +538,21 @@ class TestReadableErrors:
         err = capsys.readouterr().err
         assert "Fraction(" not in err
         assert "parameter (5/2;5/2) is singular" in err
+
+
+def test_commands_keeps_entries_doubled():
+    # Entries stay doubled ints from argv to the record's text: the command
+    # layer names no Fraction and builds no Fraction view.
+    tree = ast.parse(Path(lpackets.commands.__file__).read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "fractions" not in modules
+    assert names & {"Fraction", "half_entry", "entry_to_str"} == set()
 
 
 class TestErrors:

@@ -14,6 +14,7 @@ from helpers import (all_signatures, counting_sweep, member_fraction_reference,
                      reference_restriction, walk_fraction_reference)
 
 from lpackets import (
+    ChainStep,
     HCParameter,
     InfinitesimalCharacter,
     PlacedParameter,
@@ -31,6 +32,7 @@ from lpackets import (
     min_entry_in_a_everywhere,
     minimal_ktype_test,
     noncompact_support_matches,
+    restrict_ktype,
     restrict_parameter,
     restriction_is_discrete_series,
     well_spaced,
@@ -494,6 +496,12 @@ VALUES = [
     minimal_ktype_test(Weight((5, -1, 2)), Signature(2, 1)),
     minimal_ktype_test(Weight((2, 0, 0)), Signature(2, 1)),
     branch(Weight((Fraction(5, 2), Fraction(-1, 2))))[1],
+    # The descent records: a restricted parameter, a chain step and a
+    # K-type split.
+    restrict_parameter(Signature(2, 1), HCParameter((5, 2), (-1,))),
+    descent_chain(PlacedParameter([(Signature(2, 1), HCParameter((5, 2), (-1,))),
+                                   (Signature(1, 2), HCParameter((4,), (1, -2)))]), 1)[0],
+    restrict_ktype(Weight((5, 3, -2)), Signature(2, 1)),
 ]
 
 
@@ -525,6 +533,17 @@ def test_value_type_stored_fields(cls, fields):
     # Each core value type is a slotted dataclass over exactly these fields.
     assert tuple(f.name for f in dataclasses.fields(cls)) == fields
     assert cls.__slots__ == fields
+
+
+def test_chain_step_stores_doubled_u1():
+    # The U(1) weights are stored doubled; u1_weights is their Fraction view.
+    assert tuple(f.name for f in dataclasses.fields(ChainStep)) == (
+        "level", "parameter", "doubled_u1", "classification", "dual_min_in_a")
+    step = descent_chain(PlacedParameter([(Signature(2, 1), HCParameter((5, 2), (-1,))),
+                                          (Signature(1, 2), HCParameter((4,), (1, -2)))]), 1)[0]
+    assert step.doubled_u1 == (4, 6)
+    assert step.u1_weights == (2, 3)
+    assert {type(u) for u in step.u1_weights} == {Fraction}
 
 
 def _tampered_character() -> InfinitesimalCharacter:
