@@ -9,13 +9,13 @@ dimension formula provides an independent count for cross-checking.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import add, lt, sub
 
-from .cartan import EntryLike, Signature, Weight, double_entry, doubled_text, half_entry, two_rho
+from .cartan import (EntryLike, Signature, Weight, _Frozen, double_entry, doubled_text,
+                     half_entry, two_rho)
 
 __all__ = [
     "BranchConstituent",
@@ -33,14 +33,18 @@ def _require_dominant(doubled: tuple[int, ...], label: str) -> None:
         raise ValueError(f"{label} ({doubled_text(doubled)}) is not non-increasing")
 
 
-@dataclass(frozen=True, slots=True)
-class BranchConstituent:
+class BranchConstituent(_Frozen):
     """One U(m-1) x U(1) constituent of a restricted representation.
 
     The U(1) weight is stored doubled; `u1` is its Fraction view."""
 
+    __slots__ = ("lower", "doubled_u1")
     lower: Weight
     doubled_u1: int
+
+    def __init__(self, lower: Weight, doubled_u1: int):
+        _set_lower(self, lower)
+        _set_doubled_u1(self, doubled_u1)
 
     @property
     def u1(self) -> Fraction:
@@ -51,12 +55,12 @@ _set_lower = BranchConstituent.lower.__set__
 _set_doubled_u1 = BranchConstituent.doubled_u1.__set__
 
 
-@dataclass(frozen=True, init=False)
-class KRestriction:
+class KRestriction(_Frozen):
     """K-type split for U(r-1) x U(1) x U(s): head, pivot, tail.
 
     The pivot is stored doubled; `u1` is its Fraction view."""
 
+    __slots__ = ("head", "doubled_u1", "tail")
     head: Weight
     doubled_u1: int
     tail: Weight
@@ -71,9 +75,12 @@ class KRestriction:
         return split
 
     def _assign(self, head: Weight, doubled_u1: int, tail: Weight) -> None:
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "doubled_u1", doubled_u1)
-        object.__setattr__(self, "tail", tail)
+        KRestriction.head.__set__(self, head)
+        KRestriction.doubled_u1.__set__(self, doubled_u1)
+        KRestriction.tail.__set__(self, tail)
+
+    def __reduce__(self):
+        return (KRestriction.from_doubled, (self.head, self.doubled_u1, self.tail))
 
     @property
     def u1(self) -> Fraction:

@@ -20,6 +20,10 @@ checked, by shifts that keep every parity, are built by the private
 `Weight._trusted` and are not checked again. Both store through the slot
 descriptor, as do the records elsewhere in the package.
 
+Every value type of the package is an immutable slotted class on the
+private base `_Frozen`, which compares, hashes, prints and pickles an
+instance by the tuple of its slot values.
+
 The Fraction views share one bounded table: `half_entry` is cached, so a
 view of a weight maps its doubled entries through the cache instead of
 building a new `Fraction` per entry.
@@ -32,10 +36,9 @@ pair (i, j); it pairs with a weight as entry i minus entry j.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add, attrgetter, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 EntryLike = Union[int, Fraction]
@@ -79,32 +82,77 @@ def check_parity(doubled: tuple[int, ...]) -> None:
         raise ValueError(f"mixed half-integrality in weight ({doubled_text(doubled)})")
 
 
-@dataclass(frozen=True)
-class Signature:
+class _Frozen:
+    """Base of the value types. A subclass lists its fields in `__slots__`
+    and stores them through the slot descriptors; assignment and deletion
+    raise. Equality (between instances of one class) and the hash read the
+    tuple of slot values, the repr is `Name(field=value, ...)`, and
+    `__reduce__` calls the class on the slot values in order: a subclass
+    whose constructor takes other arguments defines its own, as does one
+    that must be rebuilt through a checking constructor."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__slots__, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return (self.__class__, self._values(self))
+
+
+class Signature(_Frozen):
     """Signature (r, s) of U(r, s); n = r + s."""
 
+    __slots__ = ("r", "s")
     r: int
     s: int
 
-    def __post_init__(self) -> None:
-        for value in (self.r, self.s):
+    def __init__(self, r: int, s: int):
+        for value in (r, s):
             if type(value) is not int:
                 raise ValueError(f"signature entry {value!r} is not an int")
-        if self.r < 0 or self.s < 0 or self.r + self.s < 1:
+        if r < 0 or s < 0 or r + s < 1:
             raise ValueError("signature needs r, s >= 0 and r + s >= 1")
+        _set_r(self, r)
+        _set_s(self, s)
 
     @property
     def n(self) -> int:
         return self.r + self.s
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Weight:
+_set_r = Signature.r.__set__
+_set_s = Signature.s.__set__
+
+
+class Weight(_Frozen):
     """Immutable n-tuple in (1/2)Z^n with uniform half-integrality.
 
     `doubled` holds twice each entry; `entries` is the Fraction view.
     """
 
+    __slots__ = ("doubled",)
     doubled: tuple[int, ...]
 
     def __init__(self, entries: Iterable[EntryLike]):

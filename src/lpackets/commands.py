@@ -47,7 +47,7 @@ def _parse_weight(text: str) -> tuple[Weight, Optional[list[list[int]]]]:
             left, slash, right = field.strip().partition("/")
             doubled = doubled_from_str(left)
             # "p/2" with odd p, whose p doubled is 2 mod 4, is one entry.
-            if slash and not (right == "2" and doubled % 4 == 2):
+            if slash and not (right.strip() == "2" and doubled % 4 == 2):
                 blocks.append([*current, doubled])
                 current = [doubled_from_str(right)]
             else:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
 
-from .cartan import Signature, doubled_text, half_entry, two_rho
+from .cartan import Signature, _Frozen, doubled_text, half_entry, two_rho
 from .packets import HCParameter, InfinitesimalCharacter, dual_parameter
 
 __all__ = [
@@ -55,10 +54,10 @@ class RestrictionClass(enum.Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class PlacedParameter:
+class PlacedParameter(_Frozen):
     """One Harish-Chandra parameter per place, all of equal rank."""
 
+    __slots__ = ("places",)
     places: tuple[tuple[Signature, HCParameter], ...]
 
     def __init__(self, places: Iterable[tuple[Signature, HCParameter]]):
@@ -70,7 +69,7 @@ class PlacedParameter:
         ranks = {sig.n for sig, _ in entries}
         if len(ranks) > 1:
             raise ValueError("places have unequal rank")
-        object.__setattr__(self, "places", entries)
+        PlacedParameter.places.__set__(self, entries)
 
     def __reduce__(self):
         return (PlacedParameter, (self.places,))
@@ -86,8 +85,7 @@ class PlacedParameter:
         return f"PlacedParameter({list(self.places)!r})"
 
 
-@dataclass(frozen=True)
-class RestrictedParameter:
+class RestrictedParameter(_Frozen):
     """Descended blocks plus the split-off U(1) weight.
 
     The blocks are stored raw: off the spacing hypothesis they can collide,
@@ -96,9 +94,16 @@ class RestrictedParameter:
     `prime_a`, `prime_b` and `u1_weight` are the Fraction views.
     """
 
+    __slots__ = ("doubled_a", "doubled_b", "doubled_u1")
     doubled_a: tuple[int, ...]
     doubled_b: tuple[int, ...]
     doubled_u1: int
+
+    def __init__(self, doubled_a: tuple[int, ...], doubled_b: tuple[int, ...],
+                 doubled_u1: int):
+        RestrictedParameter.doubled_a.__set__(self, doubled_a)
+        RestrictedParameter.doubled_b.__set__(self, doubled_b)
+        RestrictedParameter.doubled_u1.__set__(self, doubled_u1)
 
     @property
     def prime_a(self) -> tuple[Fraction, ...]:
@@ -236,17 +241,25 @@ def expected_fraction(sigs: Sequence[Signature]) -> Fraction:
     return Fraction(prod(sig.r for sig in sigs), prod(sig.n for sig in sigs))
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(_Frozen):
     """One descent step: the parameter after restriction, the U(1) weights
     split off at each place, doubled, the class of the parameter that was
     restricted and its dual's minimum-entry flag."""
 
+    __slots__ = ("level", "parameter", "doubled_u1", "classification", "dual_min_in_a")
     level: int
     parameter: PlacedParameter
     doubled_u1: tuple[int, ...]
     classification: RestrictionClass
     dual_min_in_a: bool
+
+    def __init__(self, level: int, parameter: PlacedParameter, doubled_u1: tuple[int, ...],
+                 classification: RestrictionClass, dual_min_in_a: bool):
+        ChainStep.level.__set__(self, level)
+        ChainStep.parameter.__set__(self, parameter)
+        ChainStep.doubled_u1.__set__(self, doubled_u1)
+        ChainStep.classification.__set__(self, classification)
+        ChainStep.dual_min_in_a.__set__(self, dual_min_in_a)
 
     @property
     def u1_weights(self) -> tuple[Fraction, ...]:

@@ -23,12 +23,11 @@ is filled in through its slot descriptors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, ge, le, sub
 from typing import Optional
 
-from .cartan import Signature, Weight, doubled_text, half_entry
+from .cartan import Signature, Weight, _Frozen, doubled_text, half_entry
 from .packets import HCParameter, _strictly_decreasing
 
 __all__ = [
@@ -57,14 +56,20 @@ def _root_sum(pairs: list[tuple[int, int]], n: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
-@dataclass(frozen=True)
-class ThetaParabolic:
+class ThetaParabolic(_Frozen):
     """Nilradical roots of the parabolic a weight determines, as 1-based
     pairs (i, j) in lexicographic order, and their sum."""
 
+    __slots__ = ("delta_u", "is_borel", "two_rho_u")
     delta_u: tuple[tuple[int, int], ...]
     is_borel: bool
     two_rho_u: Weight
+
+    def __init__(self, delta_u: tuple[tuple[int, int], ...], is_borel: bool,
+                 two_rho_u: Weight):
+        ThetaParabolic.delta_u.__set__(self, delta_u)
+        ThetaParabolic.is_borel.__set__(self, is_borel)
+        ThetaParabolic.two_rho_u.__set__(self, two_rho_u)
 
 
 def shifted_weight(mu: Weight, sig: Signature) -> Weight:
@@ -100,13 +105,14 @@ def theta_parabolic(weight: Weight) -> ThetaParabolic:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class MinimalKTypeVerdict:
+class MinimalKTypeVerdict(_Frozen):
     """Outcome of the test; hc is present exactly when accepted.
 
     The parabolic of the shifted weight comes along as its root sum,
     doubled, and its number of roots (those of `theta_parabolic`)."""
 
+    __slots__ = ("accepted", "borel_ok", "positivity_ok", "hc", "hc_double_shift",
+                 "mu_shifted", "doubled_two_rho_u", "root_count")
     accepted: bool
     borel_ok: bool
     positivity_ok: bool
@@ -115,6 +121,18 @@ class MinimalKTypeVerdict:
     mu_shifted: Weight
     doubled_two_rho_u: tuple[int, ...]
     root_count: int
+
+    def __init__(self, accepted: bool, borel_ok: bool, positivity_ok: bool,
+                 hc: Optional[HCParameter], hc_double_shift: Weight, mu_shifted: Weight,
+                 doubled_two_rho_u: tuple[int, ...], root_count: int):
+        _set_accepted(self, accepted)
+        _set_borel_ok(self, borel_ok)
+        _set_positivity_ok(self, positivity_ok)
+        _set_hc(self, hc)
+        _set_hc_double_shift(self, hc_double_shift)
+        _set_mu_shifted(self, mu_shifted)
+        _set_doubled_two_rho_u(self, doubled_two_rho_u)
+        _set_root_count(self, root_count)
 
 
 _set_accepted = MinimalKTypeVerdict.accepted.__set__
@@ -159,16 +177,8 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
         if len(set(candidate)) == n and _strictly_decreasing(a) and _strictly_decreasing(b):
             hc = HCParameter._trusted(a, b)
             accepted = True
-    verdict = object.__new__(MinimalKTypeVerdict)
-    _set_accepted(verdict, accepted)
-    _set_borel_ok(verdict, borel_ok)
-    _set_positivity_ok(verdict, positivity_ok)
-    _set_hc(verdict, hc)
-    _set_hc_double_shift(verdict, double_shift)
-    _set_mu_shifted(verdict, shifted)
-    _set_doubled_two_rho_u(verdict, two_rho_u)
-    _set_root_count(verdict, root_count)
-    return verdict
+    return MinimalKTypeVerdict(accepted, borel_ok, positivity_ok, hc, double_shift, shifted,
+                               two_rho_u, root_count)
 
 
 def regularity_margin(weight: Weight) -> Optional[Fraction]:

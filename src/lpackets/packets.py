@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 from operator import add, gt, itemgetter, sub
@@ -32,6 +31,7 @@ from .cartan import (
     EntryLike,
     Signature,
     Weight,
+    _Frozen,
     check_parity,
     double_entry,
     doubled_text,
@@ -67,8 +67,7 @@ def _fill(setter, objects: Iterable, values: Iterable) -> None:
     deque(map(setter, objects, values), maxlen=0)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class HCParameter:
+class HCParameter(_Frozen):
     """Harish-Chandra parameter (a; b): two strictly decreasing blocks,
     jointly regular, with uniform half-integrality.
 
@@ -76,6 +75,7 @@ class HCParameter:
     are their Fraction views.
     """
 
+    __slots__ = ("doubled_a", "doubled_b")
     doubled_a: tuple[int, ...]
     doubled_b: tuple[int, ...]
 
@@ -158,10 +158,10 @@ class HCParameter:
         return f"HCParameter(({doubled_text(self.doubled_a)};{doubled_text(self.doubled_b)}))"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class InfinitesimalCharacter:
+class InfinitesimalCharacter(_Frozen):
     """Strictly decreasing regular weight; the packet-defining datum."""
 
+    __slots__ = ("weight",)
     weight: Weight
 
     def __init__(self, entries: Iterable[EntryLike]):
@@ -187,14 +187,18 @@ class InfinitesimalCharacter:
         return f"InfinitesimalCharacter(({doubled_text(self.weight.doubled)}))"
 
 
-@dataclass(frozen=True, slots=True)
-class PacketMember:
+class PacketMember(_Frozen):
     """One shuffle of the infinitesimal character. The shuffle word, the
     Blattner and coherent weights and the length are computed on each
     access."""
 
+    __slots__ = ("hc", "degree")
     hc: HCParameter
     degree: int
+
+    def __init__(self, hc: HCParameter, degree: int):
+        _set_hc(self, hc)
+        _set_degree(self, degree)
 
     @property
     def shuffle_word(self) -> tuple[int, ...]:

@@ -85,6 +85,18 @@ class TestParseWeight:
         with pytest.raises(ValueError):
             parse_weight("5,x")
 
+    @pytest.mark.parametrize("argv", [
+        ["branch", "--hw", "{}"],
+        ["restrict", "--sig", "1,1", "--hcp", "{};1/2"],
+    ], ids=["hw", "hcp"])
+    @pytest.mark.parametrize("entry", ["5 / 2", "5/ 2", "5 /2", " 5/2 "])
+    def test_spaced_half_entry_is_one_entry(self, argv, entry, capsys):
+        # Spaces around the "/" of "p/2" with odd p do not make it a block split.
+        assert main([arg.format("5/2") for arg in argv]) == 0
+        want = capsys.readouterr()
+        assert main([arg.format(entry) for arg in argv]) == 0
+        assert capsys.readouterr() == want
+
 
 class TestFormatWeight:
     def test_plain(self):

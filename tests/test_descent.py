@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 import random
@@ -35,6 +34,7 @@ from lpackets import (
     restrict_ktype,
     restrict_parameter,
     restriction_is_discrete_series,
+    theta_parabolic,
     well_spaced,
     well_spaced_everywhere,
 )
@@ -488,11 +488,13 @@ VALUES = [
     HCParameter((5, 2), (-1,)),
     HCParameter((), (Fraction(3, 2),)),
     InfinitesimalCharacter(Weight((5, 2, -1))),
+    Signature(2, 1),
     PlacedParameter([(Signature(2, 1), HCParameter((5, 2), (-1,))),
                      (Signature(1, 2), HCParameter((4,), (1, -2)))]),
-    # The slotted records: a packet member, an accepted and a rejected
-    # verdict, a branch constituent.
+    # The slotted records: a packet member, a parabolic, an accepted and a
+    # rejected verdict, a branch constituent.
     enumerate_packet(InfinitesimalCharacter(Weight((5, 2, -1))), Signature(2, 1))[1],
+    theta_parabolic(Weight((5, -1, 2))),
     minimal_ktype_test(Weight((5, -1, 2)), Signature(2, 1)),
     minimal_ktype_test(Weight((2, 0, 0)), Signature(2, 1)),
     branch(Weight((Fraction(5, 2), Fraction(-1, 2))))[1],
@@ -517,11 +519,34 @@ def test_value_types_round_trip(value, clone):
     assert type(twin) is type(value)
     assert twin == value
     assert hash(twin) == hash(value)
-    field = dataclasses.fields(twin)[0].name
+    field = twin.__slots__[0]
     with pytest.raises(AttributeError):
         setattr(twin, field, getattr(twin, field))
     with pytest.raises(AttributeError):
         delattr(twin, field)
+
+
+@pytest.mark.parametrize("text", [
+    "Signature(r=2, s=1)",
+    "PacketMember(hc=HCParameter((5,-1;2)), degree=1)",
+    "ThetaParabolic(delta_u=((1, 2), (1, 3), (3, 2)), is_borel=True, "
+    "two_rho_u=Weight((2, -2, 0)))",
+    "MinimalKTypeVerdict(accepted=True, borel_ok=True, positivity_ok=True, "
+    "hc=HCParameter((5,-1;2)), hc_double_shift=Weight((4, 0, 2)), "
+    "mu_shifted=Weight((6, -2, 2)), doubled_two_rho_u=(4, -4, 0), root_count=3)",
+    "BranchConstituent(lower=Weight((3/2)), doubled_u1=1)",
+    "RestrictedParameter(doubled_a=(9,), doubled_b=(-1,), doubled_u1=4)",
+    "ChainStep(level=2, parameter=PlacedParameter([(Signature(r=1, s=1), "
+    "HCParameter((9/2;-1/2))), (Signature(r=0, s=2), HCParameter((;3/2,-3/2)))]), "
+    "doubled_u1=(4, 6), classification=<RestrictionClass.ZERO: 'zero'>, dual_min_in_a=True)",
+    "KRestriction(head=Weight((5)), doubled_u1=6, tail=Weight((-2)))",
+], ids=lambda text: text.partition("(")[0])
+def test_record_repr_and_hash(text):
+    # Each record prints as Name(field=value!r, ...), for the first of its
+    # class in VALUES, and hashes as the tuple of its fields.
+    value = next(v for v in VALUES if type(v).__name__ == text.partition("(")[0])
+    assert repr(value) == text
+    assert hash(value) == hash(tuple(getattr(value, name) for name in value.__slots__))
 
 
 @pytest.mark.parametrize("cls, fields", [
@@ -530,14 +555,14 @@ def test_value_types_round_trip(value, clone):
     (InfinitesimalCharacter, ("weight",)),
 ], ids=["Weight", "HCParameter", "InfinitesimalCharacter"])
 def test_value_type_stored_fields(cls, fields):
-    # Each core value type is a slotted dataclass over exactly these fields.
-    assert tuple(f.name for f in dataclasses.fields(cls)) == fields
+    # Each core value type is a slotted class over exactly these fields.
+    assert tuple(name for base in cls.__mro__ for name in getattr(base, "__slots__", ())) == fields
     assert cls.__slots__ == fields
 
 
 def test_chain_step_stores_doubled_u1():
     # The U(1) weights are stored doubled; u1_weights is their Fraction view.
-    assert tuple(f.name for f in dataclasses.fields(ChainStep)) == (
+    assert ChainStep.__slots__ == (
         "level", "parameter", "doubled_u1", "classification", "dual_min_in_a")
     step = descent_chain(PlacedParameter([(Signature(2, 1), HCParameter((5, 2), (-1,))),
                                           (Signature(1, 2), HCParameter((4,), (1, -2)))]), 1)[0]
@@ -564,7 +589,7 @@ def _tampered_character() -> InfinitesimalCharacter:
 ], ids=["pickle", "pickle-0", "copy"])
 def test_tampered_value_fails_to_clone(value, message, clone):
     # Unpickling and copying go through the checking constructors (their
-    # `__reduce__`), not through the dataclass's own state restore.
+    # `__reduce__`), not through a restore of their slots.
     with pytest.raises(ValueError, match=message):
         clone(value)
 

@@ -1,10 +1,13 @@
 import os
 import re
+import subprocess
+import sys
 import types
 
 import lpackets
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 PUBLIC_NAMES = {
     "BranchConstituent", "ChainStep", "HCParameter", "InfinitesimalCharacter",
@@ -25,7 +28,18 @@ def test_version_and_public_names():
     # Python 3.10 has no tomllib, so the version line is read by pattern.
     with open(PYPROJECT) as handle:
         declared = re.search(r'^version = "([^"]+)"$', handle.read(), re.M).group(1)
-    assert lpackets.__version__ == declared == "0.5.0"
+    assert lpackets.__version__ == declared == "0.6.0"
     exported = {name for name, value in vars(lpackets).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+def test_cold_import_leaves_out_dataclasses_and_inspect():
+    # Every cold `lpackets` request pays for what `lpackets.cli` imports;
+    # -S keeps site packages out of the check.
+    code = ("import sys, lpackets.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

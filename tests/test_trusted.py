@@ -52,7 +52,8 @@ TRUSTED_SITES = {
 
 
 # (module, enclosing function) of every direct store into a Weight or an
-# HCParameter: their own constructors, and nothing else.
+# HCParameter: their own constructors, and nothing else; and the constructor
+# of RestrictedParameter, whose slots share their names.
 STORE_SITES = {
     ("cartan.py", "Weight.__init__"),
     ("cartan.py", "Weight._trusted"),
@@ -60,6 +61,7 @@ STORE_SITES = {
     ("packets.py", "HCParameter._trusted"),
     ("packets.py", "HCParameter._trusted_blocks"),
     ("packets.py", "HCParameter._init"),
+    ("descent.py", "RestrictedParameter.__init__"),
 }
 CHECKED_CLASSES = {"Weight", "HCParameter"}
 STORED_SLOTS = {"doubled", "doubled_a", "doubled_b"}
