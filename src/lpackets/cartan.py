@@ -253,8 +253,10 @@ def hodge_parameter(weight: Weight) -> Weight:
 
 # Serialization: each entry renders as "p" (integral) or "p/2" (odd p).
 
+@lru_cache(maxsize=1024)
 def doubled_to_str(doubled: int) -> str:
-    """The entry doubled/2, without building a Fraction."""
+    """The entry doubled/2, without building a Fraction; cached, as
+    `half_entry` is, so the text of equal entries is built once."""
     return str(doubled // 2) if doubled % 2 == 0 else f"{doubled}/2"
 
 
@@ -266,6 +268,8 @@ def doubled_text(doubled: Iterable[int]) -> str:
 # An integer as int() reads it, less underscores and non-ASCII digits.
 _INT = r"\s*([+-]?[0-9]+)\s*"
 _ENTRY = re.compile(f"{_INT}(?:/{_INT})?")
+_INTEGER = re.compile(_INT)
+_SIGNATURE = re.compile(f"{_INT},{_INT}")
 
 
 def doubled_from_str(text: str) -> int:

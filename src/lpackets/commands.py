@@ -8,23 +8,23 @@ template reads the record.
 Weight syntax: comma-separated entries, each "p" or "p/2" with odd p, p
 an optional sign and ASCII digits. Blocks are separated by ";" or by "/"
 between two entries; a token "p/2" with odd integer p always reads as the
-half-integral entry, so "1,1/2" is the mixed-coset weight (1, 1/2), not a
-block split, while "5,3/0" is the blocks (5,3),(0). Use ";" when a "/"
-boundary would be ambiguous. `doubled_from_str` reads each token to its
-doubled int, and entries stay doubled up to the record's text.
+half-integral entry (also "p/+2" or "p/02": the 2 is read as an integer),
+so "1,1/2" is the mixed-coset weight (1, 1/2), not a block split, while
+"5,3/0" is the blocks (5,3),(0). Use ";" when a "/" boundary would be
+ambiguous. `doubled_from_str` reads each token to its doubled int, and
+entries stay doubled up to the record's text.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import warnings
 from math import comb
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .branching import branch, weyl_dim
-from .cartan import (_INT, Signature, Weight, doubled_from_str, doubled_text, doubled_to_str,
-                     weight_to_strings)
+from .cartan import (_INTEGER, _SIGNATURE, Signature, Weight, doubled_from_str, doubled_text,
+                     doubled_to_str, weight_to_strings)
 from .descent import (_OFF_SPACING, PlacedParameter, RestrictedParameter,
                       _dual_min_entry_in_a_everywhere, classify_restriction, descent_chain,
                       isomorphism_fraction, min_entry_in_a,
@@ -46,8 +46,10 @@ def _parse_weight(text: str) -> tuple[Weight, Optional[list[list[int]]]]:
         for field in segment.split(",") if segment.strip() else ():
             left, slash, right = field.strip().partition("/")
             doubled = doubled_from_str(left)
-            # "p/2" with odd p, whose p doubled is 2 mod 4, is one entry.
-            if slash and not (right.strip() == "2" and doubled % 4 == 2):
+            # "p/2" with odd p, whose p doubled is 2 mod 4, is one entry; its
+            # denominator is read as doubled_from_str reads one, so "5/+2" is 5/2.
+            den = slash and doubled % 4 == 2 and _INTEGER.fullmatch(right)
+            if slash and not (den and int(den[1]) == 2):
                 blocks.append([*current, doubled])
                 current = [doubled_from_str(right)]
             else:
@@ -67,7 +69,7 @@ def format_weight(weight: Weight, sig: Optional[Signature] = None) -> str:
 
 
 def parse_signature(text: str) -> Signature:
-    match = re.fullmatch(f"{_INT},{_INT}", text)
+    match = _SIGNATURE.fullmatch(text)
     if not match:
         raise ValueError(f"bad signature {text!r}: expected r,s")
     return Signature(int(match[1]), int(match[2]))

@@ -16,9 +16,9 @@ from helpers import all_signatures, packet_sweep_characters, random_dominant, ra
 
 import lpackets.commands
 from lpackets import (PlacedParameter, Signature, Weight, descent_chain, enumerate_packet,
-                      infinitesimal_character, weight_to_strings)
+                      infinitesimal_character, weight_from_strings, weight_to_strings)
 from lpackets.cartan import doubled_text
-from lpackets.cli import build_parser, format_weight, main, parse_weight
+from lpackets.cli import _json, build_parser, format_weight, main, parse_weight
 from lpackets.commands import _PLACES_HC, _member_data
 
 
@@ -92,6 +92,20 @@ class TestParseWeight:
     @pytest.mark.parametrize("entry", ["5 / 2", "5/ 2", "5 /2", " 5/2 "])
     def test_spaced_half_entry_is_one_entry(self, argv, entry, capsys):
         # Spaces around the "/" of "p/2" with odd p do not make it a block split.
+        assert main([arg.format("5/2") for arg in argv]) == 0
+        want = capsys.readouterr()
+        assert main([arg.format(entry) for arg in argv]) == 0
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("argv, entry", [
+        (["branch", "--hw", "{}"], "5/+2"),
+        (["branch", "--hw", "{}"], "5/02"),
+        (["restrict", "--sig", "1,1", "--hcp", "{};1/2"], "5/+2"),
+    ], ids=["hw-plus-two", "hw-zero-two", "hcp-plus-two"])
+    def test_two_read_as_an_integer_is_one_entry(self, argv, entry, capsys):
+        # The denominator is read as doubled_from_str reads it, so the weight
+        # syntax and weight_from_strings agree that "5/+2" and "5/02" are 5/2.
+        assert parse_weight(entry) == (weight_from_strings([entry]), None)
         assert main([arg.format("5/2") for arg in argv]) == 0
         want = capsys.readouterr()
         assert main([arg.format(entry) for arg in argv]) == 0
@@ -673,3 +687,37 @@ def test_golden_corpus_replays_twice_shuffled(capsys):
                   if _outcome(capsys, entry["argv"])
                   != (entry["exit"], entry["stdout"], entry["stderr"])]
     assert mismatched == []
+
+
+def _is_json(entry):
+    return bool(entry["stdout"]) and build_parser().parse_args(entry["argv"]).format == "json"
+
+
+@pytest.mark.parametrize("entry", [entry for entry in CORPUS if _is_json(entry)],
+                         ids=lambda e: " ".join(e["argv"]))
+def test_json_writer_matches_json_dumps_on_the_corpus(entry):
+    record = json.loads(entry["stdout"])
+    assert _json(record) == json.dumps(record, indent=2) == entry["stdout"][:-1]
+
+
+# Text with the characters JSON escapes: quotes, backslashes, control
+# characters, and non-ASCII ones, which json.dumps writes as \u escapes.
+_TEXT = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7fé☃\U0001f600') | st.characters())
+_RECORDS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(_RECORDS)
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    0.5, Fraction(1, 2), {1}, [1, [2.0]], {"a": Fraction(3)}, {1: "a"},
+], ids=["float", "fraction", "set", "nested-float", "nested-fraction", "int-key"])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)

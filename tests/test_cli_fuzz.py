@@ -4,19 +4,22 @@ Valid requests are built from the library side, for every subcommand, and
 run in every spelling argparse accepts: "--opt=value", "--opt value",
 each unique prefix of each option, and a shuffled option order. Each
 spelling must give the same run, with exit 0 or 3 and no Python repr on
-stderr. A request with one malformed value must exit 2 with exactly one
-"error:" line.
+stderr, and the same namespace from the one-pass parse as from the full
+parser. A request with one malformed value must exit 2 with exactly one
+"error:" line. An argv that argparse rejects or answers itself must give
+the full parser's exit code, output and error text.
 """
 
 import contextlib
 import io
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpackets import Signature, Weight, enumerate_packet, infinitesimal_character
-from lpackets.cli import format_weight, main, parse_weight
+from lpackets.cli import _parse, build_parser, format_weight, main, parse_weight
 from lpackets.commands import _COMMANDS, _COMMON
 
 FUZZ = settings(max_examples=40, derandomize=True, deadline=None)
@@ -26,12 +29,12 @@ LEAK = re.compile(r"Traceback|Fraction\(|Signature\(|HCParameter\(|\([^()]*(, |,
 ENTRY = re.compile(r"-?\d+(/2)?")
 
 
-def _run(argv):
+def _run(argv, call=main):
     """(exit code, stdout, stderr) of one run, argparse's own exits included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = call(argv)
         except SystemExit as stop:
             code = stop.code
     return code, out.getvalue(), err.getvalue()
@@ -162,6 +165,27 @@ def test_every_spelling_of_a_valid_request_runs_alike(data):
     assert not LEAK.search(err), err
     for argv, run in runs[1:]:
         assert run == runs[0][1], argv
+    for argv, _ in runs:
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["bogus", "--sig", "1,1"],
+    ["packet", "-h"],
+    ["packet", "--sig", "1,1"],
+    ["packet", "--sig", "1,1", "--hw"],
+    ["packet", "--sig", "1,1", "--hw", "1,0", "--bogus"],
+    ["branch", "--hw", "1,0", "extra"],
+], ids=["empty", "help", "unknown-subcommand", "subcommand-help", "missing-option",
+        "missing-value", "unknown-option", "extra-argument"])
+def test_argparse_answers_as_the_full_parser(argv):
+    # The full parser reports arguments the subcommand's parser leaves over
+    # under the top-level usage, as "lpackets: error: ...".
+    expected = _run(argv, build_parser().parse_args)
+    assert expected[0] in (0, 2)
+    assert _run(argv) == expected
 
 
 MUTATIONS = ("wrong length", "singular", "a third", "a decimal", "r > n")
@@ -209,3 +233,5 @@ def test_a_malformed_value_exits_2_with_one_error_line(data):
     assert not LEAK.search(err), err
     for argv, run in runs[1:]:
         assert run == runs[0][1], argv
+    for argv, _ in runs:
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv)), argv
