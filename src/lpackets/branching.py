@@ -42,10 +42,6 @@ class BranchConstituent(_Frozen):
     lower: Weight
     doubled_u1: int
 
-    def __init__(self, lower: Weight, doubled_u1: int):
-        _set_lower(self, lower)
-        _set_doubled_u1(self, doubled_u1)
-
     @property
     def u1(self) -> Fraction:
         return half_entry(self.doubled_u1)

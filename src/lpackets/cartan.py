@@ -18,11 +18,12 @@ The public constructors (`Weight(...)` and `Weight.from_doubled`) check
 the common coset. Values the package derives from weights it has already
 checked, by shifts that keep every parity, are built by the private
 `Weight._trusted` and are not checked again. Both store through the slot
-descriptor, as do the records elsewhere in the package.
+descriptor.
 
 Every value type of the package is an immutable slotted class on the
 private base `_Frozen`, which compares, hashes, prints and pickles an
-instance by the tuple of its slot values.
+instance by the tuple of its slot values. A record declares its fields
+once, in `__slots__`, and `_Frozen` compiles its storing constructor.
 
 The Fraction views share one bounded table: `half_entry` is cached, so a
 view of a weight maps its doubled entries through the cache instead of
@@ -85,18 +86,31 @@ def check_parity(doubled: tuple[int, ...]) -> None:
 class _Frozen:
     """Base of the value types. A subclass lists its fields in `__slots__`
     and stores them through the slot descriptors; assignment and deletion
-    raise. Equality (between instances of one class) and the hash read the
-    tuple of slot values, the repr is `Name(field=value, ...)`, and
-    `__reduce__` calls the class on the slot values in order: a subclass
-    whose constructor takes other arguments defines its own, as does one
-    that must be rebuilt through a checking constructor."""
+    raise. A subclass whose body defines no `__init__` gets one compiled
+    from its slots, `__init__(self, <slots in order>)`, that stores each
+    argument as given. Equality (between instances of one class) and the
+    hash read the tuple of slot values, the repr is `Name(field=value,
+    ...)`, and `__reduce__` calls the class on the slot values in order: a
+    subclass whose constructor takes other arguments defines its own, as
+    does one that must be rebuilt through a checking constructor."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        get = attrgetter(*cls.__slots__)
-        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        slots = cls.__slots__
+        get = attrgetter(*slots)
+        cls._values = staticmethod(get if len(slots) > 1 else lambda self: (get(self),))
+        if "__init__" in cls.__dict__:
+            return
+        # Source from the slot names alone (identifiers); annotations from the body.
+        namespace = {f"_set{k}": getattr(cls, name).__set__ for k, name in enumerate(slots)}
+        body = "".join(f"\n    _set{k}(self, {name})" for k, name in enumerate(slots))
+        exec(f"def __init__(self, {', '.join(slots)}):{body}", namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+        annotations = cls.__dict__.get("__annotations__", {})
+        init.__annotations__ = {name: annotations[name] for name in slots if name in annotations}
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -71,9 +71,6 @@ class PlacedParameter(_Frozen):
             raise ValueError("places have unequal rank")
         PlacedParameter.places.__set__(self, entries)
 
-    def __reduce__(self):
-        return (PlacedParameter, (self.places,))
-
     @property
     def n(self) -> int:
         return self.places[0][0].n
@@ -98,12 +95,6 @@ class RestrictedParameter(_Frozen):
     doubled_a: tuple[int, ...]
     doubled_b: tuple[int, ...]
     doubled_u1: int
-
-    def __init__(self, doubled_a: tuple[int, ...], doubled_b: tuple[int, ...],
-                 doubled_u1: int):
-        RestrictedParameter.doubled_a.__set__(self, doubled_a)
-        RestrictedParameter.doubled_b.__set__(self, doubled_b)
-        RestrictedParameter.doubled_u1.__set__(self, doubled_u1)
 
     @property
     def prime_a(self) -> tuple[Fraction, ...]:
@@ -252,14 +243,6 @@ class ChainStep(_Frozen):
     doubled_u1: tuple[int, ...]
     classification: RestrictionClass
     dual_min_in_a: bool
-
-    def __init__(self, level: int, parameter: PlacedParameter, doubled_u1: tuple[int, ...],
-                 classification: RestrictionClass, dual_min_in_a: bool):
-        ChainStep.level.__set__(self, level)
-        ChainStep.parameter.__set__(self, parameter)
-        ChainStep.doubled_u1.__set__(self, doubled_u1)
-        ChainStep.classification.__set__(self, classification)
-        ChainStep.dual_min_in_a.__set__(self, dual_min_in_a)
 
     @property
     def u1_weights(self) -> tuple[Fraction, ...]:

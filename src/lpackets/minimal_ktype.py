@@ -17,8 +17,9 @@ root sums from one sort of the entries, not from a list of pairs: those
 roots give index i 2 for each entry below it and take 2 for each entry
 above it, doubled. `theta_parabolic` lists its pairs, since it returns
 them. The test checks the weight it is given; what it derives from it is
-valid by construction and built without a second check, and the verdict
-is filled in through its slot descriptors.
+valid by construction and built without a second check. The verdict and
+the parabolic are records: each declares its fields once, in `__slots__`,
+and is built by the constructor `_Frozen` compiles from them.
 """
 
 from __future__ import annotations
@@ -64,12 +65,6 @@ class ThetaParabolic(_Frozen):
     delta_u: tuple[tuple[int, int], ...]
     is_borel: bool
     two_rho_u: Weight
-
-    def __init__(self, delta_u: tuple[tuple[int, int], ...], is_borel: bool,
-                 two_rho_u: Weight):
-        ThetaParabolic.delta_u.__set__(self, delta_u)
-        ThetaParabolic.is_borel.__set__(self, is_borel)
-        ThetaParabolic.two_rho_u.__set__(self, two_rho_u)
 
 
 def shifted_weight(mu: Weight, sig: Signature) -> Weight:
@@ -121,28 +116,6 @@ class MinimalKTypeVerdict(_Frozen):
     mu_shifted: Weight
     doubled_two_rho_u: tuple[int, ...]
     root_count: int
-
-    def __init__(self, accepted: bool, borel_ok: bool, positivity_ok: bool,
-                 hc: Optional[HCParameter], hc_double_shift: Weight, mu_shifted: Weight,
-                 doubled_two_rho_u: tuple[int, ...], root_count: int):
-        _set_accepted(self, accepted)
-        _set_borel_ok(self, borel_ok)
-        _set_positivity_ok(self, positivity_ok)
-        _set_hc(self, hc)
-        _set_hc_double_shift(self, hc_double_shift)
-        _set_mu_shifted(self, mu_shifted)
-        _set_doubled_two_rho_u(self, doubled_two_rho_u)
-        _set_root_count(self, root_count)
-
-
-_set_accepted = MinimalKTypeVerdict.accepted.__set__
-_set_borel_ok = MinimalKTypeVerdict.borel_ok.__set__
-_set_positivity_ok = MinimalKTypeVerdict.positivity_ok.__set__
-_set_hc = MinimalKTypeVerdict.hc.__set__
-_set_hc_double_shift = MinimalKTypeVerdict.hc_double_shift.__set__
-_set_mu_shifted = MinimalKTypeVerdict.mu_shifted.__set__
-_set_doubled_two_rho_u = MinimalKTypeVerdict.doubled_two_rho_u.__set__
-_set_root_count = MinimalKTypeVerdict.root_count.__set__
 
 
 def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:

@@ -172,9 +172,6 @@ class InfinitesimalCharacter(_Frozen):
                 "strictly decreasing (singular or misordered)")
         InfinitesimalCharacter.weight.__set__(self, weight)
 
-    def __reduce__(self):
-        return (InfinitesimalCharacter, (self.weight,))
-
     @property
     def entries(self) -> tuple[Fraction, ...]:
         return self.weight.entries
@@ -195,10 +192,6 @@ class PacketMember(_Frozen):
     __slots__ = ("hc", "degree")
     hc: HCParameter
     degree: int
-
-    def __init__(self, hc: HCParameter, degree: int):
-        _set_hc(self, hc)
-        _set_degree(self, degree)
 
     @property
     def shuffle_word(self) -> tuple[int, ...]:

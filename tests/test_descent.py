@@ -1,4 +1,5 @@
 import copy
+import inspect
 import itertools
 import pickle
 import random
@@ -13,12 +14,17 @@ from helpers import (all_signatures, counting_sweep, member_fraction_reference,
                      reference_restriction, walk_fraction_reference)
 
 from lpackets import (
+    BranchConstituent,
     ChainStep,
     HCParameter,
     InfinitesimalCharacter,
+    MinimalKTypeVerdict,
+    PacketMember,
     PlacedParameter,
+    RestrictedParameter,
     RestrictionClass,
     Signature,
+    ThetaParabolic,
     Weight,
     branch,
     classify_restriction,
@@ -558,6 +564,30 @@ def test_value_type_stored_fields(cls, fields):
     # Each core value type is a slotted class over exactly these fields.
     assert tuple(name for base in cls.__mro__ for name in getattr(base, "__slots__", ())) == fields
     assert cls.__slots__ == fields
+
+
+RECORDS = [PacketMember, BranchConstituent, RestrictedParameter, ChainStep, ThetaParabolic,
+           MinimalKTypeVerdict]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_constructor_from_slots(cls):
+    # A record declares its fields once, in `__slots__`; `_Frozen` compiles
+    # `__init__(self, <slots in order>)`, which reads as a written one.
+    parameters = inspect.signature(cls).parameters
+    assert tuple(parameters) == cls.__slots__
+    assert [p.annotation for p in parameters.values()] == [
+        cls.__annotations__[name] for name in cls.__slots__]
+    value = next(v for v in VALUES if type(v) is cls)
+    fields = [getattr(value, name) for name in cls.__slots__]
+    assert cls(*fields) == cls(**dict(zip(cls.__slots__, fields))) == value
+    prefix = rf"^{cls.__name__}\.__init__\(\) "
+    with pytest.raises(TypeError, match=prefix + "missing 1 required positional argument"):
+        cls(*fields[:-1])
+    with pytest.raises(TypeError, match=prefix + "got an unexpected keyword argument 'extra'"):
+        cls(*fields, extra=None)
+    with pytest.raises(TypeError, match=prefix + "takes"):
+        cls(*fields, None)
 
 
 def test_chain_step_stores_doubled_u1():

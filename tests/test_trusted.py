@@ -7,11 +7,13 @@ they are. These tests rebuild every such value through its public,
 checking constructor over the packet and counting sweeps, pin the places
 that may call `_trusted`, pin the constructors as the only places that
 store into a `Weight` or an `HCParameter` directly (through a slot setter,
-by name, or into a bare `object.__new__` instance), and pin the checks the
-public constructors keep.
+by name, or into a bare `object.__new__` instance), pin that every checking
+class writes its own constructor (so `_Frozen` compiles a storing one only
+for the records), and pin the checks the public constructors keep.
 """
 
 import ast
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +24,11 @@ from helpers import assert_rebuild_together, assert_rebuilds, counting_sweep, pa
 import lpackets
 from lpackets import (
     HCParameter,
+    InfinitesimalCharacter,
+    KRestriction,
+    PlacedParameter,
     RestrictedParameter,
+    Signature,
     Weight,
     blattner,
     branch,
@@ -52,8 +58,9 @@ TRUSTED_SITES = {
 
 
 # (module, enclosing function) of every direct store into a Weight or an
-# HCParameter: their own constructors, and nothing else; and the constructor
-# of RestrictedParameter, whose slots share their names.
+# HCParameter: their own constructors, and nothing else. `_Frozen` compiles
+# the records' constructors, so RestrictedParameter, whose slots share their
+# names, has no store site in the source.
 STORE_SITES = {
     ("cartan.py", "Weight.__init__"),
     ("cartan.py", "Weight._trusted"),
@@ -61,7 +68,6 @@ STORE_SITES = {
     ("packets.py", "HCParameter._trusted"),
     ("packets.py", "HCParameter._trusted_blocks"),
     ("packets.py", "HCParameter._init"),
-    ("descent.py", "RestrictedParameter.__init__"),
 }
 CHECKED_CLASSES = {"Weight", "HCParameter"}
 STORED_SLOTS = {"doubled", "doubled_a", "doubled_b"}
@@ -208,6 +214,18 @@ class TestTrustedSites:
         path = tmp_path / "planted.py"
         path.write_text(f"def f():\n    return {call}\n")
         assert _sites(path) == ([("planted.py", "f")], [])
+
+    @pytest.mark.parametrize("cls", [Signature, Weight, HCParameter, InfinitesimalCharacter,
+                                     PlacedParameter, KRestriction], ids=lambda cls: cls.__name__)
+    def test_checking_classes_write_their_constructors(self, cls):
+        # `_Frozen` compiles an `__init__` that stores its arguments as given
+        # for a class whose body defines none; a checking class must never
+        # get one, so its body defines `__init__` and that is what runs.
+        source = Path(inspect.getfile(cls))
+        body = next(node for node in ast.parse(source.read_text()).body
+                    if isinstance(node, ast.ClassDef) and node.name == cls.__name__)
+        assert "__init__" in {node.name for node in body.body if isinstance(node, ast.FunctionDef)}
+        assert cls.__init__.__code__.co_filename == str(source)
 
     def test_other_classes_are_not_stores(self, tmp_path):
         path = tmp_path / "other.py"
