@@ -47,10 +47,6 @@ class BranchConstituent(_Frozen):
         return half_entry(self.doubled_u1)
 
 
-_set_lower = BranchConstituent.lower.__set__
-_set_doubled_u1 = BranchConstituent.doubled_u1.__set__
-
-
 class KRestriction(_Frozen):
     """K-type split for U(r-1) x U(1) x U(s): head, pivot, tail.
 
@@ -62,18 +58,12 @@ class KRestriction(_Frozen):
     tail: Weight
 
     def __init__(self, head: Weight, u1: EntryLike, tail: Weight):
-        self._assign(head, double_entry(u1), tail)
+        self._store(head, double_entry(u1), tail)
 
     @classmethod
     def from_doubled(cls, head: Weight, doubled_u1: int, tail: Weight) -> "KRestriction":
-        split = object.__new__(cls)
-        split._assign(head, doubled_u1, tail)
-        return split
-
-    def _assign(self, head: Weight, doubled_u1: int, tail: Weight) -> None:
-        KRestriction.head.__set__(self, head)
-        KRestriction.doubled_u1.__set__(self, doubled_u1)
-        KRestriction.tail.__set__(self, tail)
+        """The split whose pivot is half of the given int, stored as given."""
+        return cls._trusted(head, doubled_u1, tail)
 
     def __reduce__(self):
         return (KRestriction.from_doubled, (self.head, self.doubled_u1, self.tail))
@@ -99,7 +89,8 @@ def branch(upper: Weight) -> list[BranchConstituent]:
 
     Entries step by 1 inside [upper_{k+1}, upper_k], independently of each
     other, so every constituent stays on the coset of the input.
-    Multiplicities are all 1.
+    Multiplicities are all 1. The lower weights, then the constituents, are
+    built in bulk.
     """
     doubled = upper.doubled
     _require_dominant(doubled, "highest weight")
@@ -107,15 +98,10 @@ def branch(upper: Weight) -> list[BranchConstituent]:
         raise ValueError("empty highest weight")
     total = sum(doubled)
     choices = [range(top, bottom - 1, -2) for top, bottom in zip(doubled, doubled[1:])]
-    new, trusted = object.__new__, Weight._trusted
-    constituents = []
-    append = constituents.append
-    for lower in itertools.product(*choices):
-        constituent = new(BranchConstituent)
-        _set_lower(constituent, trusted(lower))
-        _set_doubled_u1(constituent, total - sum(lower))
-        append(constituent)
-    return constituents
+    lowers = list(itertools.product(*choices))
+    u1s = map(sub, itertools.repeat(total), map(sum, lowers))
+    constituents = BranchConstituent._fill("lower", Weight._fill("doubled", lowers))
+    return BranchConstituent._fill("doubled_u1", u1s, constituents)
 
 
 def _vandermonde(values) -> int:

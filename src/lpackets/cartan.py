@@ -17,13 +17,17 @@ its doubled int: an optional sign and ASCII digits, "p" or "p/2".
 The public constructors (`Weight(...)` and `Weight.from_doubled`) check
 the common coset. Values the package derives from weights it has already
 checked, by shifts that keep every parity, are built by the private
-`Weight._trusted` and are not checked again. Both store through the slot
-descriptor.
+`Weight._trusted` and are not checked again.
 
 Every value type of the package is an immutable slotted class on the
 private base `_Frozen`, which compares, hashes, prints and pickles an
-instance by the tuple of its slot values. A record declares its fields
-once, in `__slots__`, and `_Frozen` compiles its storing constructor.
+instance by the tuple of its slot values, and which holds the only code
+that stores into one. From the slots it compiles one store per class: a
+record, which declares its fields once, in `__slots__`, takes it as its
+constructor; a checking class writes its own constructor, which ends in
+that store (`_store`), and gets a compiled `_trusted` that builds an
+instance unchecked. `_Frozen._fill` builds many bare instances at once and
+fills one slot across them.
 
 The Fraction views share one bounded table: `half_entry` is cached, so a
 view of a weight maps its doubled entries through the cache instead of
@@ -37,12 +41,14 @@ pair (i, j); it pairs with a weight as entry i minus entry j.
 from __future__ import annotations
 
 import re
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import add, attrgetter, sub
-from typing import Iterable, Iterator, Sequence, Union
 
-EntryLike = Union[int, Fraction]
+EntryLike = int | Fraction
 
 __all__ = [
     "Signature",
@@ -84,15 +90,20 @@ def check_parity(doubled: tuple[int, ...]) -> None:
 
 
 class _Frozen:
-    """Base of the value types. A subclass lists its fields in `__slots__`
-    and stores them through the slot descriptors; assignment and deletion
-    raise. A subclass whose body defines no `__init__` gets one compiled
-    from its slots, `__init__(self, <slots in order>)`, that stores each
-    argument as given. Equality (between instances of one class) and the
-    hash read the tuple of slot values, the repr is `Name(field=value,
-    ...)`, and `__reduce__` calls the class on the slot values in order: a
-    subclass whose constructor takes other arguments defines its own, as
-    does one that must be rebuilt through a checking constructor."""
+    """Base of the value types, and the only code that stores into one. A
+    subclass lists its fields in `__slots__`; assignment and deletion
+    raise. From the slots, `__init_subclass__` compiles the class's store,
+    `(self, <slots in order>)`, which stores each argument as given. A
+    record, whose body defines no `__init__`, takes it as its `__init__`; a
+    checking class, whose body defines one, gets it as `_store`, with which
+    that `__init__` ends, and a classmethod `_trusted(cls, <slots>)` that
+    stores into a bare instance without any check, for values that are
+    valid by construction. `_fill` builds and fills many at once. Equality
+    (between instances of one class) and the hash read the tuple of slot
+    values, the repr is `Name(field=value, ...)`, and `__reduce__` calls
+    the class on the slot values in order: a subclass whose constructor
+    takes other arguments defines its own, as does one that must be
+    rebuilt through a checking constructor."""
 
     __slots__ = ()
 
@@ -101,16 +112,37 @@ class _Frozen:
         slots = cls.__slots__
         get = attrgetter(*slots)
         cls._values = staticmethod(get if len(slots) > 1 else lambda self: (get(self),))
-        if "__init__" in cls.__dict__:
-            return
         # Source from the slot names alone (identifiers); annotations from the body.
         namespace = {f"_set{k}": getattr(cls, name).__set__ for k, name in enumerate(slots)}
-        body = "".join(f"\n    _set{k}(self, {name})" for k, name in enumerate(slots))
-        exec(f"def __init__(self, {', '.join(slots)}):{body}", namespace)
-        init = cls.__init__ = namespace["__init__"]
-        init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+        namespace["_new"] = object.__new__
+        fields = ", ".join(slots)
+        stores = "".join(f"\n    _set{k}(self, {name})" for k, name in enumerate(slots))
+        # A checking class writes its own `__init__`, which ends in `_store`.
+        names = ("_store", "_trusted") if "__init__" in cls.__dict__ else ("__init__",)
+        source = f"def {names[0]}(self, {fields}):{stores}\n"
+        if "_trusted" in names:
+            source += (f"def _trusted(cls, {fields}):\n"
+                       f"    self = _new(cls){stores}\n    return self")
+        exec(source, namespace)
         annotations = cls.__dict__.get("__annotations__", {})
-        init.__annotations__ = {name: annotations[name] for name in slots if name in annotations}
+        namespace[names[0]].__annotations__ = {
+            name: annotations[name] for name in slots if name in annotations}
+        for name in names:
+            function = namespace[name]
+            function.__qualname__ = f"{cls.__qualname__}.{name}"
+            function.__module__ = cls.__module__
+            setattr(cls, name, classmethod(function) if name == "_trusted" else function)
+
+    @classmethod
+    def _fill(cls, name: str, values: Iterable, into: list | None = None) -> list:
+        """Store values, pairwise, into the slot `name` of the instances
+        `into`, or of as many new bare instances as there are values (a
+        sized collection then), without any check; returns the instances.
+        Both loops run in C: a deque of length 0 drains the map."""
+        if into is None:
+            into = list(map(object.__new__, repeat(cls, len(values))))
+        deque(map(getattr(cls, name).__set__, into, values), maxlen=0)
+        return into
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -148,16 +180,11 @@ class Signature(_Frozen):
                 raise ValueError(f"signature entry {value!r} is not an int")
         if r < 0 or s < 0 or r + s < 1:
             raise ValueError("signature needs r, s >= 0 and r + s >= 1")
-        _set_r(self, r)
-        _set_s(self, s)
+        self._store(r, s)
 
     @property
     def n(self) -> int:
         return self.r + self.s
-
-
-_set_r = Signature.r.__set__
-_set_s = Signature.s.__set__
 
 
 class Weight(_Frozen):
@@ -172,7 +199,7 @@ class Weight(_Frozen):
     def __init__(self, entries: Iterable[EntryLike]):
         doubled = tuple(double_entry(v) for v in entries)
         check_parity(doubled)
-        Weight.doubled.__set__(self, doubled)
+        self._store(doubled)
 
     @classmethod
     def from_doubled(cls, doubled: Sequence[int]) -> "Weight":
@@ -180,14 +207,6 @@ class Weight(_Frozen):
         values = tuple(doubled)
         check_parity(values)
         return cls._trusted(values)
-
-    @classmethod
-    def _trusted(cls, doubled: tuple[int, ...]) -> "Weight":
-        """Store a doubled tuple as it is, without the parity check; only
-        for tuples whose parity is uniform by construction."""
-        weight = object.__new__(cls)
-        cls.doubled.__set__(weight, doubled)
-        return weight
 
     def __reduce__(self):
         return (Weight.from_doubled, (self.doubled,))

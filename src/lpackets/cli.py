@@ -23,9 +23,9 @@ import argparse
 import functools
 import re
 import sys
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Optional, Sequence
 
 from .cartan import Weight, half_entry
 from .commands import _COMMANDS, _COMMON, Result, _cell, _Command, _parse_weight, format_weight
@@ -33,7 +33,7 @@ from .commands import _COMMANDS, _COMMON, Result, _cell, _Command, _parse_weight
 __all__ = ["main", "console_main", "parse_weight", "format_weight"]
 
 
-def parse_weight(text: str) -> tuple[Weight, Optional[list[tuple[Fraction, ...]]]]:
+def parse_weight(text: str) -> tuple[Weight, list[tuple[Fraction, ...]] | None]:
     """(weight, blocks), blocks None when no separator appeared."""
     weight, blocks = _parse_weight(text)
     return weight, None if blocks is None else [tuple(map(half_entry, b)) for b in blocks]
@@ -123,7 +123,7 @@ def _render(command: _Command, result: Result, fmt: str) -> Iterator[str]:
         yield from command.pretty(record, **extra)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     command = _COMMANDS[args.command]
     try:

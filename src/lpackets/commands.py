@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import argparse
 import warnings
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from math import comb
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .branching import branch, weyl_dim
 from .cartan import (_INTEGER, _SIGNATURE, Signature, Weight, doubled_from_str, doubled_text,
@@ -35,7 +36,7 @@ from .packets import (HCParameter, InfinitesimalCharacter, PacketMember, degree,
                       enumerate_packet, infinitesimal_character)
 
 
-def _parse_weight(text: str) -> tuple[Weight, Optional[list[list[int]]]]:
+def _parse_weight(text: str) -> tuple[Weight, list[list[int]] | None]:
     """(weight, blocks of doubled entries), blocks None when no separator
     appeared. Mixed half-integrality is rejected by Weight itself."""
     if text.strip() == "":
@@ -59,7 +60,7 @@ def _parse_weight(text: str) -> tuple[Weight, Optional[list[list[int]]]]:
     return weight, blocks if len(blocks) > 1 else None
 
 
-def format_weight(weight: Weight, sig: Optional[Signature] = None) -> str:
+def format_weight(weight: Weight, sig: Signature | None = None) -> str:
     """Inverse of parse_weight; uses ";" for the block separator."""
     if sig is None:
         return doubled_text(weight.doubled)
@@ -75,7 +76,7 @@ def parse_signature(text: str) -> Signature:
     return Signature(int(match[1]), int(match[2]))
 
 
-def _check_shape(weight: Weight, blocks: Optional[list[list[int]]], sig: Signature) -> None:
+def _check_shape(weight: Weight, blocks: list[list[int]] | None, sig: Signature) -> None:
     """Reject a weight whose length, then whose block sizes, do not fit sig."""
     if len(weight) != sig.n:
         raise ValueError(
@@ -101,7 +102,7 @@ def _unblocked(text: str, name: str) -> Weight:
     return weight
 
 
-def _place_ic(text: str, sig: Signature, place: Optional[str]) -> InfinitesimalCharacter:
+def _place_ic(text: str, sig: Signature, place: str | None) -> InfinitesimalCharacter:
     name = "--hw" if place is None else f"bad place {place!r}: highest weight"
     weight = _unblocked(text, name)
     _check_shape(weight, None, sig)
@@ -109,7 +110,7 @@ def _place_ic(text: str, sig: Signature, place: Optional[str]) -> InfinitesimalC
 
 
 def _collect_places(args: argparse.Namespace, option: str,
-                    what: str) -> Iterator[tuple[Signature, str, Optional[str]]]:
+                    what: str) -> Iterator[tuple[Signature, str, str | None]]:
     """(sig, text, place) for each --place "r,s:text", then for --sig with
     --<option> (place None); what names the text in errors. A generator, so
     each place's text is parsed before the next place is read."""
@@ -159,14 +160,12 @@ def _spacing(spaced: bool) -> list[str]:
     return [] if spaced else [_OFF_SPACING]
 
 
-class Result(NamedTuple):
+class Result(namedtuple("Result", ("record", "violations", "extra"), defaults=((), {}))):
     """What a subcommand computed: its record (the JSON document), the
-    hypothesis violations to warn about, and the pretty-only fields that
-    the record does not carry."""
+    hypothesis violations to warn about (a sequence of str), and the
+    pretty-only fields that the record does not carry (a mapping)."""
 
-    record: object
-    violations: Sequence[str] = ()
-    extra: Mapping[str, object] = {}
+    __slots__ = ()
 
 
 _YES = {True: "yes", False: "no"}
@@ -384,19 +383,14 @@ _COMMON = (("--format", {"choices": ("pretty", "json", "tsv"), "default": "prett
                          "help": "exit 3 on hypothesis violations instead of warning"}))
 
 
-class _Command(NamedTuple):
+class _Command(namedtuple("_Command", ("help", "options", "run", "pretty", "columns", "rows",
+                                        "keys"), defaults=((), None, ()))):
     """A subcommand: its help and options, the handler that computes its
     Result, the pretty template, and its TSV shape: the columns of the
     table over rows(record) (default: the record is the list of rows),
     then key/value lines for keys."""
 
-    help: str
-    options: tuple[tuple[str, dict], ...]
-    run: Callable[[argparse.Namespace], Result]
-    pretty: Callable[..., Iterator[str]]
-    columns: tuple[str, ...] = ()
-    rows: Optional[Callable[[object], list]] = None
-    keys: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 _COMMANDS = {

@@ -18,8 +18,8 @@ from __future__ import annotations
 import enum
 import warnings
 from fractions import Fraction
+from collections.abc import Iterable, Sequence
 from math import prod
-from typing import Iterable, Sequence
 
 from .cartan import Signature, _Frozen, doubled_text, half_entry, two_rho
 from .packets import HCParameter, InfinitesimalCharacter, dual_parameter
@@ -69,7 +69,7 @@ class PlacedParameter(_Frozen):
         ranks = {sig.n for sig, _ in entries}
         if len(ranks) > 1:
             raise ValueError("places have unequal rank")
-        PlacedParameter.places.__set__(self, entries)
+        self._store(entries)
 
     @property
     def n(self) -> int:

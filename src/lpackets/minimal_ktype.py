@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, ge, le, sub
-from typing import Optional
 
 from .cartan import Signature, Weight, _Frozen, doubled_text, half_entry
 from .packets import HCParameter, _strictly_decreasing
@@ -111,7 +110,7 @@ class MinimalKTypeVerdict(_Frozen):
     accepted: bool
     borel_ok: bool
     positivity_ok: bool
-    hc: Optional[HCParameter]
+    hc: HCParameter | None
     hc_double_shift: Weight
     mu_shifted: Weight
     doubled_two_rho_u: tuple[int, ...]
@@ -140,7 +139,7 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
     positivity_ok = all(map(le, lowered, lowered[1:]))
     double_shift = Weight._trusted(tuple(map(sub, w, two_rho_u)))
 
-    hc: Optional[HCParameter] = None
+    hc: HCParameter | None = None
     accepted = False
     if borel_ok and positivity_ok:
         # Borel case: diff, the half root sum doubled, is a permutation of
@@ -154,7 +153,7 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
                                two_rho_u, root_count)
 
 
-def regularity_margin(weight: Weight) -> Optional[Fraction]:
+def regularity_margin(weight: Weight) -> Fraction | None:
     """Smallest |pairing| against any root: the minimal entry gap, which
     lies between two neighbours in sorted order.
 
@@ -164,7 +163,7 @@ def regularity_margin(weight: Weight) -> Optional[Fraction]:
     return None if margin is None else half_entry(margin)
 
 
-def _doubled_margin(doubled: tuple[int, ...]) -> Optional[int]:
+def _doubled_margin(doubled: tuple[int, ...]) -> int | None:
     """Twice regularity_margin, from the doubled entries."""
     ordered = sorted(doubled)
     return min(map(sub, ordered[1:], ordered), default=None)

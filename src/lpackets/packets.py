@@ -14,18 +14,18 @@ C iterators over those sets. The public constructors
 (`HCParameter(...)`, `HCParameter.from_doubled`, `InfinitesimalCharacter`)
 check order, coset and regularity. Shuffles of a checked infinitesimal
 character, their coherent and Blattner weights and dual parameters are
-valid by construction; they are built by the private `_trusted`
-constructors and are not checked again.
+valid by construction; they are built without a second check, one at a
+time by the `_trusted` constructors that `_Frozen` compiles and a packet
+at once by `_Frozen._fill`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations, repeat
 from operator import add, gt, itemgetter, sub
-from typing import Iterable, Sequence
 
 from .cartan import (
     EntryLike,
@@ -61,10 +61,17 @@ def _strictly_decreasing(values: Sequence) -> bool:
 _backwards = itemgetter(slice(None, None, -1))
 
 
-def _fill(setter, objects: Iterable, values: Iterable) -> None:
-    """setter(obj, value) pairwise, run in C: a deque of length 0 drains
-    the map."""
-    deque(map(setter, objects, values), maxlen=0)
+def _check_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    """Reject doubled blocks that are not a parameter: mixed cosets, a block
+    not strictly decreasing, or an entry shared by the blocks."""
+    joint = a + b
+    check_parity(joint)
+    if not _strictly_decreasing(a):
+        raise ValueError(f"a-block ({doubled_text(a)}) is not strictly decreasing")
+    if not _strictly_decreasing(b):
+        raise ValueError(f"b-block ({doubled_text(b)}) is not strictly decreasing")
+    if len(set(joint)) != len(joint):
+        raise ValueError(f"parameter ({doubled_text(a)};{doubled_text(b)}) is singular")
 
 
 class HCParameter(_Frozen):
@@ -80,47 +87,16 @@ class HCParameter(_Frozen):
     doubled_b: tuple[int, ...]
 
     def __init__(self, a: Iterable[EntryLike], b: Iterable[EntryLike]):
-        self._init(tuple(double_entry(x) for x in a),
-                   tuple(double_entry(x) for x in b))
+        a, b = tuple(double_entry(x) for x in a), tuple(double_entry(x) for x in b)
+        _check_blocks(a, b)
+        self._store(a, b)
 
     @classmethod
     def from_doubled(cls, a: Sequence[int], b: Sequence[int]) -> "HCParameter":
         """The parameter whose blocks are half of the given ints."""
-        hc = object.__new__(cls)
-        hc._init(tuple(a), tuple(b))
-        return hc
-
-    @classmethod
-    def _trusted(cls, a: tuple[int, ...], b: tuple[int, ...]) -> "HCParameter":
-        """Store doubled blocks as they are, without any check; only for
-        blocks that are decreasing, regular and on one coset by construction."""
-        hc = object.__new__(cls)
-        cls.doubled_a.__set__(hc, a)
-        cls.doubled_b.__set__(hc, b)
-        return hc
-
-    @classmethod
-    def _trusted_blocks(cls, a_blocks: Sequence[tuple[int, ...]],
-                        b_blocks: Iterable[tuple[int, ...]]) -> list["HCParameter"]:
-        """`_trusted` in bulk: the parameters (a; b) of the paired blocks,
-        in order."""
-        hcs = list(map(object.__new__, repeat(cls, len(a_blocks))))
-        _fill(cls.doubled_a.__set__, hcs, a_blocks)
-        _fill(cls.doubled_b.__set__, hcs, b_blocks)
-        return hcs
-
-    def _init(self, a: tuple[int, ...], b: tuple[int, ...]) -> None:
-        joint = a + b
-        check_parity(joint)
-        if not _strictly_decreasing(a):
-            raise ValueError(f"a-block ({doubled_text(a)}) is not strictly decreasing")
-        if not _strictly_decreasing(b):
-            raise ValueError(f"b-block ({doubled_text(b)}) is not strictly decreasing")
-        if len(set(joint)) != len(joint):
-            raise ValueError(
-                f"parameter ({doubled_text(a)};{doubled_text(b)}) is singular")
-        HCParameter.doubled_a.__set__(self, a)
-        HCParameter.doubled_b.__set__(self, b)
+        a, b = tuple(a), tuple(b)
+        _check_blocks(a, b)
+        return cls._trusted(a, b)
 
     def __reduce__(self):
         return (HCParameter.from_doubled, (self.doubled_a, self.doubled_b))
@@ -170,7 +146,7 @@ class InfinitesimalCharacter(_Frozen):
             raise ValueError(
                 f"infinitesimal character ({doubled_text(weight.doubled)}) is not "
                 "strictly decreasing (singular or misordered)")
-        InfinitesimalCharacter.weight.__set__(self, weight)
+        self._store(weight)
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
@@ -215,10 +191,6 @@ class PacketMember(_Frozen):
         """Inversion count of the shuffle word, which is rs - degree."""
         hc = self.hc
         return len(hc.doubled_a) * len(hc.doubled_b) - self.degree
-
-
-_set_hc = PacketMember.hc.__set__
-_set_degree = PacketMember.degree.__set__
 
 
 def infinitesimal_character(a_sigma: Iterable[EntryLike]) -> InfinitesimalCharacter:
@@ -283,7 +255,7 @@ def enumerate_packet(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketM
     walk over the entries, taken in the same order. So the degrees and the
     a-blocks are reversed lists, every block is read backwards, and the
     b-blocks, the complements, come in yield order. Each slot of every
-    member is filled by one map."""
+    member is filled by one `_fill`."""
     n, r = ic.n, sig.r
     if sig.n != n:
         raise ValueError("dimension mismatch")
@@ -293,15 +265,14 @@ def enumerate_packet(ic: InfinitesimalCharacter, sig: Signature) -> list[PacketM
     top = r * (n - r) + r * (r + 1) // 2
     degrees = list(map(sub, repeat(top), map(sum, combinations(range(n, 0, -1), r))))
     degrees.reverse()
-    members = list(map(object.__new__, repeat(PacketMember, len(degrees))))
-    _fill(_set_degree, members, degrees)
+    members = PacketMember._fill("degree", degrees)
     del degrees  # so that it is never held beside the blocks
     values = ic.weight.doubled[::-1]  # the entries at indices n, ..., 1
     a_blocks = list(map(_backwards, combinations(values, r)))
     a_blocks.reverse()
-    _fill(_set_hc, members, HCParameter._trusted_blocks(
-        a_blocks, map(_backwards, combinations(values, sig.s))))
-    return members
+    hcs = HCParameter._fill("doubled_a", a_blocks)
+    HCParameter._fill("doubled_b", map(_backwards, combinations(values, sig.s)), hcs)
+    return PacketMember._fill("hc", hcs, members)
 
 
 def extremes(packet: Sequence[PacketMember]) -> tuple[PacketMember, PacketMember]:

@@ -29,7 +29,6 @@ from lpackets import (
 )
 from lpackets.cartan import two_rho
 from lpackets.minimal_ktype import _positive_pairs, _root_sum
-from lpackets.packets import _set_degree, _set_hc
 
 
 def all_signatures(n: int) -> list[Signature]:
@@ -185,7 +184,8 @@ def _shuffles(ic: InfinitesimalCharacter, sig: Signature) -> Iterator[tuple]:
 def walk_packet_reference(ic: InfinitesimalCharacter, sig: Signature
                           ) -> tuple[list[PacketMember], list[tuple[int, ...]]]:
     """enumerate_packet one member at a time: a Python loop over the
-    shuffles, each member built and filled in on its own. Beside the
+    shuffles, each member built on its own by the public `PacketMember`,
+    from a parameter built without a check. Beside the
     members it returns their shuffle words, each read off the member's own
     index sets."""
     n, r = ic.n, sig.r
@@ -195,13 +195,10 @@ def walk_packet_reference(ic: InfinitesimalCharacter, sig: Signature
     # k lies above n - r - i_k + k b-entries; summed, the degree is top
     # minus the sum of the a-indices.
     top = r * (n - r) + r * (r + 1) // 2
-    new = object.__new__
     members, words = [], []
     for a_index, word, entries in _shuffles(ic, sig):
-        member = new(PacketMember)
-        _set_hc(member, HCParameter._trusted(entries[:r], entries[r:]))
-        _set_degree(member, top - sum(a_index))
-        members.append(member)
+        members.append(PacketMember(HCParameter._trusted(entries[:r], entries[r:]),
+                                    top - sum(a_index)))
         words.append(word)
     return members, words
 

@@ -18,6 +18,7 @@ from lpackets import (
     ChainStep,
     HCParameter,
     InfinitesimalCharacter,
+    KRestriction,
     MinimalKTypeVerdict,
     PacketMember,
     PlacedParameter,
@@ -512,6 +513,37 @@ VALUES = [
     restrict_ktype(Weight((5, 3, -2)), Signature(2, 1)),
 ]
 
+# The public, checking constructor of each checking class, taking its slot
+# values; a record's public constructor is the `__init__` compiled from its
+# slots, which stores them as given.
+PUBLIC = {
+    Signature: Signature,
+    Weight: Weight.from_doubled,
+    HCParameter: HCParameter.from_doubled,
+    InfinitesimalCharacter: InfinitesimalCharacter,
+    PlacedParameter: PlacedParameter,
+    KRestriction: lambda head, doubled_u1, tail: KRestriction(head, Fraction(doubled_u1, 2), tail),
+}
+
+
+def _slot_values(value) -> list:
+    return [getattr(value, name) for name in value.__slots__]
+
+
+def _public(value):
+    """value rebuilt from its slot values by its public constructor."""
+    cls = type(value)
+    return PUBLIC.get(cls, cls)(*_slot_values(value))
+
+
+def _unchecked(value):
+    """value rebuilt from its slot values without a check: by the compiled
+    `_trusted` of a checking class, which only those classes have, or by a
+    record's compiled `__init__`."""
+    cls = type(value)
+    assert ("_trusted" in vars(cls)) == (cls in PUBLIC)
+    return (cls._trusted if cls in PUBLIC else cls)(*_slot_values(value))
+
 
 @pytest.mark.parametrize("value", VALUES, ids=repr)
 @pytest.mark.parametrize("clone", [
@@ -519,12 +551,15 @@ VALUES = [
     lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
     copy.copy,
     copy.deepcopy,
-], ids=["pickle", "pickle-0", "copy", "deepcopy"])
+    _unchecked,
+    _public,
+], ids=["pickle", "pickle-0", "copy", "deepcopy", "unchecked", "public"])
 def test_value_types_round_trip(value, clone):
     twin = clone(value)
     assert type(twin) is type(value)
     assert twin == value
     assert hash(twin) == hash(value)
+    assert repr(twin) == repr(value)
     field = twin.__slots__[0]
     with pytest.raises(AttributeError):
         setattr(twin, field, getattr(twin, field))
@@ -601,25 +636,35 @@ def test_chain_step_stores_doubled_u1():
     assert {type(u) for u in step.u1_weights} == {Fraction}
 
 
-def _tampered_character() -> InfinitesimalCharacter:
-    ic = object.__new__(InfinitesimalCharacter)
-    InfinitesimalCharacter.weight.__set__(ic, Weight((1, 2)))
-    return ic
-
-
-@pytest.mark.parametrize("value, message", [
+# For each checking class, a value its `_trusted` builds and its public
+# constructor rejects.
+TAMPERED = [
+    (Signature._trusted(0, 0), r"signature needs r, s >= 0 and r \+ s >= 1"),
     (Weight._trusted((2, 1)), r"mixed half-integrality in weight \(1,1/2\)"),
     (HCParameter._trusted((2, 4), ()), r"a-block \(1,2\) is not strictly decreasing"),
-    (_tampered_character(), r"infinitesimal character \(1,2\) is not strictly decreasing"),
-], ids=["Weight", "HCParameter", "InfinitesimalCharacter"])
-@pytest.mark.parametrize("clone", [
-    lambda v: pickle.loads(pickle.dumps(v)),
-    lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
-    copy.copy,
-], ids=["pickle", "pickle-0", "copy"])
+    (InfinitesimalCharacter._trusted(Weight((1, 2))),
+     r"infinitesimal character \(1,2\) is not strictly decreasing"),
+    (PlacedParameter._trusted(()), "at least one place is required"),
+    (KRestriction._trusted(Weight((5,)), Fraction(1, 3), Weight((-2,))),
+     "weight entry 1/6 is not a half-integer"),
+]
+CLONES = {
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "pickle-0": lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+    "copy": copy.copy,
+    "public": _public,
+}
+
+
+@pytest.mark.parametrize("value, message, clone", [
+    pytest.param(value, message, clone, id=f"{name}-{type(value).__name__}")
+    for name, clone in CLONES.items() for value, message in TAMPERED
+    # KRestriction pickles and copies through `from_doubled`, which checks nothing.
+    if name == "public" or type(value) is not KRestriction])
 def test_tampered_value_fails_to_clone(value, message, clone):
     # Unpickling and copying go through the checking constructors (their
-    # `__reduce__`), not through a restore of their slots.
+    # `__reduce__`), not through a restore of their slots; the public
+    # constructors reject what `_trusted` stored unchecked.
     with pytest.raises(ValueError, match=message):
         clone(value)
 

@@ -38,7 +38,7 @@ def test_cold_import_leaves_out_dataclasses_and_inspect():
     # Every cold `lpackets` request pays for what `lpackets.cli` imports;
     # -S keeps site packages out of the check.
     code = ("import sys, lpackets.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -2,14 +2,15 @@
 
 The library builds packet shuffles, dual parameters, coherent and Blattner
 weights, branch constituents and the minimal K-type test's derived values
-through the private `_trusted` constructors, which store doubled tuples as
-they are. These tests rebuild every such value through its public,
-checking constructor over the packet and counting sweeps, pin the places
-that may call `_trusted`, pin the constructors as the only places that
-store into a `Weight` or an `HCParameter` directly (through a slot setter,
-by name, or into a bare `object.__new__` instance), pin that every checking
-class writes its own constructor (so `_Frozen` compiles a storing one only
-for the records), and pin the checks the public constructors keep.
+without checking them again: one at a time through the `_trusted`
+constructors and many at once through `_fill`, both of `_Frozen`, which
+store the slot values as they are. These tests rebuild every such value
+through its public, checking constructor over the packet and counting
+sweeps, pin the places that may call `_trusted` or `_fill`, pin `_Frozen`
+as the only code that stores into a value type (through a slot setter, by
+name, or into a bare `__new__` instance), pin that every checking class
+writes its own constructor (so `_Frozen` compiles a storing one only for
+the records), and pin the checks the public constructors keep.
 """
 
 import ast
@@ -39,69 +40,53 @@ from lpackets import (
     shifted_weight,
 )
 
-# The private constructors: `_trusted`, and `HCParameter._trusted_blocks`,
-# which builds many parameters at once.
-TRUSTED_NAMES = {"_trusted", "_trusted_blocks"}
+# The unchecked constructors `_Frozen` provides: `_trusted`, and `_fill`,
+# which builds many values at once.
+TRUSTED_NAMES = {"_trusted", "_fill"}
 
-# (module, enclosing function) of every use of a `_trusted` constructor in
+# (module, enclosing function) of every use of an unchecked constructor in
 # the package.
 TRUSTED_SITES = {
     ("cartan.py", "Weight.from_doubled"),  # after its own parity check
+    ("packets.py", "HCParameter.from_doubled"),  # after its own checks
     ("packets.py", "enumerate_packet"),  # shuffles, in bulk
     ("packets.py", "coherent_parameter"),
     ("packets.py", "blattner"),
     ("packets.py", "dual_parameter"),
-    ("branching.py", "branch"),
+    ("branching.py", "KRestriction.from_doubled"),  # public and unchecked
+    ("branching.py", "branch"),  # lower weights and constituents, in bulk
     ("minimal_ktype.py", "shifted_weight"),
     ("minimal_ktype.py", "minimal_ktype_test"),  # hc_double_shift, accepted hc
 }
 
 
-# (module, enclosing function) of every direct store into a Weight or an
-# HCParameter: their own constructors, and nothing else. `_Frozen` compiles
-# the records' constructors, so RestrictedParameter, whose slots share their
-# names, has no store site in the source.
+# (module, enclosing function) of every direct store into a value type: the
+# compiler of the stores and `_fill`, both in `_Frozen`, and nothing else.
 STORE_SITES = {
-    ("cartan.py", "Weight.__init__"),
-    ("cartan.py", "Weight._trusted"),
-    ("packets.py", "HCParameter.from_doubled"),
-    ("packets.py", "HCParameter._trusted"),
-    ("packets.py", "HCParameter._trusted_blocks"),
-    ("packets.py", "HCParameter._init"),
+    ("cartan.py", "_Frozen.__init_subclass__"),
+    ("cartan.py", "_Frozen._fill"),
 }
-CHECKED_CLASSES = {"Weight", "HCParameter"}
-STORED_SLOTS = {"doubled", "doubled_a", "doubled_b"}
 
 
-def _is_store(node: ast.AST, scope: tuple[str, ...]) -> bool:
-    """A setter of a slot named like theirs (`X.doubled.__set__`, whatever
-    X is), a store by name (`object.__setattr__(x, "doubled", ...)`,
-    `setattr`), or a bare instance (`object.__new__(Weight)`, or of `cls`
-    inside those classes)."""
-    if isinstance(node, ast.Attribute) and node.attr == "__set__":
-        return isinstance(node.value, ast.Attribute) and node.value.attr in STORED_SLOTS
-    if not isinstance(node, ast.Call) or not node.args:
-        return False
-    func, first = node.func, node.args[0]
-    if isinstance(func, ast.Attribute) and func.attr == "__new__":
-        return isinstance(first, ast.Name) and (
-            first.id in CHECKED_CLASSES
-            or (first.id == "cls" and bool(scope) and scope[0] in CHECKED_CLASSES))
-    is_setattr = ((isinstance(func, ast.Attribute) and func.attr == "__setattr__")
-                  or (isinstance(func, ast.Name) and func.id == "setattr"))
-    name = node.args[1] if len(node.args) > 1 else None
-    return is_setattr and isinstance(name, ast.Constant) and name.value in STORED_SLOTS
+def _is_store(node: ast.AST) -> bool:
+    """A slot setter (`X.doubled.__set__`, whatever X or the slot), a bare
+    instance (`object.__new__`, or any `__new__`, called or not), or a store
+    by name (`object.__setattr__`, `setattr`)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("__set__", "__new__", "__setattr__")
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr")
 
 
 def _sites(path: Path) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
-    """(uses of a `_trusted` constructor, direct stores), each as (module,
+    """(uses of an unchecked constructor, direct stores), each as (module,
     enclosing function)."""
     trusted, stores = [], []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         if isinstance(node, ast.Attribute) and node.attr in TRUSTED_NAMES:
             trusted.append((path.name, ".".join(scope)))
-        if _is_store(node, scope):
+        if _is_store(node):
             stores.append((path.name, ".".join(scope)))
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
@@ -166,7 +151,8 @@ class TestRebuildOracle:
         with pytest.raises(ValueError, match="singular"):
             assert_rebuilds(HCParameter._trusted((4,), (4,)))
         with pytest.raises(ValueError, match="singular"):
-            assert_rebuilds(HCParameter._trusted_blocks([(6,), (4,)], [(2,), (4,)])[1])
+            hcs = HCParameter._fill("doubled_a", [(6,), (4,)])
+            assert_rebuilds(HCParameter._fill("doubled_b", [(2,), (4,)], hcs)[1])
         with pytest.raises(AssertionError):
             assert_rebuilds(Weight._trusted([2, 4]))
 
@@ -184,13 +170,13 @@ def _package_sites() -> tuple[set, set]:
 class TestTrustedSites:
     def test_call_sites_are_allowlisted(self):
         found, _ = _package_sites()
-        assert found - TRUSTED_SITES == set(), "unlisted _trusted( call site"
-        assert TRUSTED_SITES - found == set(), "allowlisted site no longer calls _trusted"
+        assert found - TRUSTED_SITES == set(), "unlisted _trusted or _fill call site"
+        assert TRUSTED_SITES - found == set(), "allowlisted site no longer calls them"
 
     def test_direct_stores_stay_in_the_constructors(self):
         _, found = _package_sites()
-        assert found - STORE_SITES == set(), "direct store outside the constructors"
-        assert STORE_SITES - found == set(), "allowlisted constructor no longer stores"
+        assert found - STORE_SITES == set(), "direct store outside _Frozen"
+        assert STORE_SITES - found == set(), "allowlisted _Frozen method no longer stores"
 
     @pytest.mark.parametrize("source", [
         "def f(w):\n    Weight.doubled.__set__(w, (2,))",
@@ -201,15 +187,20 @@ class TestTrustedSites:
         "class Weight:\n    def g(cls):\n        return object.__new__(cls)",
         "def f(w):\n    object.__setattr__(w, 'doubled', (2,))",
         "def f(w):\n    setattr(w, 'doubled_b', ())",
+        # Every value type and slot is covered, and an alias of `__new__` is
+        # a store where it is taken.
+        "class KRestriction:\n    def g(cls):\n        return object.__new__(cls)",
+        "def f(m):\n    PacketMember.hc.__set__(m, None)",
+        "def f():\n    new = object.__new__",
     ])
     def test_each_store_form_is_seen(self, source, tmp_path):
         path = tmp_path / "planted.py"
         path.write_text(source)
         _, stores = _sites(path)
-        assert len(stores) == 1 and stores[0][1] in ("f", "Weight.g")
+        assert len(stores) == 1 and stores[0][1] in ("f", "Weight.g", "KRestriction.g")
 
     @pytest.mark.parametrize("call", ["HCParameter._trusted((2,), ())",
-                                      "HCParameter._trusted_blocks([(2,)], [()])"])
+                                      "HCParameter._fill('doubled_a', [(2,)])"])
     def test_each_trusted_constructor_is_seen(self, call, tmp_path):
         path = tmp_path / "planted.py"
         path.write_text(f"def f():\n    return {call}\n")
@@ -226,12 +217,6 @@ class TestTrustedSites:
                     if isinstance(node, ast.ClassDef) and node.name == cls.__name__)
         assert "__init__" in {node.name for node in body.body if isinstance(node, ast.FunctionDef)}
         assert cls.__init__.__code__.co_filename == str(source)
-
-    def test_other_classes_are_not_stores(self, tmp_path):
-        path = tmp_path / "other.py"
-        path.write_text("class KRestriction:\n    def g(cls):\n        return object.__new__(cls)\n"
-                        "def f(m):\n    PacketMember.hc.__set__(m, None)\n")
-        assert _sites(path) == ([], [])
 
 
 class TestPublicChecks:
