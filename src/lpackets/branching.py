@@ -66,7 +66,7 @@ class KRestriction(_Frozen):
         return cls._trusted(head, doubled_u1, tail)
 
     def __reduce__(self):
-        return (KRestriction.from_doubled, (self.head, self.doubled_u1, self.tail))
+        return (KRestriction, (self.head, self.u1, self.tail))
 
     @property
     def u1(self) -> Fraction:

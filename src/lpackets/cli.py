@@ -11,21 +11,23 @@ output is a short template per subcommand that reads the record.
 Hypothesis violations go to stderr as warnings. This is the generic
 driver: each subcommand, and the weight syntax, is in `commands`.
 
-A request whose first argument names a subcommand is parsed by that
-subcommand's parser alone. Any other request, and one the subcommand's
-parser leaves arguments over from, goes through the full parser, so
-argparse's help, usage and error text are its own.
+A request whose first argument names a subcommand, and whose every later
+argument is an exact option with its value ("--opt=value" or "--opt
+value") or a bare flag, is read from the option table alone, without
+argparse. Any other request (a prefix, help, an unknown option, a bad or
+missing value, a positional, "--") goes to the full argparse parser, so
+help, usage and error text, and abbreviations, are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import re
 import sys
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .cartan import Weight, half_entry
 from .commands import _COMMANDS, _COMMON, Result, _cell, _Command, _parse_weight, format_weight
@@ -39,41 +41,95 @@ def parse_weight(text: str) -> tuple[Weight, list[tuple[Fraction, ...]] | None]:
     return weight, None if blocks is None else [tuple(map(half_entry, b)) for b in blocks]
 
 
+# A token "-<digit>..." or "-.<digit>..." is a value, such as "-1;1", never an option.
+_NUMBER = re.compile(r"-\.?[0-9]")
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and, by name, each subcommand's parser in it."""
+def _parsers() -> argparse.ArgumentParser:
+    """The full parser; argparse is imported only here."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="lpackets",
         description="Exact discrete-series packet combinatorics for U(r,s)")
     subs = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
     for name, command in _COMMANDS.items():
-        sub = subparsers[name] = subs.add_parser(name, help=command.help)
-        # A token "-<digit>..." or "-.<digit>..." is a value, such as "-1;1", never an option.
-        sub._negative_number_matcher = re.compile(r"-\.?[0-9]")
+        sub = subs.add_parser(name, help=command.help)
+        sub._negative_number_matcher = _NUMBER
         for flag, options in command.options + _COMMON:
             sub.add_argument(flag, **options)
-    return parser, subparsers
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The process's shared parser, built on the first call; callers must
     not mutate it. Parsing keeps no state on it between calls."""
-    return _parsers()[0]
+    return _parsers()
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The namespace `build_parser().parse_args(argv)` gives, in one pass
-    of the subcommand's parser when argv[0] names one and it reads every
-    other argument; otherwise the full parser parses, and reports."""
-    parser, subparsers = _parsers()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+def _table(options: Sequence[tuple[str, dict]]) -> tuple[dict, dict, frozenset]:
+    """(defaults, {flag: (dest, action, type, choices)}, required dests) of
+    one subcommand's options, read as argparse reads them. A required
+    option has no default, so it is missing until it is given."""
+    defaults, flags, required = {}, {}, set()
+    for flag, spec in options:
+        dest, action = flag[2:], spec.get("action")
+        flags[flag] = dest, action, spec.get("type"), spec.get("choices")
+        if spec.get("required"):
+            required.add(dest)
+        else:
+            defaults[dest] = spec.get("default", False if action == "store_true" else None)
+    return defaults, flags, frozenset(required)
+
+
+_TABLES = {name: _table(command.options + _COMMON) for name, command in _COMMANDS.items()}
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace of argv read from the option table, or None unless
+    argv is a subcommand followed by exact options, each with one value
+    its type and choices accept or a bare store_true flag, that give
+    every required option."""
+    table = _TABLES.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    defaults, flags, required = table
+    values = dict(defaults)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, joined, value = token.partition("=")
+        spec = flags.get(flag)
+        if spec is None:
+            return None
+        dest, action, kind, choices = spec
+        if action == "store_true":
+            if joined:
+                return None
+            values[dest] = True
+            continue
+        if not joined:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not _NUMBER.match(value):
+                return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = [*values[dest], value] if action == "append" else value
+    if not required <= values.keys():
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """A namespace whose vars are those of `build_parser().parse_args(argv)`:
+    read from the option table when `_read` can, otherwise parsed (or
+    answered, with argparse's exit) by the full parser."""
+    args = _read(argv)
+    return SimpleNamespace(**vars(build_parser().parse_args(argv))) if args is None else args
 
 
 def _json(value: object, indent: str = "\n") -> str:

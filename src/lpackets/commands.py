@@ -17,11 +17,11 @@ entries stay doubled up to the record's text.
 
 from __future__ import annotations
 
-import argparse
 import warnings
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from math import comb
+from types import SimpleNamespace
 
 from .branching import branch, weyl_dim
 from .cartan import (_INTEGER, _SIGNATURE, Signature, Weight, doubled_from_str, doubled_text,
@@ -109,7 +109,7 @@ def _place_ic(text: str, sig: Signature, place: str | None) -> InfinitesimalChar
     return infinitesimal_character(weight)
 
 
-def _collect_places(args: argparse.Namespace, option: str,
+def _collect_places(args: SimpleNamespace, option: str,
                     what: str) -> Iterator[tuple[Signature, str, str | None]]:
     """(sig, text, place) for each --place "r,s:text", then for --sig with
     --<option> (place None); what names the text in errors. A generator, so
@@ -171,7 +171,7 @@ class Result(namedtuple("Result", ("record", "violations", "extra"), defaults=((
 _YES = {True: "yes", False: "no"}
 
 
-def _cmd_packet(args: argparse.Namespace) -> Result:
+def _cmd_packet(args: SimpleNamespace) -> Result:
     sig = parse_signature(args.sig)
     ic = _place_ic(args.hw, sig, None)
     return Result([{**_blocks_json(m.hc), **_member_row(m)} for m in enumerate_packet(ic, sig)])
@@ -195,7 +195,7 @@ def _pretty_packet(members: list) -> Iterator[str]:
                f"coherent={_split(m['coherent'], len(a))}")
 
 
-def _cmd_sr(args: argparse.Namespace) -> Result:
+def _cmd_sr(args: SimpleNamespace) -> Result:
     sig = parse_signature(args.sig)
     weight, blocks = _parse_weight(args.ktype)
     _check_shape(weight, blocks, sig)
@@ -232,7 +232,7 @@ def _pretty_sr(rec: dict, root_sum: str, roots: int) -> Iterator[str]:
         yield f"  margin: {rec['margin']}"
 
 
-def _cmd_branch(args: argparse.Namespace) -> Result:
+def _cmd_branch(args: SimpleNamespace) -> Result:
     weight = _unblocked(args.hw, "--hw")
     constituents = branch(weight)
     return Result({
@@ -254,7 +254,7 @@ def _pretty_branch(rec: dict) -> Iterator[str]:
         yield f"  ({_cell(c['lower'])}) u1={c['u1']}"
 
 
-def _cmd_restrict(args: argparse.Namespace) -> Result:
+def _cmd_restrict(args: SimpleNamespace) -> Result:
     sig = parse_signature(args.sig)
     hc = parse_hc(args.hcp, sig)
     spaced = well_spaced_everywhere(PlacedParameter([(sig, hc)]))
@@ -280,7 +280,7 @@ def _pretty_restrict(rec: dict) -> Iterator[str]:
     yield f"  noncompact support preserved: {_YES[rec['support_matches']]}"
 
 
-def _cmd_chain(args: argparse.Namespace) -> Result:
+def _cmd_chain(args: SimpleNamespace) -> Result:
     p = PlacedParameter((sig, parse_hc(text, sig))
                         for sig, text, _ in _collect_places(args, "hcp", "parameter"))
     violations = _spacing(well_spaced_everywhere(p))
@@ -315,7 +315,7 @@ def _pretty_chain(steps: list, stopped: bool) -> Iterator[str]:
                f"u1=[{_cell(step['u1'])}] {places}")
 
 
-def _cmd_fraction(args: argparse.Namespace) -> Result:
+def _cmd_fraction(args: SimpleNamespace) -> Result:
     places = [(sig, _place_ic(text, sig, place))
               for sig, text, place in _collect_places(args, "hw", "highest-weight")]
     fraction = str(isomorphism_fraction(places))
@@ -338,7 +338,7 @@ def _member_data(hc: HCParameter) -> dict:
         comb(i - 1, k) for k, i in enumerate(member.shuffle_word[:hc.r], 1)))
 
 
-def _cmd_analyze(args: argparse.Namespace) -> Result:
+def _cmd_analyze(args: SimpleNamespace) -> Result:
     p = PlacedParameter((sig, parse_hc(text, sig))
                         for sig, text, _ in _collect_places(args, "hcp", "parameter"))
     if any(sig.r < 1 for sig, _ in p.places):

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from helpers import all_signatures, packet_sweep_characters, random_dominant, random_ic
 
+import lpackets.cli
 import lpackets.commands
 from lpackets import (PlacedParameter, Signature, Weight, descent_chain, enumerate_packet,
                       infinitesimal_character, weight_from_strings, weight_to_strings)
 from lpackets.cartan import doubled_text
-from lpackets.cli import _json, build_parser, format_weight, main, parse_weight
-from lpackets.commands import _PLACES_HC, _member_data
+from lpackets.cli import _json, _parse, _read, build_parser, format_weight, main, parse_weight
+from lpackets.commands import _COMMANDS, _COMMON, _PLACES_HC, _member_data
 
 
 class TestParseWeight:
@@ -664,6 +665,54 @@ def test_parser_is_shared_and_keeps_no_state(capsys):
     assert build_parser().parse_args(["chain", "--depth", "1"]).place == []
 
 
+def _answer(capsys, parse, argv):
+    """(vars of the namespace or None, exit code or None, stdout, stderr)
+    of parsing argv, argparse's own exits included."""
+    try:
+        result, code = vars(parse(argv)), None
+    except SystemExit as stop:
+        result, code = None, stop.code
+    captured = capsys.readouterr()
+    return result, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["sr", "--sig", "2,1", "--ktype", "5,3;0", "--strict=yes"], False),
+    (["packet", "--sig", "2,1", "--hw", "4,2,0", "--format=xml"], False),
+    (["chain", "--sig", "2,1", "--hcp", "5,3;1", "--depth=two"], False),
+    (["sr", "--sig", "2,1", "--ktype", "5,3;0", "--margin=1.5"], False),
+    (["restrict", "--sig", "1,1", "--hcp", "-1;1"], True),
+    (["branch", "--hw", "-x"], False),
+    (["restrict", "--sig", "1,1", "--hc", "3;1"], False),
+    (["branch", "--hw", "1,0", "--"], False),
+    (["branch", "--hw", "1,0", "extra"], False),
+    (["packet", "--sig=1,1", "--hw", "4,2,0", "--sig", "2,1"], True),
+    (["fraction", "--place", "2,1:4,2,0", "--place=1,2:6,3,0"], True),
+    (["branch", "--hw="], True),
+], ids=["flag-with-value", "bad-choice", "bad-int", "decimal-int", "negative-value",
+        "dash-value", "prefix", "double-dash", "positional", "repeated-sig",
+        "repeated-place", "empty-value"])
+def test_reader_hands_off_what_it_does_not_read(capsys, argv, read):
+    # The table reader takes exact options with acceptable values only;
+    # every other argv goes to the full parser, so it answers as argparse.
+    assert (_read(argv) is not None) == read
+    assert _answer(capsys, _parse, argv) == _answer(capsys, build_parser().parse_args, argv)
+
+
+def test_option_table_holds_only_what_the_reader_reads():
+    # `_read` knows store, store_true and append options with a type,
+    # choices, a default and required, as argparse applies them, and takes
+    # "--name" to the dest "name"; argparse would also put a string default
+    # through the type, which `_read` does not do.
+    for command in _COMMANDS.values():
+        for flag, spec in command.options + _COMMON:
+            assert set(spec) <= {"action", "choices", "default", "help", "required", "type"}
+            assert flag[:2] == "--" and "-" not in flag[2:], flag
+            assert spec.get("action") in (None, "store_true", "append"), flag
+            assert spec.get("action") != "append" or spec["default"] == [], flag
+            assert not (isinstance(spec.get("default"), str) and "type" in spec), flag
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
 with open(GOLDEN) as _handle:
     CORPUS = json.load(_handle)
@@ -679,14 +728,29 @@ def test_golden_output(capsys, entry):
 
 
 def test_golden_corpus_replays_twice_shuffled(capsys):
-    # One parser serves every request of a process: replaying the corpus
-    # twice in a shuffled order must give every recorded byte again.
+    # Requests share the option table and the parser but keep no state:
+    # replaying the corpus twice in a shuffled order must give every
+    # recorded byte again.
     replay = CORPUS * 2
     random.Random(20261018).shuffle(replay)
     mismatched = [" ".join(entry["argv"]) for entry in replay
                   if _outcome(capsys, entry["argv"])
                   != (entry["exit"], entry["stdout"], entry["stderr"])]
     assert mismatched == []
+
+
+def test_golden_requests_build_no_parser(capsys, monkeypatch):
+    # Every request that runs is read from the option table: none of them
+    # builds the argparse tree.
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(lpackets.cli, "_parsers", refuse)
+    runs = [entry for entry in CORPUS if entry["exit"] in (0, 3)]
+    assert runs
+    for entry in runs:
+        assert _outcome(capsys, entry["argv"]) == (
+            entry["exit"], entry["stdout"], entry["stderr"]), entry["argv"]
 
 
 def _is_json(entry):

@@ -43,3 +43,20 @@ def test_cold_import_leaves_out_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_cold_request_leaves_out_argparse():
+    # A request the option table reads builds no parser, so neither
+    # argparse nor its gettext is imported; help still comes from argparse.
+    code = ("import sys, lpackets.cli; "
+            "code = lpackets.cli.main(['packet', '--sig', '2,1', '--hw', '2,1,0']); "
+            "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.startswith("packet for sig (2,1)")
+    assert run.stderr == "0 []\n"
+    helped = subprocess.run([sys.executable, "-S", "-m", "lpackets", "packet", "-h"], env=env,
+                            capture_output=True, text=True)
+    assert helped.returncode == 0
+    assert helped.stdout.startswith("usage: lpackets packet [-h]")
