@@ -12,4 +12,4 @@ from .descent import *
 from .minimal_ktype import *
 from .packets import *
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

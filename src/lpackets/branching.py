@@ -60,11 +60,6 @@ class KRestriction(_Frozen):
     def __init__(self, head: Weight, u1: EntryLike, tail: Weight):
         self._store(head, double_entry(u1), tail)
 
-    @classmethod
-    def from_doubled(cls, head: Weight, doubled_u1: int, tail: Weight) -> "KRestriction":
-        """The split whose pivot is half of the given int, stored as given."""
-        return cls._trusted(head, doubled_u1, tail)
-
     def __reduce__(self):
         return (KRestriction, (self.head, self.u1, self.tail))
 
@@ -126,15 +121,12 @@ def weyl_dim(weight: Weight) -> int:
     m = len(doubled)
     if m < 2:
         return 1
-    value, remainder = divmod(_vandermonde(map(add, doubled, two_rho(m))),
-                              _weyl_denominator(m))
-    if remainder:
-        raise ValueError("dimension formula did not produce an integer")
-    return value
+    return _vandermonde(map(add, doubled, two_rho(m))) // _weyl_denominator(m)
 
 
 def restrict_ktype(lam: Weight, sig: Signature) -> KRestriction:
-    """Split a K-highest weight by peeling the last a-block entry to U(1)."""
+    """Split a K-highest weight by peeling the last a-block entry to U(1);
+    head and tail, slices of the checked weight, are not checked again."""
     if sig.r < 1:
         raise ValueError("signature needs r >= 1 to restrict")
     if len(lam) != sig.n:
@@ -142,8 +134,7 @@ def restrict_ktype(lam: Weight, sig: Signature) -> KRestriction:
     a, b = lam.doubled[: sig.r], lam.doubled[sig.r:]
     _require_dominant(a, "a-block")
     _require_dominant(b, "b-block")
-    return KRestriction.from_doubled(Weight.from_doubled(a[:-1]), a[-1],
-                                     Weight.from_doubled(b))
+    return KRestriction._trusted(Weight._trusted(a[:-1]), a[-1], Weight._trusted(b))
 
 
 def restriction_contains(lam: Weight, sig: Signature, candidate: KRestriction) -> bool:

@@ -16,8 +16,9 @@ its doubled int: an optional sign and ASCII digits, "p" or "p/2".
 
 The public constructors (`Weight(...)` and `Weight.from_doubled`) check
 the common coset. Values the package derives from weights it has already
-checked, by shifts that keep every parity, are built by the private
-`Weight._trusted` and are not checked again.
+checked, by shifts that keep every parity (such as an infinitesimal
+character) or as slices (the head and tail of a K-type split), are built
+by the private `Weight._trusted` and are not checked again.
 
 Every value type of the package is an immutable slotted class on the
 private base `_Frozen`, which compares, hashes, prints and pickles an

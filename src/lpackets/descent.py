@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from math import prod
 
 from .cartan import Signature, _Frozen, doubled_text, half_entry, two_rho
-from .packets import HCParameter, InfinitesimalCharacter, dual_parameter
+from .packets import HCParameter, InfinitesimalCharacter, _singular_text, dual_parameter
 
 __all__ = [
     "PlacedParameter",
@@ -273,14 +273,17 @@ def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[Cha
         restricted = [restrict_parameter(sig, hc) for sig, hc in current.places]
         classification = _classify(current, warn)
         dual_flag = _dual_min_entry_in_a_everywhere(current)
-        try:
-            current = PlacedParameter((Signature(sig.r - 1, sig.s), rp.prime_hc())
-                                      for (sig, _), rp in zip(current.places, restricted))
-        except ValueError as exc:
-            # The shifts keep both blocks decreasing and on one coset, so
-            # the only failure is a singular descended parameter.
-            warnings.warn(f"descended {exc}; the chain stops here", stacklevel=2)
-            break
+        # The shifts keep each block strictly decreasing and on one coset:
+        # a step fails only when the descended blocks share an entry.
+        for rp in restricted:
+            if len(set(rp.doubled_a + rp.doubled_b)) < current.n - 1:
+                warnings.warn(f"descended {_singular_text(rp.doubled_a, rp.doubled_b)}; "
+                              "the chain stops here", stacklevel=2)
+                return chain
+        current = PlacedParameter._trusted(tuple(
+            (Signature._trusted(sig.r - 1, sig.s),
+             HCParameter._trusted(rp.doubled_a, rp.doubled_b))
+            for (sig, _), rp in zip(current.places, restricted)))
         chain.append(ChainStep(current.n, current, tuple(rp.doubled_u1 for rp in restricted),
                                classification, dual_flag))
     return chain

@@ -3,10 +3,15 @@
 Given a K-dominant weight mu, decide whether it is the lowest K-type of a
 discrete series and, if so, recover the Harish-Chandra parameter. The test
 shifts mu by the compact roots pairing strictly positively with it, reads
-off the theta-stable parabolic that shift determines, and demands three
-things: the parabolic is a Borel (the shifted weight is regular), mu stays
-weakly above the parabolic's root sum, and the recovered parameter
-(shifted weight minus the half root sum) is regular.
+off the theta-stable parabolic that shift determines, and demands two
+things: the parabolic is a Borel (the shifted weight is regular), and mu
+stays weakly above the parabolic's root sum. Then the recovered parameter
+(shifted weight minus the half root sum) is one, and is not checked
+again: on a regular shifted weight the half root sum, doubled, is 2 rho
+in the weight's order, of one parity. Positivity makes consecutive sorted
+doubled entries differ by at least 4, and subtracting the half root sum
+lowers each such gap by exactly 2, so the parameter keeps the strict
+order of the shifted weight, whose blocks strictly decrease.
 
 The full-shift variant (shifted weight minus the whole root sum) is kept
 as a diagnostic; it is singular in general and never drives acceptance.
@@ -16,10 +21,9 @@ positively with a weight when entry i exceeds entry j. The test takes its
 root sums from one sort of the entries, not from a list of pairs: those
 roots give index i 2 for each entry below it and take 2 for each entry
 above it, doubled. `theta_parabolic` lists its pairs, since it returns
-them. The test checks the weight it is given; what it derives from it is
-valid by construction and built without a second check. The verdict and
-the parabolic are records: each declares its fields once, in `__slots__`,
-and is built by the constructor `_Frozen` compiles from them.
+them. The test checks the weight it is given and nothing it derives. The
+verdict and the parabolic are records: each declares its fields once, in
+`__slots__`, and is built by the constructor `_Frozen` compiles from them.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 from operator import add, ge, le, sub
 
 from .cartan import Signature, Weight, _Frozen, doubled_text, half_entry
-from .packets import HCParameter, _strictly_decreasing
+from .packets import HCParameter
 
 __all__ = [
     "ThetaParabolic",
@@ -139,18 +143,12 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
     positivity_ok = all(map(le, lowered, lowered[1:]))
     double_shift = Weight._trusted(tuple(map(sub, w, two_rho_u)))
 
-    hc: HCParameter | None = None
-    accepted = False
+    hc = None
     if borel_ok and positivity_ok:
-        # Borel case: diff, the half root sum doubled, is a permutation of
-        # two_rho(n), so w - diff keeps uniform half-integrality.
         candidate = tuple(map(sub, w, diff))
-        a, b = candidate[: sig.r], candidate[sig.r:]
-        if len(set(candidate)) == n and _strictly_decreasing(a) and _strictly_decreasing(b):
-            hc = HCParameter._trusted(a, b)
-            accepted = True
-    return MinimalKTypeVerdict(accepted, borel_ok, positivity_ok, hc, double_shift, shifted,
-                               two_rho_u, root_count)
+        hc = HCParameter._trusted(candidate[: sig.r], candidate[sig.r:])
+    return MinimalKTypeVerdict(hc is not None, borel_ok, positivity_ok, hc, double_shift,
+                               shifted, two_rho_u, root_count)
 
 
 def regularity_margin(weight: Weight) -> Fraction | None:

@@ -12,11 +12,12 @@ The blocks and degrees are read off the a-block index sets: the shuffle
 itself needs no pair of entries compared, and a packet is built in bulk by
 C iterators over those sets. The public constructors
 (`HCParameter(...)`, `HCParameter.from_doubled`, `InfinitesimalCharacter`)
-check order, coset and regularity. Shuffles of a checked infinitesimal
-character, their coherent and Blattner weights and dual parameters are
-valid by construction; they are built without a second check, one at a
-time by the `_trusted` constructors that `_Frozen` compiles and a packet
-at once by `_Frozen._fill`.
+check order, coset and regularity. The rho-shift of a checked
+non-increasing weight (`infinitesimal_character`), shuffles of a checked
+infinitesimal character, their coherent and Blattner weights and dual
+parameters are valid by construction; they are built without a second
+check, one at a time by the `_trusted` constructors that `_Frozen`
+compiles and a packet at once by `_Frozen._fill`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ def _strictly_decreasing(values: Sequence) -> bool:
 _backwards = itemgetter(slice(None, None, -1))
 
 
+def _singular_text(a: tuple[int, ...], b: tuple[int, ...]) -> str:
+    return f"parameter ({doubled_text(a)};{doubled_text(b)}) is singular"
+
+
 def _check_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> None:
     """Reject doubled blocks that are not a parameter: mixed cosets, a block
     not strictly decreasing, or an entry shared by the blocks."""
@@ -71,7 +76,7 @@ def _check_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> None:
     if not _strictly_decreasing(b):
         raise ValueError(f"b-block ({doubled_text(b)}) is not strictly decreasing")
     if len(set(joint)) != len(joint):
-        raise ValueError(f"parameter ({doubled_text(a)};{doubled_text(b)}) is singular")
+        raise ValueError(_singular_text(a, b))
 
 
 class HCParameter(_Frozen):
@@ -196,14 +201,15 @@ class PacketMember(_Frozen):
 def infinitesimal_character(a_sigma: Iterable[EntryLike]) -> InfinitesimalCharacter:
     """Shift a non-increasing highest weight by rho.
 
-    The result is strictly decreasing, hence regular.
+    Doubled, 2 rho falls by 2 per entry, all of one parity, so the result
+    is strictly decreasing and on one coset, and is not checked again.
     """
     weight = a_sigma if isinstance(a_sigma, Weight) else Weight(a_sigma)
     doubled = weight.doubled
     if any(x < y for x, y in zip(doubled, doubled[1:])):
         raise ValueError(f"highest weight ({doubled_text(doubled)}) is not non-increasing")
-    return InfinitesimalCharacter(
-        Weight.from_doubled(map(add, doubled, two_rho(len(doubled)))))
+    return InfinitesimalCharacter._trusted(
+        Weight._trusted(tuple(map(add, doubled, two_rho(len(doubled))))))
 
 
 def _below_counts(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:

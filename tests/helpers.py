@@ -14,6 +14,7 @@ from typing import Iterator
 from lpackets import (
     HCParameter,
     InfinitesimalCharacter,
+    KRestriction,
     MinimalKTypeVerdict,
     PacketMember,
     PlacedParameter,
@@ -302,7 +303,9 @@ def reference_minimal_ktype(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
     """minimal_ktype_test from lists of root pairs: the compact pairs shift
     mu, and the pairs of the shifted weight give the root sum, the count
     and the positivity test, each pair on its own. Every value is built
-    through a checked constructor. mu must be K-dominant."""
+    through a checked constructor, and an accepted parameter must also be
+    regular with strictly decreasing blocks: the third condition, which
+    the library drops as one that cannot fail. mu must be K-dominant."""
     doubled = mu.doubled
     compact = _positive_pairs(doubled, 0, sig.r) + _positive_pairs(doubled, sig.r, sig.n)
     shifted = Weight.from_doubled(map(add, doubled, _root_sum(compact, sig.n)))
@@ -335,11 +338,28 @@ def _plain_ints(values) -> bool:
 
 
 def assert_rebuilds(value) -> None:
-    """The library builds some weights and parameters without checking them
-    again, because they are valid by construction. Rebuild such a value
-    through its public constructor, which checks coset, order and
-    regularity, and require the same stored tuples of plain ints."""
-    if isinstance(value, HCParameter):
+    """The library builds some weights, parameters, characters, K-type
+    splits and placed parameters without checking them again, because they
+    are valid by construction. Rebuild such a value through its public
+    constructor, which checks coset, order and regularity, and require the
+    same stored tuples of plain ints. A split's head, pivot and tail must
+    also share one coset, as slices of one weight do."""
+    if isinstance(value, PlacedParameter):
+        assert type(value.places) is tuple, value
+        for sig, hc in value.places:
+            assert Signature(sig.r, sig.s) == sig
+            assert_rebuilds(hc)
+        assert PlacedParameter(value.places) == value
+    elif isinstance(value, KRestriction):
+        assert_rebuilds(value.head)
+        assert_rebuilds(value.tail)
+        assert type(value.doubled_u1) is int, value
+        Weight.from_doubled(value.head.doubled + (value.doubled_u1,) + value.tail.doubled)
+        assert KRestriction(value.head, value.u1, value.tail) == value
+    elif isinstance(value, InfinitesimalCharacter):
+        assert_rebuilds(value.weight)
+        assert InfinitesimalCharacter(value.entries) == value
+    elif isinstance(value, HCParameter):
         assert _plain_ints(value.doubled_a) and _plain_ints(value.doubled_b), value
         assert HCParameter(value.a, value.b) == value
     else:

@@ -425,6 +425,24 @@ class TestChain:
         assert chain == descent_chain(spaced, 1)
         assert chain[0].parameter.places[0][1] == HCParameter((12, 8), (11,))
 
+    @pytest.mark.parametrize("places, blocks", [
+        # Both places are regular after one step; at the second, only the
+        # second place's descended blocks collide.
+        ([((18, 10, 2), (6,)), ((25, 17, 13), (21,))], "23/2;23/2"),
+        # Both collide at the second step: the first place is named.
+        ([((27, 19, 15), (23,)), ((25, 17, 13), (21,))], "25/2;25/2"),
+    ], ids=["second-place", "both-places"])
+    def test_two_places_stop_at_the_first_singular_place(self, places, blocks):
+        p = PlacedParameter((Signature(3, 1), HCParameter.from_doubled(a, b)) for a, b in places)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chain = descent_chain(p, 2, warn=False)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, f"descended parameter ({blocks}) is singular; the chain stops here")]
+        assert caught[0].filename == __file__
+        assert len(chain) == 1
+        assert chain == descent_chain(p, 1, warn=False)
+
     def test_depth_clamp_beats_pending_r_zero(self):
         # n = 2 clamps to one step, so the r = 0 place is never restricted
         p = PlacedParameter([(Signature(1, 1), HCParameter((3,), (0,)))])

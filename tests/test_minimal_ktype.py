@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (all_signatures, fraction_minimal_ktype, random_ic, random_kdominant,
-                     random_weight, reference_minimal_ktype)
+from helpers import (all_signatures, fraction_minimal_ktype, packet_sweep_characters,
+                     random_ic, random_kdominant, random_weight, reference_minimal_ktype)
 
 from lpackets import (
     HCParameter,
@@ -194,9 +194,27 @@ class TestMargin:
         assert ties > 0 and halves > 0
 
 
+class TestAcceptanceRule:
+    """The test accepts exactly when the shifted weight fixes a Borel and
+    mu is positive against its root sum: the recovered parameter needs no
+    check of its own. The pair-list reference keeps that check. Here over
+    the packet sweep's Blattner weights; `TestPairReference` checks the
+    rule over its random K-dominant weights."""
+
+    def test_packet_sweep_blattner_weights(self):
+        inputs = [(m.blattner, sig) for sig, ic in packet_sweep_characters()
+                  for m in enumerate_packet(ic, sig)]
+        verdicts = [minimal_ktype_test(mu, sig) for mu, sig in inputs]
+        assert all(v.accepted == (v.borel_ok and v.positivity_ok) for v in verdicts)
+        assert verdicts == [reference_minimal_ktype(mu, sig) for mu, sig in inputs]
+        assert len(inputs) == 5100
+
+
 class TestPairReference:
     """The one-sort test against the pair-list test it replaced
-    (`reference_minimal_ktype`), on every field of the verdict."""
+    (`reference_minimal_ktype`), on every field of the verdict, and its
+    acceptance rule, over random K-dominant weights with ties, on both
+    cosets and for every r."""
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_pair_route(self, n):
@@ -209,6 +227,7 @@ class TestPairReference:
                 if k % 2:
                     mu = Weight.from_doubled(d + 1 for d in mu.doubled)
                 got = minimal_ktype_test(mu, sig)
+                assert got.accepted == (got.borel_ok and got.positivity_ok)
                 want = reference_minimal_ktype(mu, sig)
                 for field in MinimalKTypeVerdict.__slots__:
                     assert getattr(got, field) == getattr(want, field), field

@@ -1,20 +1,23 @@
 """Values built without a second check, and the checks that stay.
 
-The library builds packet shuffles, dual parameters, coherent and Blattner
-weights, branch constituents and the minimal K-type test's derived values
-without checking them again: one at a time through the `_trusted`
-constructors and many at once through `_fill`, both of `_Frozen`, which
-store the slot values as they are. These tests rebuild every such value
-through its public, checking constructor over the packet and counting
-sweeps, pin the places that may call `_trusted` or `_fill`, pin `_Frozen`
-as the only code that stores into a value type (through a slot setter, by
-name, or into a bare `__new__` instance), pin that every checking class
-writes its own constructor (so `_Frozen` compiles a storing one only for
-the records), and pin the checks the public constructors keep.
+The library builds infinitesimal characters, packet shuffles, dual
+parameters, coherent and Blattner weights, K-type splits, branch
+constituents, the minimal K-type test's derived values and the descended
+parameters of a chain without checking them again: one at a time through
+the `_trusted` constructors and many at once through `_fill`, both of
+`_Frozen`, which store the slot values as they are. These tests rebuild
+every such value through its public, checking constructor over the packet
+and counting sweeps, pin the places that may call `_trusted` or `_fill`,
+pin `_Frozen` as the only code that stores into a value type (through a
+slot setter, by name, or into a bare `__new__` instance), pin that every
+checking class writes its own constructor (so `_Frozen` compiles a storing
+one only for the records), and pin the checks the public constructors
+keep.
 """
 
 import ast
 import inspect
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,9 +37,11 @@ from lpackets import (
     blattner,
     branch,
     coherent_parameter,
+    descent_chain,
     dual_parameter,
     enumerate_packet,
     minimal_ktype_test,
+    restrict_ktype,
     shifted_weight,
 )
 
@@ -49,12 +54,14 @@ TRUSTED_NAMES = {"_trusted", "_fill"}
 TRUSTED_SITES = {
     ("cartan.py", "Weight.from_doubled"),  # after its own parity check
     ("packets.py", "HCParameter.from_doubled"),  # after its own checks
+    ("packets.py", "infinitesimal_character"),  # the rho-shift, after its order check
     ("packets.py", "enumerate_packet"),  # shuffles, in bulk
     ("packets.py", "coherent_parameter"),
     ("packets.py", "blattner"),
     ("packets.py", "dual_parameter"),
-    ("branching.py", "KRestriction.from_doubled"),  # public and unchecked
     ("branching.py", "branch"),  # lower weights and constituents, in bulk
+    ("branching.py", "restrict_ktype"),  # slices of its weight, after its order checks
+    ("descent.py", "descent_chain"),  # each step, after its regularity test
     ("minimal_ktype.py", "shifted_weight"),
     ("minimal_ktype.py", "minimal_ktype_test"),  # hc_double_shift, accepted hc
 }
@@ -99,9 +106,10 @@ def _sites(path: Path) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
 
 
 def check_member(sig, member) -> int:
-    """Rebuild everything derived from one packet member; returns the
-    number of branch constituents checked. A value equal to a rebuilt one
-    (same stored tuples) needs no rebuild of its own."""
+    """Rebuild everything derived from one packet member, its K-type split
+    included; returns the number of branch constituents checked. A value
+    equal to a rebuilt one (same stored tuples) needs no rebuild of its
+    own."""
     # The member computes its Blattner and coherent weights on each access.
     hc, mu, coherent = member.hc, member.blattner, member.coherent
     verdict = minimal_ktype_test(mu, sig)
@@ -115,15 +123,35 @@ def check_member(sig, member) -> int:
         assert verdict.hc == hc
     if sig.r == 0:
         return 0
+    assert_rebuilds(restrict_ktype(mu, sig))
     constituents = branch(Weight.from_doubled(mu.doubled[: sig.r]))
     assert_rebuild_together(c.lower for c in constituents)
     return len(constituents)
+
+
+def check_chains(places, packets) -> int:
+    """Rebuild every step of the chains, taken to depth min r, of the placed
+    parameters whose places hold member k of each packet (cycling through
+    the shorter packets), for every k; returns the number of steps."""
+    depth = min(sig.r for sig, _ in places)
+    steps = 0
+    with warnings.catch_warnings():
+        # A chain that turns singular stops early, with a warning.
+        warnings.simplefilter("ignore")
+        for k in range(max(map(len, packets))):
+            p = PlacedParameter((sig, packet[k % len(packet)].hc)
+                                for (sig, _), packet in zip(places, packets))
+            for step in descent_chain(p, depth, warn=False):
+                assert_rebuilds(step.parameter)
+                steps += 1
+    return steps
 
 
 class TestRebuildOracle:
     def test_packet_sweep(self):
         members = constituents = 0
         for sig, ic in packet_sweep_characters():
+            assert_rebuilds(ic)
             for member in enumerate_packet(ic, sig):
                 constituents += check_member(sig, member)
                 members += 1
@@ -131,14 +159,19 @@ class TestRebuildOracle:
         assert constituents == 469_723
 
     def test_counting_sweep(self):
-        members = constituents = 0
+        members = constituents = steps = 0
         for places in counting_sweep():
+            packets = []
             for sig, ic in places:
-                for member in enumerate_packet(ic, sig):
+                assert_rebuilds(ic)
+                packets.append(enumerate_packet(ic, sig))
+                for member in packets[-1]:
                     constituents += check_member(sig, member)
                     members += 1
+            steps += check_chains(places, packets)
         assert members == 9708
         assert constituents == 781_302
+        assert steps == 14_731
 
     def test_oracle_catches_a_bad_value(self):
         bad_weight = Weight._trusted((2, 1))
@@ -155,6 +188,16 @@ class TestRebuildOracle:
             assert_rebuilds(HCParameter._fill("doubled_b", [(2,), (4,)], hcs)[1])
         with pytest.raises(AssertionError):
             assert_rebuilds(Weight._trusted([2, 4]))
+        with pytest.raises(ValueError, match="not strictly decreasing"):
+            assert_rebuilds(InfinitesimalCharacter._trusted(Weight._trusted((2, 4))))
+        with pytest.raises(ValueError, match="mixed half-integrality"):
+            assert_rebuilds(KRestriction._trusted(Weight((5,)), 3, Weight((-2,))))
+        with pytest.raises(ValueError, match="singular"):
+            assert_rebuilds(PlacedParameter._trusted(
+                ((Signature(1, 1), HCParameter._trusted((4,), (4,))),)))
+        with pytest.raises(ValueError, match="does not match signature"):
+            assert_rebuilds(PlacedParameter._trusted(
+                ((Signature(2, 0), HCParameter((2,), (1,))),)))
 
 
 def _package_sites() -> tuple[set, set]:
@@ -243,6 +286,10 @@ class TestPublicChecks:
             build((4,), (0, 2))
         with pytest.raises(ValueError, match=r"parameter \(2;2\) is singular"):
             build((4,), (4,))
+
+    def test_k_restriction_has_no_unchecked_constructor(self):
+        # A split is built by `restrict_ktype` or by `KRestriction(head, u1, tail)`.
+        assert not hasattr(KRestriction, "from_doubled")
 
     def test_prime_hc_keeps_checking(self):
         # Off the spacing hypothesis the descended blocks can collide.
