@@ -6,10 +6,13 @@ recovery, classical U(m) -> U(m-1) branching, and the descent calculus
 for restriction to U(r-1, s) with its isomorphism/zero dichotomy.
 """
 
+from . import branching, cartan, descent, minimal_ktype, packets
 from .branching import *
 from .cartan import *
 from .descent import *
 from .minimal_ktype import *
 from .packets import *
 
-__version__ = "0.7.0"
+__all__ = [*cartan.__all__, *packets.__all__, *minimal_ktype.__all__, *branching.__all__,
+           *descent.__all__]
+__version__ = "0.8.0"

@@ -247,10 +247,6 @@ class Weight(_Frozen):
     def __repr__(self) -> str:
         return f"Weight(({', '.join(map(doubled_to_str, self.doubled))}))"
 
-    def is_regular(self) -> bool:
-        """True iff all entries are pairwise distinct."""
-        return len(set(self.doubled)) == len(self.doubled)
-
 
 def pairing(x: Weight, y: Weight) -> Fraction:
     """Standard dot product; the bilinear form used everywhere here."""

@@ -25,21 +25,12 @@ import functools
 import re
 import sys
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .cartan import Weight, half_entry
-from .commands import _COMMANDS, _COMMON, Result, _cell, _Command, _parse_weight, format_weight
+from .commands import _COMMANDS, _COMMON, Result, _cell, _Command
 
-__all__ = ["main", "console_main", "parse_weight", "format_weight"]
-
-
-def parse_weight(text: str) -> tuple[Weight, list[tuple[Fraction, ...]] | None]:
-    """(weight, blocks), blocks None when no separator appeared."""
-    weight, blocks = _parse_weight(text)
-    return weight, None if blocks is None else [tuple(map(half_entry, b)) for b in blocks]
-
+__all__ = ["main", "console_main", "build_parser"]
 
 # A token "-<digit>..." or "-.<digit>..." is a value, such as "-1;1", never an option.
 _NUMBER = re.compile(r"-\.?[0-9]")

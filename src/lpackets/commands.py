@@ -60,15 +60,6 @@ def _parse_weight(text: str) -> tuple[Weight, list[list[int]] | None]:
     return weight, blocks if len(blocks) > 1 else None
 
 
-def format_weight(weight: Weight, sig: Signature | None = None) -> str:
-    """Inverse of parse_weight; uses ";" for the block separator."""
-    if sig is None:
-        return doubled_text(weight.doubled)
-    if len(weight) != sig.n:
-        raise ValueError("dimension mismatch")
-    return f"{doubled_text(weight.doubled[: sig.r])};{doubled_text(weight.doubled[sig.r:])}"
-
-
 def parse_signature(text: str) -> Signature:
     match = _SIGNATURE.fullmatch(text)
     if not match:

@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from math import prod
 
 from .cartan import Signature, _Frozen, doubled_text, half_entry, two_rho
-from .packets import HCParameter, InfinitesimalCharacter, _singular_text, dual_parameter
+from .packets import HCParameter, InfinitesimalCharacter, _singular_text
 
 __all__ = [
     "PlacedParameter",
@@ -75,9 +75,6 @@ class PlacedParameter(_Frozen):
     def n(self) -> int:
         return self.places[0][0].n
 
-    def dual(self) -> "PlacedParameter":
-        return PlacedParameter((sig, dual_parameter(hc)) for sig, hc in self.places)
-
     def __repr__(self) -> str:
         return f"PlacedParameter({list(self.places)!r})"
 
@@ -86,9 +83,10 @@ class RestrictedParameter(_Frozen):
     """Descended blocks plus the split-off U(1) weight.
 
     The blocks are stored raw: off the spacing hypothesis they can collide,
-    and promoting them to an HCParameter is only possible (and only done)
-    when they are jointly regular. Everything is stored doubled;
-    `prime_a`, `prime_b` and `u1_weight` are the Fraction views.
+    so `HCParameter.from_doubled(rp.doubled_a, rp.doubled_b)` builds the
+    descended parameter only when they are jointly regular. Everything is
+    stored doubled; `prime_a`, `prime_b` and `u1_weight` are the Fraction
+    views.
     """
 
     __slots__ = ("doubled_a", "doubled_b", "doubled_u1")
@@ -107,9 +105,6 @@ class RestrictedParameter(_Frozen):
     @property
     def u1_weight(self) -> Fraction:
         return half_entry(self.doubled_u1)
-
-    def prime_hc(self) -> HCParameter:
-        return HCParameter.from_doubled(self.doubled_a, self.doubled_b)
 
 
 _OFF_SPACING = "parameter is outside the spacing hypothesis (a consecutive gap is below 2)"
@@ -132,11 +127,15 @@ def restrict_parameter(sig: Signature, hc: HCParameter) -> RestrictedParameter:
     if sig.r < 1:
         raise ValueError("signature needs r >= 1 to restrict")
     _check_signature(sig, hc)
+    return _descend(hc)
+
+
+def _descend(hc: HCParameter) -> RestrictedParameter:
+    """restrict_parameter without its checks, for a parameter with r >= 1."""
     # Doubled, the shifts by -1/2 and +1/2 are -1 and +1.
-    prime_a = tuple(x - 1 for x in hc.doubled_a[:-1])
-    prime_b = tuple(x + 1 for x in hc.doubled_b)
-    u1 = hc.doubled_a[-1] - two_rho(hc.n)[sig.r - 1]
-    return RestrictedParameter(doubled_a=prime_a, doubled_b=prime_b, doubled_u1=u1)
+    a = hc.doubled_a
+    return RestrictedParameter(tuple(x - 1 for x in a[:-1]), tuple(x + 1 for x in hc.doubled_b),
+                               a[-1] - two_rho(hc.n)[len(a) - 1])
 
 
 def restriction_is_discrete_series(rp: RestrictedParameter, n: int) -> bool:
@@ -160,9 +159,10 @@ def min_entry_in_a_everywhere(p: PlacedParameter) -> bool:
 
 
 def _dual_min_entry_in_a_everywhere(p: PlacedParameter) -> bool:
-    """min_entry_in_a_everywhere(p.dual()) without building the dual: the
-    dual's last a-entry is minus the first a-entry and its minimum is minus
-    the maximum, so at each place the first a-entry must be the maximum."""
+    """min_entry_in_a of `dual_parameter` at every place, without building
+    the duals: the dual's last a-entry is minus the first a-entry and its
+    minimum is minus the maximum, so at each place the first a-entry must
+    be the maximum."""
     return all(hc.r > 0 and hc.doubled_a[0] == max(hc.doubled_a + hc.doubled_b)
                for _, hc in p.places)
 
@@ -270,7 +270,7 @@ def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[Cha
     for _ in range(steps):
         if any(sig.r < 1 for sig, _ in current.places):
             raise ValueError("cannot descend a place with r = 0")
-        restricted = [restrict_parameter(sig, hc) for sig, hc in current.places]
+        restricted = [_descend(hc) for _, hc in current.places]
         classification = _classify(current, warn)
         dual_flag = _dual_min_entry_in_a_everywhere(current)
         # The shifts keep each block strictly decreasing and on one coset:

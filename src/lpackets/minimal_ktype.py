@@ -93,13 +93,14 @@ def shifted_weight(mu: Weight, sig: Signature) -> Weight:
 
 def theta_parabolic(weight: Weight) -> ThetaParabolic:
     """Roots pairing strictly positively with the weight; Borel iff the
-    weight is regular (all n(n-1)/2 positive pairs appear)."""
+    weight is regular (all n(n-1)/2 positive pairs appear). The root sum,
+    doubled, has only even entries, so it is not checked again."""
     n = len(weight)
     pairs = _positive_pairs(weight.doubled, 0, n)
     return ThetaParabolic(
         delta_u=tuple((i + 1, j + 1) for i, j in pairs),
         is_borel=len(pairs) == n * (n - 1) // 2,
-        two_rho_u=Weight.from_doubled(_root_sum(pairs, n)),
+        two_rho_u=Weight._trusted(_root_sum(pairs, n)),
     )
 
 

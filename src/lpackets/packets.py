@@ -14,10 +14,11 @@ C iterators over those sets. The public constructors
 (`HCParameter(...)`, `HCParameter.from_doubled`, `InfinitesimalCharacter`)
 check order, coset and regularity. The rho-shift of a checked
 non-increasing weight (`infinitesimal_character`), shuffles of a checked
-infinitesimal character, their coherent and Blattner weights and dual
-parameters are valid by construction; they are built without a second
-check, one at a time by the `_trusted` constructors that `_Frozen`
-compiles and a packet at once by `_Frozen._fill`.
+infinitesimal character, their coherent and Blattner weights, dual
+parameters and a checked parameter's weight are valid by construction;
+they are built without a second check, one at a time by the `_trusted`
+constructors that `_Frozen` compiles and a packet at once by
+`_Frozen._fill`.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ class HCParameter(_Frozen):
 
     @property
     def weight(self) -> Weight:
-        """Concatenated (a, b) as a plain weight."""
-        return Weight.from_doubled(self.doubled_a + self.doubled_b)
+        """Concatenated (a, b) as a plain weight: the blocks share one coset."""
+        return Weight._trusted(self.doubled_a + self.doubled_b)
 
     def __repr__(self) -> str:
         return f"HCParameter(({doubled_text(self.doubled_a)};{doubled_text(self.doubled_b)}))"

@@ -22,14 +22,25 @@ from lpackets import (
     Signature,
     Weight,
     coherent_parameter,
+    dual_parameter,
     enumerate_packet,
     infinitesimal_character,
     min_entry_in_a,
     min_entry_in_a_everywhere,
     restrict_ktype,
 )
-from lpackets.cartan import two_rho
+from lpackets.cartan import doubled_text, two_rho
 from lpackets.minimal_ktype import _positive_pairs, _root_sum
+
+
+def format_weight(weight: Weight, sig: Signature | None = None) -> str:
+    """A weight in the command line's weight syntax, split into the blocks
+    of sig by ";" when sig is given."""
+    if sig is None:
+        return doubled_text(weight.doubled)
+    if len(weight) != sig.n:
+        raise ValueError("dimension mismatch")
+    return f"{doubled_text(weight.doubled[: sig.r])};{doubled_text(weight.doubled[sig.r:])}"
 
 
 def all_signatures(n: int) -> list[Signature]:
@@ -264,8 +275,9 @@ def walk_fraction_reference(places) -> Fraction:
 
 
 def reference_dual_min_in_a(p: PlacedParameter) -> bool:
-    """The dual's minimum-entry flag through the dual parameter itself."""
-    return min_entry_in_a_everywhere(p.dual())
+    """The dual's minimum-entry flag through the dual parameters themselves."""
+    return min_entry_in_a_everywhere(
+        PlacedParameter((sig, dual_parameter(hc)) for sig, hc in p.places))
 
 
 def reference_weyl_dim(weight: Weight) -> int:

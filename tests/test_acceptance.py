@@ -150,7 +150,7 @@ def test_criterion_05_worked_example_lock():
     assert verdict.accepted
     assert verdict.hc == HCParameter((5, 2), (1,))
     assert verdict.hc_double_shift == Weight((4, 2, 2))
-    assert not verdict.hc_double_shift.is_regular()
+    assert regularity_margin(verdict.hc_double_shift) == 0
     _report(5, "fixed example recovers (5,2;1); the full-shift value "
                "(4,2,2) is singular")
 
@@ -200,7 +200,7 @@ def test_criterion_08_descended_parameter_lattice(fraction_sweep):
                 assert len(set(entries)) == len(entries)
                 assert all((x - anchor).denominator == 1 for x in entries)
                 if n > 1:
-                    rp.prime_hc()
+                    HCParameter.from_doubled(rp.doubled_a, rp.doubled_b)
                 checked += 1
     _report(8, f"{checked} descended parameters regular and on the "
                "(n-2)/2 + Z coset")

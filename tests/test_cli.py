@@ -12,79 +12,82 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import all_signatures, packet_sweep_characters, random_dominant, random_ic
+from helpers import (all_signatures, format_weight, packet_sweep_characters, random_dominant,
+                     random_ic)
 
 import lpackets.cli
 import lpackets.commands
 from lpackets import (PlacedParameter, Signature, Weight, descent_chain, enumerate_packet,
                       infinitesimal_character, weight_from_strings, weight_to_strings)
 from lpackets.cartan import doubled_text
-from lpackets.cli import _json, _parse, _read, build_parser, format_weight, main, parse_weight
-from lpackets.commands import _COMMANDS, _COMMON, _PLACES_HC, _member_data
+from lpackets.cli import _json, _parse, _read, build_parser, main
+from lpackets.commands import _COMMANDS, _COMMON, _PLACES_HC, _member_data, _parse_weight
 
 
 class TestParseWeight:
+    # The weight syntax's parser gives each block as its doubled entries.
+
     def test_plain(self):
-        weight, blocks = parse_weight("5,2,-1")
+        weight, blocks = _parse_weight("5,2,-1")
         assert weight.entries == (5, 2, -1)
         assert blocks is None
 
     def test_semicolon_blocks(self):
-        weight, blocks = parse_weight("5,2;-1")
+        weight, blocks = _parse_weight("5,2;-1")
         assert weight.entries == (5, 2, -1)
-        assert blocks == [(5, 2), (-1,)]
+        assert blocks == [[10, 4], [-2]]
 
     def test_slash_between_integers_splits(self):
-        weight, blocks = parse_weight("5,3/0")
+        weight, blocks = _parse_weight("5,3/0")
         assert weight.entries == (5, 3, 0)
-        assert blocks == [(5, 3), (0,)]
+        assert blocks == [[10, 6], [0]]
 
     def test_odd_over_two_is_an_entry(self):
-        weight, blocks = parse_weight("9/2,5/2")
+        weight, blocks = _parse_weight("9/2,5/2")
         assert weight.entries == (Fraction(9, 2), Fraction(5, 2))
         assert blocks is None
 
     def test_negative_half_entry(self):
-        weight, blocks = parse_weight("9/2,-1/2")
+        weight, blocks = _parse_weight("9/2,-1/2")
         assert weight.entries == (Fraction(9, 2), Fraction(-1, 2))
         assert blocks is None
 
     def test_even_over_two_splits(self):
-        weight, blocks = parse_weight("4/2")
+        weight, blocks = _parse_weight("4/2")
         assert weight.entries == (4, 2)
-        assert blocks == [(4,), (2,)]
+        assert blocks == [[8], [4]]
 
     def test_odd_over_other_splits(self):
-        weight, blocks = parse_weight("7/4")
-        assert blocks == [(7,), (4,)]
+        weight, blocks = _parse_weight("7/4")
+        assert blocks == [[14], [8]]
 
     def test_half_entries_with_semicolon(self):
-        weight, blocks = parse_weight("9/2;5/2")
+        weight, blocks = _parse_weight("9/2;5/2")
         assert weight.entries == (Fraction(9, 2), Fraction(5, 2))
-        assert blocks == [(Fraction(9, 2),), (Fraction(5, 2),)]
+        assert blocks == [[9], [5]]
 
     def test_empty_trailing_block(self):
-        weight, blocks = parse_weight("4;")
+        weight, blocks = _parse_weight("4;")
         assert weight.entries == (4,)
-        assert blocks == [(4,), ()]
+        assert blocks == [[8], []]
 
     def test_empty_leading_block(self):
-        weight, blocks = parse_weight(";4,1")
-        assert blocks == [(), (4, 1)]
+        weight, blocks = _parse_weight(";4,1")
+        assert blocks == [[], [8, 2]]
 
     def test_mixed_coset_rejected(self):
         with pytest.raises(ValueError):
-            parse_weight("1,1/2")
+            _parse_weight("1,1/2")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            parse_weight("")
+            _parse_weight("")
         with pytest.raises(ValueError):
-            parse_weight("  ")
+            _parse_weight("  ")
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
-            parse_weight("5,x")
+            _parse_weight("5,x")
 
     @pytest.mark.parametrize("argv", [
         ["branch", "--hw", "{}"],
@@ -106,7 +109,7 @@ class TestParseWeight:
     def test_two_read_as_an_integer_is_one_entry(self, argv, entry, capsys):
         # The denominator is read as doubled_from_str reads it, so the weight
         # syntax and weight_from_strings agree that "5/+2" and "5/02" are 5/2.
-        assert parse_weight(entry) == (weight_from_strings([entry]), None)
+        assert _parse_weight(entry) == (weight_from_strings([entry]), None)
         assert main([arg.format("5/2") for arg in argv]) == 0
         want = capsys.readouterr()
         assert main([arg.format(entry) for arg in argv]) == 0
@@ -126,7 +129,7 @@ class TestFormatWeight:
 
     def test_round_trip(self):
         for text in ("5,2;-1", "9/2;5/2", "0;4,1"):
-            weight, blocks = parse_weight(text)
+            weight, blocks = _parse_weight(text)
             sig = Signature(len(blocks[0]), len(blocks[1]))
             assert format_weight(weight, sig) == text
 
@@ -140,10 +143,10 @@ class TestFormatWeight:
         weight = Weight.from_doubled(2 * h + parity for h in halves)
         r = data.draw(st.integers(0, len(weight)))
         text = format_weight(weight, Signature(r, len(weight) - r))
-        parsed, blocks = parse_weight(text)
+        parsed, blocks = _parse_weight(text)
         assert parsed == weight
-        assert blocks == [weight.entries[:r], weight.entries[r:]]
-        assert parse_weight(format_weight(weight)) == (weight, None)
+        assert blocks == [list(weight.doubled[:r]), list(weight.doubled[r:])]
+        assert _parse_weight(format_weight(weight)) == (weight, None)
 
 
 class TestPacketCommand:
@@ -569,17 +572,18 @@ class TestReadableErrors:
 
 def test_commands_keeps_entries_doubled():
     # Entries stay doubled ints from argv to the record's text: the command
-    # layer names no Fraction and builds no Fraction view.
-    tree = ast.parse(Path(lpackets.commands.__file__).read_text())
-    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names}
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-              for alias in node.names}
-    assert "fractions" not in modules
-    assert names & {"Fraction", "half_entry", "entry_to_str"} == set()
+    # layer and its driver name no Fraction and build no Fraction view.
+    for module in (lpackets.commands, lpackets.cli):
+        tree = ast.parse(Path(module.__file__).read_text())
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert "fractions" not in modules, module.__name__
+        assert names & {"Fraction", "half_entry", "entry_to_str"} == set(), module.__name__
 
 
 class TestErrors:

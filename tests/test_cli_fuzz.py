@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import format_weight
+
 from lpackets import Signature, Weight, enumerate_packet, infinitesimal_character
-from lpackets.cli import _parse, build_parser, format_weight, main, parse_weight
-from lpackets.commands import _COMMANDS, _COMMON
+from lpackets.cli import _parse, build_parser, main
+from lpackets.commands import _COMMANDS, _COMMON, _parse_weight
 
 FUZZ = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -198,12 +200,12 @@ def _mutate(kind, command, flag, value):
     if kind == "wrong length" and weighted and command != "branch":
         text += "0" if text.endswith(";") else ",0"
     elif kind == "singular" and flag in ("--hcp", "--place") and command != "fraction":
-        a, b = parse_weight(text)[1]
+        a, b = _parse_weight(text)[1]
         if not (a and b):
             return None
         # Both blocks stay strictly decreasing; the b-block takes the a-block's top.
         b = sorted({*b[1:], a[0]}, reverse=True)
-        text = format_weight(Weight(a + tuple(b)), Signature(len(a), len(b)))
+        text = format_weight(Weight.from_doubled(a + b), Signature(len(a), len(b)))
     elif kind in ("a third", "a decimal") and weighted:
         suffix = "/3" if kind == "a third" else ".5"
         text = ENTRY.sub(lambda m: m.group(0).partition("/")[0] + suffix, text, count=1)

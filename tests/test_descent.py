@@ -111,7 +111,7 @@ class TestDiscreteSeriesCheck:
         assert rp.prime_a == rp.prime_b == (Fraction(5, 2),)
         assert not restriction_is_discrete_series(rp, 3)
         with pytest.raises(ValueError):
-            rp.prime_hc()
+            HCParameter.from_doubled(rp.doubled_a, rp.doubled_b)
 
     def test_holds_under_spacing(self):
         rng = random.Random(53)
@@ -486,7 +486,7 @@ class TestChain:
             assert step.dual_min_in_a is reference_dual_min_in_a(p)
             assert step.u1_weights == tuple(rp.u1_weight for rp in restricted)
             assert [hc for _, hc in step.parameter.places] == [
-                rp.prime_hc() for rp in restricted]
+                HCParameter.from_doubled(rp.doubled_a, rp.doubled_b) for rp in restricted]
 
     def test_warning_points_at_caller(self):
         p = PlacedParameter([(Signature(2, 1), HCParameter((3, 2), (1,)))])

@@ -99,7 +99,7 @@ class TestVerdicts:
         assert verdict.mu_shifted.entries == (6, 2, 0)
         assert verdict.hc == HCParameter((5, 2), (1,))
         assert verdict.hc_double_shift.entries == (4, 2, 2)
-        assert not verdict.hc_double_shift.is_regular()
+        assert regularity_margin(verdict.hc_double_shift) == 0
 
     def test_positivity_failure(self):
         verdict = minimal_ktype_test(Weight((1, 0), ), Signature(1, 1))

@@ -1,37 +1,63 @@
+import importlib
 import os
 import re
 import subprocess
 import sys
 import types
 
+import helpers
+
 import lpackets
+import lpackets.cli
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
-PUBLIC_NAMES = {
-    "BranchConstituent", "ChainStep", "HCParameter", "InfinitesimalCharacter",
-    "KRestriction", "MinimalKTypeVerdict", "PacketMember", "PlacedParameter",
-    "RestrictedParameter", "RestrictionClass", "Signature", "ThetaParabolic", "Weight",
-    "blattner", "branch", "classify_restriction", "coherent_parameter", "degree",
-    "descent_chain", "dual_parameter", "enumerate_packet", "expected_fraction", "extremes",
-    "hodge_parameter", "infinitesimal_character", "interlaces", "isomorphism_fraction",
-    "min_entry_in_a", "min_entry_in_a_everywhere", "minimal_ktype_test",
-    "noncompact_support_matches", "pairing", "regularity_margin", "restrict_ktype",
-    "restrict_parameter", "restriction_contains", "restriction_is_discrete_series", "rho",
-    "rho_tilde", "shifted_weight", "shuffle_length", "theta_parabolic", "weight_from_strings",
-    "weight_to_strings", "well_spaced", "well_spaced_everywhere", "weyl_dim",
-}
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+VERDICTS = {"keep", "fold", "move"}
+
+
+def public_name_table() -> list[tuple[str, str, str]]:
+    """(name, module, verdict) of each row of README's table of public
+    names: the rows below its header and rule, up to the first line that
+    is not a row."""
+    with open(README) as handle:
+        lines = handle.read().splitlines()
+    rows = []
+    for line in lines[lines.index("| Name | Module | Verdict | Reason |") + 2:]:
+        if not line.startswith("|"):
+            break
+        name, module, verdict = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+        rows.append((name, module, verdict))
+    return rows
 
 
 def test_version_and_public_names():
     # Python 3.10 has no tomllib, so the version line is read by pattern.
     with open(PYPROJECT) as handle:
         declared = re.search(r'^version = "([^"]+)"$', handle.read(), re.M).group(1)
-    assert lpackets.__version__ == declared == "0.7.0"
+    assert lpackets.__version__ == declared == "0.8.0"
+    rows = public_name_table()
+    assert len({name for name, _, _ in rows}) == len(rows) > 0
+    assert {verdict for _, _, verdict in rows} <= VERDICTS
+    keep = {(module, name) for name, module, verdict in rows
+            if verdict == "keep" and "." not in name}
     exported = {name for name, value in vars(lpackets).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert exported == PUBLIC_NAMES
+    assert set(lpackets.__all__) == exported == {name for module, name in keep
+                                                 if module != "cli"}
+    assert set(lpackets.cli.__all__) == {name for module, name in keep if module == "cli"}
+    for name, module, verdict in rows:
+        owner = importlib.import_module(f"lpackets.{module}")
+        if "." in name:
+            # A method: its class is exported, and it is there unless it left.
+            cls, method = name.split(".")
+            assert hasattr(getattr(owner, cls), method) == (verdict == "keep"), name
+        elif verdict == "keep":
+            assert name in owner.__all__, name
+        else:
+            assert not hasattr(owner, name) and not hasattr(lpackets, name), name
+            assert hasattr(helpers, name) == (verdict == "move"), name
 
 
 def test_cold_import_leaves_out_dataclasses_and_inspect():

@@ -1,9 +1,10 @@
 """Values built without a second check, and the checks that stay.
 
 The library builds infinitesimal characters, packet shuffles, dual
-parameters, coherent and Blattner weights, K-type splits, branch
-constituents, the minimal K-type test's derived values and the descended
-parameters of a chain without checking them again: one at a time through
+parameters, a parameter's weight, coherent and Blattner weights, K-type
+splits, branch constituents, the minimal K-type test's derived values,
+the parabolic's root sum and the descended parameters of a chain without
+checking them again: one at a time through
 the `_trusted` constructors and many at once through `_fill`, both of
 `_Frozen`, which store the slot values as they are. These tests rebuild
 every such value through its public, checking constructor over the packet
@@ -43,6 +44,7 @@ from lpackets import (
     minimal_ktype_test,
     restrict_ktype,
     shifted_weight,
+    theta_parabolic,
 )
 
 # The unchecked constructors `_Frozen` provides: `_trusted`, and `_fill`,
@@ -59,10 +61,12 @@ TRUSTED_SITES = {
     ("packets.py", "coherent_parameter"),
     ("packets.py", "blattner"),
     ("packets.py", "dual_parameter"),
+    ("packets.py", "HCParameter.weight"),  # the blocks of a checked parameter
     ("branching.py", "branch"),  # lower weights and constituents, in bulk
     ("branching.py", "restrict_ktype"),  # slices of its weight, after its order checks
     ("descent.py", "descent_chain"),  # each step, after its regularity test
     ("minimal_ktype.py", "shifted_weight"),
+    ("minimal_ktype.py", "theta_parabolic"),  # a root sum: even doubled entries
     ("minimal_ktype.py", "minimal_ktype_test"),  # hc_double_shift, accepted hc
 }
 
@@ -113,8 +117,8 @@ def check_member(sig, member) -> int:
     # The member computes its Blattner and coherent weights on each access.
     hc, mu, coherent = member.hc, member.blattner, member.coherent
     verdict = minimal_ktype_test(mu, sig)
-    for value in (hc, mu, coherent, dual_parameter(hc),
-                  verdict.mu_shifted, verdict.hc_double_shift):
+    for value in (hc, hc.weight, mu, coherent, dual_parameter(hc),
+                  verdict.mu_shifted, verdict.hc_double_shift, theta_parabolic(mu).two_rho_u):
         assert_rebuilds(value)
     assert blattner(hc) == mu
     assert coherent_parameter(hc) == coherent
@@ -292,10 +296,11 @@ class TestPublicChecks:
         assert not hasattr(KRestriction, "from_doubled")
 
     def test_prime_hc_keeps_checking(self):
-        # Off the spacing hypothesis the descended blocks can collide.
+        # Off the spacing hypothesis the descended blocks can collide, so the
+        # descended parameter is built through the checking `from_doubled`.
         collided = RestrictedParameter(doubled_a=(5,), doubled_b=(5,), doubled_u1=0)
         with pytest.raises(ValueError, match=r"parameter \(5/2;5/2\) is singular"):
-            collided.prime_hc()
+            HCParameter.from_doubled(collided.doubled_a, collided.doubled_b)
         unordered = RestrictedParameter(doubled_a=(1, 3), doubled_b=(), doubled_u1=0)
         with pytest.raises(ValueError, match="not strictly decreasing"):
-            unordered.prime_hc()
+            HCParameter.from_doubled(unordered.doubled_a, unordered.doubled_b)
