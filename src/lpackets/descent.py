@@ -11,6 +11,20 @@ map is zero. That dichotomy is stated under a spacing hypothesis
 classifier warns. Each result is computed one way only: the K-type
 restriction route, the root-support route and the walk over a packet's
 members for the isomorphism fraction are oracles in the tests.
+
+The root-support route agrees with the minimum-entry condition on every
+regular descent, one whose descended entries are distinct, spaced or not.
+The entries of one parameter lie on one coset of Z, so a_i - b_j is a
+nonzero integer, and a_i - 1/2 > b_j + 1/2 exactly when a_i - b_j >= 2.
+The shift can change a comparison a_i > b_j only where a_i - b_j = 1, and
+for i < r the descended entries a_i - 1/2 and b_j + 1/2 then collide: the
+descent is singular. On a regular descent the descended support is
+therefore the original support less the pairs (r, j), so the two match
+exactly when no b_j lies below a_r, that is, when a_r is the minimum.
+Hence every divergence of the routes falls at a singular descent. The
+spacing hypothesis rules out a_i - b_j = 1, so it suffices for a regular
+first step; it stands in for the paper's "sufficiently general"
+condition, which the paper needs for its global argument.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from lpackets import (
     restriction_contains,
     weyl_dim,
 )
+from lpackets.branching import _KERNEL_MAX
+from lpackets.cartan import doubled_text
 
 
 @st.composite
@@ -113,6 +116,31 @@ class TestWeylDim:
                 assert weyl_dim(weight) == reference_weyl_dim(weight), weight
                 checked += 1
         assert checked == 5005
+
+    def test_kernel_bound_sweep(self):
+        # Random dominant weights on both cosets, on both sides of the bound
+        # of the compiled kernels.
+        rng = random.Random(16)
+        for m in range(7, _KERNEL_MAX + 5):
+            for parity in (0, 1):
+                for _ in range(20):
+                    doubled = [2 * rng.randint(-9, 9) + parity]
+                    for _ in range(m - 1):
+                        doubled.append(doubled[-1] - 2 * rng.randint(0, 3))
+                    weight = Weight.from_doubled(doubled)
+                    assert weyl_dim(weight) == reference_weyl_dim(weight), weight
+
+    def test_rejects_each_adjacent_inversion(self):
+        # One inversion at each position: a kernel returns no value for it,
+        # and the general path raises the one error text.
+        for m in range(2, _KERNEL_MAX + 2):
+            for k in range(m - 1):
+                doubled = list(range(2 * m, 0, -2))
+                doubled[k], doubled[k + 1] = doubled[k + 1], doubled[k]
+                text = re.escape(doubled_text(doubled))
+                with pytest.raises(ValueError,
+                                   match=rf"^highest weight \({text}\) is not non-increasing$"):
+                    weyl_dim(Weight.from_doubled(doubled))
 
 
 class TestRestrictKType:

@@ -214,7 +214,8 @@ class TestRouteOracles:
     the K-type route and the support route check them here."""
 
     def check(self, places):
-        counts = {"restricted": 0, "supported": 0, "divergent": 0, "dual": 0}
+        counts = {"restricted": 0, "supported": 0, "unspaced_regular": 0, "divergent": 0,
+                  "dual": 0}
         for sig, ic in places:
             for m in enumerate_packet(ic, sig):
                 params, chain = chain_parameters(sig, m.hc)
@@ -234,9 +235,18 @@ class TestRouteOracles:
                         assert chain[k].dual_min_in_a is reference_dual_min_in_a(q)
                         counts["dual"] += 1
                     by_support = noncompact_support_matches(s, hc, rp)
-                    if well_spaced_everywhere(q):
+                    descended = rp.doubled_a + rp.doubled_b
+                    regular = len(set(descended)) == len(descended)
+                    spaced = well_spaced_everywhere(q)
+                    # The spacing hypothesis makes a descent regular, and on
+                    # every regular descent the routes agree (the proof is in
+                    # the descent module's docstring); they may diverge only
+                    # at a singular one.
+                    assert regular or not spaced
+                    if regular:
                         assert by_support == by_minimum
-                        counts["supported"] += 1
+                        counts["supported"] += spaced
+                        counts["unspaced_regular"] += not spaced
                     else:
                         counts["divergent"] += by_support != by_minimum
         return counts
@@ -252,8 +262,10 @@ class TestRouteOracles:
         counts = self.check(off_spacing_sweep())
         assert counts["restricted"] >= 4000
         assert counts["dual"] >= 3000
-        # The sweep reaches parameters where the support route diverges.
+        # The sweep reaches parameters where the support route diverges, all
+        # at singular descents, and regular descents off spacing.
         assert counts["divergent"] >= 100
+        assert counts["unspaced_regular"] >= 2000
 
 
 class TestClassify:

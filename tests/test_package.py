@@ -9,6 +9,7 @@ import helpers
 
 import lpackets
 import lpackets.cli
+import lpackets.commands
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -47,6 +48,7 @@ def test_version_and_public_names():
     assert set(lpackets.__all__) == exported == {name for module, name in keep
                                                  if module != "cli"}
     assert set(lpackets.cli.__all__) == {name for module, name in keep if module == "cli"}
+    assert lpackets.commands.__all__ == []
     for name, module, verdict in rows:
         owner = importlib.import_module(f"lpackets.{module}")
         if "." in name:
@@ -58,6 +60,19 @@ def test_version_and_public_names():
         else:
             assert not hasattr(owner, name) and not hasattr(lpackets, name), name
             assert hasattr(helpers, name) == (verdict == "move"), name
+
+
+def test_console_script_exits_quietly_when_the_reader_closes():
+    # 21,000 constituents are far more than a pipe buffers, so the script
+    # is still writing when the reader closes the pipe after one line.
+    env = {**os.environ, "PYTHONPATH": SRC}
+    args = ["branch", "--hw", "12,8,5,1,-3,-9,-14", "--format", "tsv"]
+    with subprocess.Popen([sys.executable, "-m", "lpackets", *args], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline() == b"lower\tu1\n"
+        child.stdout.close()
+        assert child.wait(timeout=60) == 1
+        assert child.stderr.read() == b""
 
 
 def test_cold_import_leaves_out_dataclasses_and_inspect():
