@@ -12,9 +12,9 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import add, lt, sub
+from operator import add, sub
 
-from .cartan import (EntryLike, Signature, Weight, _Frozen, double_entry, doubled_text,
+from .cartan import (EntryLike, Signature, Weight, _Frozen, check_non_increasing, double_entry,
                      half_entry, two_rho)
 
 __all__ = [
@@ -26,11 +26,6 @@ __all__ = [
     "restrict_ktype",
     "restriction_contains",
 ]
-
-
-def _require_dominant(doubled: tuple[int, ...], label: str) -> None:
-    if any(map(lt, doubled, doubled[1:])):
-        raise ValueError(f"{label} ({doubled_text(doubled)}) is not non-increasing")
 
 
 class BranchConstituent(_Frozen):
@@ -88,7 +83,7 @@ def branch(upper: Weight) -> list[BranchConstituent]:
     built in bulk.
     """
     doubled = upper.doubled
-    _require_dominant(doubled, "highest weight")
+    check_non_increasing(doubled, "highest weight")
     if len(doubled) < 1:
         raise ValueError("empty highest weight")
     total = sum(doubled)
@@ -151,22 +146,28 @@ def weyl_dim(weight: Weight) -> int:
         value = _weyl_kernel(m)(doubled)
         if value is not None:
             return value
-    _require_dominant(doubled, "highest weight")
+    check_non_increasing(doubled, "highest weight")
     if m < 2:
         return 1
     return _vandermonde(map(add, doubled, two_rho(m))) // _weyl_denominator(m)
 
 
-def restrict_ktype(lam: Weight, sig: Signature) -> KRestriction:
-    """Split a K-highest weight by peeling the last a-block entry to U(1);
-    head and tail, slices of the checked weight, are not checked again."""
+def _blocks(lam: Weight, sig: Signature) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The doubled a- and b-blocks of a K-highest weight of U(r, s); a
+    split needs r >= 1 and a weight of n entries."""
     if sig.r < 1:
         raise ValueError("signature needs r >= 1 to restrict")
     if len(lam) != sig.n:
         raise ValueError("dimension mismatch")
-    a, b = lam.doubled[: sig.r], lam.doubled[sig.r:]
-    _require_dominant(a, "a-block")
-    _require_dominant(b, "b-block")
+    return lam.doubled[: sig.r], lam.doubled[sig.r:]
+
+
+def restrict_ktype(lam: Weight, sig: Signature) -> KRestriction:
+    """Split a K-highest weight by peeling the last a-block entry to U(1);
+    head and tail, slices of the checked weight, are not checked again."""
+    a, b = _blocks(lam, sig)
+    check_non_increasing(a, "a-block")
+    check_non_increasing(b, "b-block")
     return KRestriction._trusted(Weight._trusted(a[:-1]), a[-1], Weight._trusted(b))
 
 
@@ -174,11 +175,7 @@ def restriction_contains(lam: Weight, sig: Signature, candidate: KRestriction) -
     """True iff candidate occurs in lam restricted along the a-block:
     the head interlaces the a-block with the forced U(1) weight, and the
     tail equals the b-block."""
-    if sig.r < 1:
-        raise ValueError("signature needs r >= 1 to restrict")
-    if len(lam) != sig.n:
-        raise ValueError("dimension mismatch")
-    a, b = lam.doubled[: sig.r], lam.doubled[sig.r:]
+    a, b = _blocks(lam, sig)
     head = candidate.head.doubled
     if len(head) != sig.r - 1:
         return False

@@ -32,7 +32,12 @@ fills one slot across them.
 
 The Fraction views share one bounded table: `half_entry` is cached, so a
 view of a weight maps its doubled entries through the cache instead of
-building a new `Fraction` per entry.
+building a new `Fraction` per entry. `half_view` is the one factory of
+the tuple views of stored doubled tuples, in this module and the others.
+
+`check_non_increasing` is the one order check of a doubled weight: the
+highest weights that are branched or shifted by rho, and the blocks of a
+K-type that is split, must be non-increasing (dominant).
 
 A signature (r, s) splits the coordinates of U(r, s) into an a-block (the
 first r) and a b-block (the last s). A root e_i - e_j is the 1-based index
@@ -47,7 +52,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import add, attrgetter, sub
+from operator import add, attrgetter, lt, sub
 
 EntryLike = int | Fraction
 
@@ -88,6 +93,20 @@ def check_parity(doubled: tuple[int, ...]) -> None:
     """Reject a doubled tuple whose entries lie in two cosets of Z."""
     if len({x & 1 for x in doubled}) > 1:
         raise ValueError(f"mixed half-integrality in weight ({doubled_text(doubled)})")
+
+
+def check_non_increasing(doubled: tuple[int, ...], label: str) -> None:
+    """Reject a doubled tuple that is not non-increasing (not dominant),
+    naming it by label."""
+    if any(map(lt, doubled, doubled[1:])):
+        raise ValueError(f"{label} ({doubled_text(doubled)}) is not non-increasing")
+
+
+def half_view(field: str) -> property:
+    """A read-only property: the tuple of Fraction views of the doubled
+    entries stored in the slot `field`."""
+    get = attrgetter(field)
+    return property(lambda self: tuple(map(half_entry, get(self))))
 
 
 class _Frozen:
@@ -212,9 +231,7 @@ class Weight(_Frozen):
     def __reduce__(self):
         return (Weight.from_doubled, (self.doubled,))
 
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        return tuple(map(half_entry, self.doubled))
+    entries = half_view("doubled")
 
     def __len__(self) -> int:
         return len(self.doubled)
@@ -227,19 +244,18 @@ class Weight(_Frozen):
             return tuple(map(half_entry, self.doubled[index]))
         return half_entry(self.doubled[index])
 
-    def __add__(self, other: "Weight") -> "Weight":
+    def _pointwise(self, op, other: "Weight") -> "Weight":
         if not isinstance(other, Weight):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError("dimension mismatch")
-        return Weight.from_doubled(map(add, self.doubled, other.doubled))
+        return Weight.from_doubled(map(op, self.doubled, other.doubled))
+
+    def __add__(self, other: "Weight") -> "Weight":
+        return self._pointwise(add, other)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        if not isinstance(other, Weight):
-            return NotImplemented
-        if len(self) != len(other):
-            raise ValueError("dimension mismatch")
-        return Weight.from_doubled(map(sub, self.doubled, other.doubled))
+        return self._pointwise(sub, other)
 
     def __neg__(self) -> "Weight":
         return Weight.from_doubled(-x for x in self.doubled)
@@ -270,9 +286,7 @@ def rho(n: int) -> Weight:
 
 def rho_tilde(n: int) -> Weight:
     """Integral shift of rho: (n-1, n-2, ..., 1, 0)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return Weight.from_doubled(2 * (n - 1 - k) for k in range(n))
+    return hodge_parameter(rho(n))
 
 
 def hodge_parameter(weight: Weight) -> Weight:

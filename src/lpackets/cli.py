@@ -39,8 +39,10 @@ _NUMBER = re.compile(r"-\.?[0-9]")
 
 
 @functools.cache
-def _parsers() -> argparse.ArgumentParser:
-    """The full parser; argparse is imported only here."""
+def build_parser() -> argparse.ArgumentParser:
+    """The process's shared parser, built on the first call; callers must
+    not mutate it. Parsing keeps no state on it between calls. argparse is
+    imported only here."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="lpackets",
@@ -52,12 +54,6 @@ def _parsers() -> argparse.ArgumentParser:
         for flag, options in command.options + _COMMON:
             sub.add_argument(flag, **options)
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The process's shared parser, built on the first call; callers must
-    not mutate it. Parsing keeps no state on it between calls."""
-    return _parsers()
 
 
 def _table(options: Sequence[tuple[str, dict]]) -> tuple[dict, dict, frozenset]:

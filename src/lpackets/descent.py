@@ -35,7 +35,7 @@ from fractions import Fraction
 from collections.abc import Iterable, Sequence
 from math import prod
 
-from .cartan import Signature, _Frozen, doubled_text, half_entry, two_rho
+from .cartan import Signature, _Frozen, doubled_text, half_entry, half_view, two_rho
 from .packets import HCParameter, InfinitesimalCharacter, _singular_text
 
 __all__ = [
@@ -108,13 +108,8 @@ class RestrictedParameter(_Frozen):
     doubled_b: tuple[int, ...]
     doubled_u1: int
 
-    @property
-    def prime_a(self) -> tuple[Fraction, ...]:
-        return tuple(map(half_entry, self.doubled_a))
-
-    @property
-    def prime_b(self) -> tuple[Fraction, ...]:
-        return tuple(map(half_entry, self.doubled_b))
+    prime_a = half_view("doubled_a")
+    prime_b = half_view("doubled_b")
 
     @property
     def u1_weight(self) -> Fraction:
@@ -176,9 +171,9 @@ def _dual_min_entry_in_a_everywhere(p: PlacedParameter) -> bool:
     """min_entry_in_a of `dual_parameter` at every place, without building
     the duals: the dual's last a-entry is minus the first a-entry and its
     minimum is minus the maximum, so at each place the first a-entry must
-    be the maximum."""
-    return all(hc.r > 0 and hc.doubled_a[0] == max(hc.doubled_a + hc.doubled_b)
-               for _, hc in p.places)
+    be the maximum. Needs r >= 1 at every place, as both callers check
+    first."""
+    return all(hc.doubled_a[0] == max(hc.doubled_a + hc.doubled_b) for _, hc in p.places)
 
 
 def _noncompact_support(a: Sequence[int], b: Sequence[int]) -> set[tuple[int, int]]:
@@ -231,8 +226,6 @@ def isomorphism_fraction(places: Sequence[tuple[Signature, InfinitesimalCharacte
     member meets the condition iff the subset holds the last position, so
     C(n-1, r-1) of the C(n, r) members do, whatever the character: a share
     of r/n, which is 0 when r = 0."""
-    if not places:
-        raise ValueError("at least one place is required")
     ranks = {sig.n for sig, _ in places}
     if len(ranks) > 1 or {ic.n for _, ic in places} != ranks:
         raise ValueError("places have unequal rank")
@@ -258,9 +251,7 @@ class ChainStep(_Frozen):
     classification: RestrictionClass
     dual_min_in_a: bool
 
-    @property
-    def u1_weights(self) -> tuple[Fraction, ...]:
-        return tuple(map(half_entry, self.doubled_u1))
+    u1_weights = half_view("doubled_u1")
 
 
 def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[ChainStep]:

@@ -34,10 +34,11 @@ from .cartan import (
     Signature,
     Weight,
     _Frozen,
+    check_non_increasing,
     check_parity,
     double_entry,
     doubled_text,
-    half_entry,
+    half_view,
     two_rho,
 )
 
@@ -107,13 +108,8 @@ class HCParameter(_Frozen):
     def __reduce__(self):
         return (HCParameter.from_doubled, (self.doubled_a, self.doubled_b))
 
-    @property
-    def a(self) -> tuple[Fraction, ...]:
-        return tuple(map(half_entry, self.doubled_a))
-
-    @property
-    def b(self) -> tuple[Fraction, ...]:
-        return tuple(map(half_entry, self.doubled_b))
+    a = half_view("doubled_a")
+    b = half_view("doubled_b")
 
     @property
     def r(self) -> int:
@@ -207,8 +203,7 @@ def infinitesimal_character(a_sigma: Iterable[EntryLike]) -> InfinitesimalCharac
     """
     weight = a_sigma if isinstance(a_sigma, Weight) else Weight(a_sigma)
     doubled = weight.doubled
-    if any(x < y for x, y in zip(doubled, doubled[1:])):
-        raise ValueError(f"highest weight ({doubled_text(doubled)}) is not non-increasing")
+    check_non_increasing(doubled, "highest weight")
     return InfinitesimalCharacter._trusted(
         Weight._trusted(tuple(map(add, doubled, two_rho(len(doubled))))))
 

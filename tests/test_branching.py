@@ -69,6 +69,10 @@ class TestBranch:
         with pytest.raises(ValueError):
             branch(Weight((3, 5)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="^empty highest weight$"):
+            branch(Weight(()))
+
     def test_half_integral_coset_preserved(self):
         for c in branch(Weight((Fraction(9, 2), Fraction(5, 2)))):
             assert all(e.denominator == 2 for e in c.lower.entries)
@@ -163,6 +167,24 @@ class TestRestrictKType:
             restrict_ktype(Weight((3, 5, 0)), Signature(2, 1))
 
 
+PEELED = KRestriction(head=Weight((5,)), u1=4, tail=Weight((3,)))
+
+
+# The split that `restrict_ktype` and `restriction_contains` share: r >= 1,
+# then a weight of length n.
+@pytest.mark.parametrize("split", [
+    restrict_ktype,
+    lambda lam, sig: restriction_contains(lam, sig, PEELED),
+], ids=["restrict_ktype", "restriction_contains"])
+@pytest.mark.parametrize("lam, sig, message", [
+    (Weight((5, 3)), Signature(0, 2), "signature needs r >= 1 to restrict"),
+    (Weight((3, 1)), Signature(2, 1), "dimension mismatch"),
+], ids=["r-zero", "length"])
+def test_ktype_split_rejects(split, lam, sig, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        split(lam, sig)
+
+
 class TestContains:
     def test_peeled_restriction_occurs(self):
         rng = random.Random(31)
@@ -191,6 +213,11 @@ class TestContains:
         sig = Signature(2, 1)
         bad = KRestriction(head=Weight((5,)), u1=4, tail=Weight((2,)))
         assert not restriction_contains(lam, sig, bad)
+
+    def test_wrong_head_length_rejected(self):
+        lam = Weight((5, 4, 3))
+        bad = KRestriction(head=Weight((5, 4)), u1=3, tail=Weight(()))
+        assert restriction_contains(lam, Signature(2, 1), bad) is False
 
     def test_interlacing_head_with_forced_u1(self):
         lam = Weight((5, 4, 3))

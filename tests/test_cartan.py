@@ -117,6 +117,11 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature(-1, 2)
 
+    def test_unequal_to_other_classes(self):
+        # Value types compare equal only to instances of their own class.
+        assert (Signature(1, 1) == (1, 1)) is False
+        assert (Weight((1,)) == Signature(1, 0)) is False
+
     @pytest.mark.parametrize("r, s, bad", [
         (2.5, 0.5, "2.5"), (2.0, 1.0, "2.0"), (2, 1.0, "1.0"), (True, False, "True"),
         (1, True, "True"), ("2", 1, "'2'"), (2, None, "None"), (Fraction(2), 1, "Fraction(2, 1)"),
@@ -206,6 +211,8 @@ class TestDistinguishedWeights:
     def test_rho_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             rho(0)
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            rho_tilde(0)
 
 
 class TestHodgeParameter:

@@ -749,7 +749,7 @@ def test_golden_requests_build_no_parser(capsys, monkeypatch):
     def refuse():
         raise AssertionError("the full parser was built")
 
-    monkeypatch.setattr(lpackets.cli, "_parsers", refuse)
+    monkeypatch.setattr(lpackets.cli, "build_parser", refuse)
     runs = [entry for entry in CORPUS if entry["exit"] in (0, 3)]
     assert runs
     for entry in runs:

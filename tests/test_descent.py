@@ -390,6 +390,11 @@ class TestFraction:
                 (Signature(1, 1), InfinitesimalCharacter(Weight((3, 0)))),
             ])
 
+    @pytest.mark.parametrize("fraction", [isomorphism_fraction, expected_fraction])
+    def test_no_place_rejected(self, fraction):
+        with pytest.raises(ValueError, match="^at least one place is required$"):
+            fraction([])
+
 
 class TestChain:
     def test_isomorphism_chain(self):

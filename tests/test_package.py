@@ -1,9 +1,13 @@
+import ast
 import importlib
 import os
 import re
 import subprocess
 import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import helpers
 
@@ -101,3 +105,38 @@ def test_cold_request_leaves_out_argparse():
                             capture_output=True, text=True)
     assert helped.returncode == 0
     assert helped.stdout.startswith("usage: lpackets packet [-h]")
+
+
+def _imported_and_used(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(names the module's imports bind, names it reads): a name is read
+    in code, in an annotation (also one written as a string) or in
+    `__all__`. A `*` import and `from __future__` bind no name here."""
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).partition(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names
+                            if alias.name != "*")
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            annotation = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            for part in ast.walk(annotation) if annotation else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used.update(name.id for name in ast.walk(ast.parse(part.value, mode="eval"))
+                                if isinstance(name, ast.Name))
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Name) and target.id == "__all__"
+                      for target in node.targets)):
+            used.update(item.value for item in ast.walk(node.value)
+                        if isinstance(item, ast.Constant) and isinstance(item.value, str))
+    return imported, used
+
+
+@pytest.mark.parametrize("path", sorted(Path(lpackets.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_imports_only_names_it_uses(path):
+    imported, used = _imported_and_used(ast.parse(path.read_text()))
+    assert sorted(imported - used) == []

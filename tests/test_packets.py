@@ -333,6 +333,12 @@ class TestExtremes:
         with pytest.raises(ValueError):
             extremes([])
 
+    def test_repeated_extreme_rejected(self):
+        ic = InfinitesimalCharacter(Weight((3, 0)))
+        holo, _ = extremes(enumerate_packet(ic, Signature(1, 1)))
+        with pytest.raises(ValueError, match="^inconsistent packet: extreme members not unique$"):
+            extremes([holo, holo])
+
 
 class TestDual:
     def test_examples(self):
