@@ -154,27 +154,28 @@ def weyl_dim(weight: Weight) -> int:
 
 def _blocks(lam: Weight, sig: Signature) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The doubled a- and b-blocks of a K-highest weight of U(r, s); a
-    split needs r >= 1 and a weight of n entries."""
+    split needs r >= 1, a weight of n entries and non-increasing blocks."""
     if sig.r < 1:
         raise ValueError("signature needs r >= 1 to restrict")
     if len(lam) != sig.n:
         raise ValueError("dimension mismatch")
-    return lam.doubled[: sig.r], lam.doubled[sig.r:]
+    a, b = lam.doubled[: sig.r], lam.doubled[sig.r:]
+    check_non_increasing(a, "a-block")
+    check_non_increasing(b, "b-block")
+    return a, b
 
 
 def restrict_ktype(lam: Weight, sig: Signature) -> KRestriction:
     """Split a K-highest weight by peeling the last a-block entry to U(1);
     head and tail, slices of the checked weight, are not checked again."""
     a, b = _blocks(lam, sig)
-    check_non_increasing(a, "a-block")
-    check_non_increasing(b, "b-block")
     return KRestriction._trusted(Weight._trusted(a[:-1]), a[-1], Weight._trusted(b))
 
 
 def restriction_contains(lam: Weight, sig: Signature, candidate: KRestriction) -> bool:
     """True iff candidate occurs in lam restricted along the a-block:
     the head interlaces the a-block with the forced U(1) weight, and the
-    tail equals the b-block."""
+    tail equals the b-block. lam is checked as `restrict_ktype` checks it."""
     a, b = _blocks(lam, sig)
     head = candidate.head.doubled
     if len(head) != sig.r - 1:

@@ -31,7 +31,7 @@ from .descent import (_OFF_SPACING, PlacedParameter, RestrictedParameter,
                       isomorphism_fraction, min_entry_in_a,
                       noncompact_support_matches, restrict_parameter,
                       restriction_is_discrete_series, well_spaced_everywhere)
-from .minimal_ktype import _doubled_margin, minimal_ktype_test
+from .minimal_ktype import _diagnostics, _doubled_margin, minimal_ktype_test
 from .packets import (HCParameter, InfinitesimalCharacter, PacketMember, degree,
                       enumerate_packet, infinitesimal_character)
 
@@ -194,20 +194,23 @@ def _cmd_sr(args: SimpleNamespace) -> Result:
     weight, blocks = _parse_weight(args.ktype)
     _check_shape(weight, blocks, sig)
     verdict = minimal_ktype_test(weight, sig)
-    margin = _doubled_margin(verdict.mu_shifted.doubled)
+    shifted = verdict.mu_shifted.doubled
+    # The verdict's diagnostics, computed once for the whole record.
+    parabolic = _diagnostics(shifted)
+    margin = _doubled_margin(shifted)
     margin_text = doubled_to_str(margin) if margin is not None else None
     violations = ([f"shifted weight margin {margin_text} is below --margin {args.margin}"]
                   if margin is not None and margin < 2 * args.margin else [])
     return Result({
         "accepted": verdict.accepted,
-        "borel_ok": verdict.borel_ok,
-        "positivity_ok": verdict.positivity_ok,
+        "borel_ok": parabolic.borel_ok,
+        "positivity_ok": parabolic.positivity_ok,
         "hc": _blocks_json(verdict.hc) if verdict.hc is not None else None,
-        "hc_double_shift": weight_to_strings(verdict.hc_double_shift),
+        "hc_double_shift": list(map(doubled_to_str, parabolic.doubled_double_shift)),
         "mu_shifted": weight_to_strings(verdict.mu_shifted),
         "margin": margin_text,
-    }, violations, {"root_sum": doubled_text(verdict.doubled_two_rho_u),
-                    "roots": verdict.root_count})
+    }, violations, {"root_sum": doubled_text(parabolic.doubled_two_rho_u),
+                    "roots": parabolic.root_count})
 
 
 def _pretty_sr(rec: dict, root_sum: str, roots: int) -> Iterator[str]:

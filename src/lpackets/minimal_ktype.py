@@ -13,21 +13,39 @@ doubled entries differ by at least 4, and subtracting the half root sum
 lowers each such gap by exactly 2, so the parameter keeps the strict
 order of the shifted weight, whose blocks strictly decrease.
 
-The full-shift variant (shifted weight minus the whole root sum) is kept
-as a diagnostic; it is singular in general and never drives acceptance.
+The test decides from one sort of the doubled shifted weight w, of n
+entries. They share one parity, so its sorted gaps are even. Sorted
+upward, the entry of rank k (its 0-based position) gets 2 from each of
+the k entries below it and loses 2 to each of the n - 1 - k above it when
+w is regular, so its doubled root-sum entry is 2(2k - (n - 1)), and the
+positivity walk `lowered`, w minus that, rises by exactly (gap - 4) from
+rank k to rank k + 1. A singular w has a gap of 0. So the test accepts
+exactly when n <= 1 or every sorted gap of w is at least 4 (a regularity
+margin of at least 2), and the parameter, doubled, is then w minus
+2k - (n - 1) at each entry, its rank read off one `map(up.index, w)`.
+
+The verdict stores the shifted weight and the parameter. The rest of the
+parabolic (its root sum, doubled, its number of roots, the Borel and
+positivity flags) and the full-shift variant (shifted weight minus the
+whole root sum, singular in general, a diagnostic that never drives
+acceptance) are computed on access, by one helper, `_diagnostics`, from
+the shifted weight: the two flags it returns are those the decision rule
+above replaces, and they agree with it.
 
 A root e_i - e_j is its 1-based index pair (i, j), and it pairs strictly
-positively with a weight when entry i exceeds entry j. The test takes its
-root sums from one sort of the entries, not from a list of pairs: those
-roots give index i 2 for each entry below it and take 2 for each entry
-above it, doubled. `theta_parabolic` lists its pairs, since it returns
-them. The test checks the weight it is given and nothing it derives. The
-verdict and the parabolic are records: each declares its fields once, in
-`__slots__`, and is built by the constructor `_Frozen` compiles from them.
+positively with a weight when entry i exceeds entry j. The diagnostics
+take their root sums from one sort of the entries, not from a list of
+pairs: those roots give index i 2 for each entry below it and take 2 for
+each entry above it, doubled. `theta_parabolic` lists its pairs, since it
+returns them. The test checks the weight it is given and nothing it
+derives. The verdict and the parabolic are records: each declares its
+fields once, in `__slots__`, and is built by the constructor `_Frozen`
+compiles from them.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, ge, le, sub
 
@@ -104,30 +122,16 @@ def theta_parabolic(weight: Weight) -> ThetaParabolic:
     )
 
 
-class MinimalKTypeVerdict(_Frozen):
-    """Outcome of the test; hc is present exactly when accepted.
-
-    The parabolic of the shifted weight comes along as its root sum,
-    doubled, and its number of roots (those of `theta_parabolic`)."""
-
-    __slots__ = ("accepted", "borel_ok", "positivity_ok", "hc", "hc_double_shift",
-                 "mu_shifted", "doubled_two_rho_u", "root_count")
-    accepted: bool
-    borel_ok: bool
-    positivity_ok: bool
-    hc: HCParameter | None
-    hc_double_shift: Weight
-    mu_shifted: Weight
-    doubled_two_rho_u: tuple[int, ...]
-    root_count: int
+_Diagnostics = namedtuple(
+    "_Diagnostics", "doubled_two_rho_u root_count borel_ok positivity_ok doubled_double_shift")
 
 
-def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
-    """Decide lowest-K-type status of mu and recover its parameter."""
-    shifted = shifted_weight(mu, sig)
-    w = shifted.doubled
+def _diagnostics(w: tuple[int, ...]) -> _Diagnostics:
+    """The parabolic of the doubled shifted weight w, as `theta_parabolic`
+    has it (its root sum, doubled, and its number of roots), whether it is
+    a Borel, the positivity of w against it, and the full-shift weight
+    (w minus the root sum), doubled."""
     n = len(w)
-    # The parabolic of theta_parabolic, as a doubled root sum and a count.
     # At an entry, the roots give 2 per entry below it and take 2 per entry
     # above it; those counts are its first position in the sorted weight
     # read upward and read downward.
@@ -142,14 +146,59 @@ def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
     # decrease with the value, so it is checked along the sorted weight.
     lowered = [v - 2 * (up.index(v) - down.index(v)) for v in up]
     positivity_ok = all(map(le, lowered, lowered[1:]))
-    double_shift = Weight._trusted(tuple(map(sub, w, two_rho_u)))
+    double_shift = tuple(map(sub, w, two_rho_u))
+    return _Diagnostics(two_rho_u, root_count, borel_ok, positivity_ok, double_shift)
 
-    hc = None
-    if borel_ok and positivity_ok:
-        candidate = tuple(map(sub, w, diff))
-        hc = HCParameter._trusted(candidate[: sig.r], candidate[sig.r:])
-    return MinimalKTypeVerdict(hc is not None, borel_ok, positivity_ok, hc, double_shift,
-                               shifted, two_rho_u, root_count)
+
+class MinimalKTypeVerdict(_Frozen):
+    """Outcome of the test: the shifted weight, and the parameter, present
+    exactly when accepted.
+
+    The parabolic of the shifted weight (its root sum, doubled, and its
+    number of roots, those of `theta_parabolic`), the two conditions and
+    the full-shift weight are read from the shifted weight on access."""
+
+    __slots__ = ("mu_shifted", "hc")
+    mu_shifted: Weight
+    hc: HCParameter | None
+
+    @property
+    def accepted(self) -> bool:
+        return self.hc is not None
+
+    @property
+    def borel_ok(self) -> bool:
+        return _diagnostics(self.mu_shifted.doubled).borel_ok
+
+    @property
+    def positivity_ok(self) -> bool:
+        return _diagnostics(self.mu_shifted.doubled).positivity_ok
+
+    @property
+    def hc_double_shift(self) -> Weight:
+        return Weight._trusted(_diagnostics(self.mu_shifted.doubled).doubled_double_shift)
+
+    @property
+    def doubled_two_rho_u(self) -> tuple[int, ...]:
+        return _diagnostics(self.mu_shifted.doubled).doubled_two_rho_u
+
+    @property
+    def root_count(self) -> int:
+        return _diagnostics(self.mu_shifted.doubled).root_count
+
+
+def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
+    """Decide lowest-K-type status of mu and recover its parameter."""
+    shifted = shifted_weight(mu, sig)
+    w = shifted.doubled
+    # Accepted iff every sorted gap is at least 4 (module docstring).
+    up = sorted(w)
+    if min(map(sub, up[1:], up), default=4) < 4:
+        return MinimalKTypeVerdict(shifted, None)
+    n = len(w)
+    # The entry of rank k loses the half root sum, doubled: 2k - (n - 1).
+    candidate = tuple([x + n - 1 - 2 * k for x, k in zip(w, map(up.index, w))])
+    return MinimalKTypeVerdict(shifted, HCParameter._trusted(candidate[: sig.r], candidate[sig.r:]))
 
 
 def regularity_margin(weight: Weight) -> Fraction | None:

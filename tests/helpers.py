@@ -15,7 +15,6 @@ from lpackets import (
     HCParameter,
     InfinitesimalCharacter,
     KRestriction,
-    MinimalKTypeVerdict,
     PacketMember,
     PlacedParameter,
     RestrictedParameter,
@@ -311,13 +310,25 @@ def pair_inversions(word) -> int:
     return sum(x > y for x, y in itertools.combinations(word, 2))
 
 
-def reference_minimal_ktype(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
-    """minimal_ktype_test from lists of root pairs: the compact pairs shift
-    mu, and the pairs of the shifted weight give the root sum, the count
-    and the positivity test, each pair on its own. Every value is built
-    through a checked constructor, and an accepted parameter must also be
-    regular with strictly decreasing blocks: the third condition, which
-    the library drops as one that cannot fail. mu must be K-dominant."""
+# Every value a MinimalKTypeVerdict gives: its two fields, then the
+# diagnostics it computes on access.
+VERDICT_VALUES = ("accepted", "borel_ok", "positivity_ok", "hc", "hc_double_shift",
+                  "mu_shifted", "doubled_two_rho_u", "root_count")
+
+
+def verdict_values(verdict) -> tuple:
+    """The values of VERDICT_VALUES, read from a verdict."""
+    return tuple(getattr(verdict, name) for name in VERDICT_VALUES)
+
+
+def reference_minimal_ktype(mu: Weight, sig: Signature) -> tuple:
+    """The values of VERDICT_VALUES that minimal_ktype_test gives, from
+    lists of root pairs: the compact pairs shift mu, and the pairs of the
+    shifted weight give the root sum, the count and the positivity test,
+    each pair on its own. Every value is built through a checked
+    constructor, and an accepted parameter must also be regular with
+    strictly decreasing blocks: the third condition, which the library
+    drops as one that cannot fail. mu must be K-dominant."""
     doubled = mu.doubled
     compact = _positive_pairs(doubled, 0, sig.r) + _positive_pairs(doubled, sig.r, sig.n)
     shifted = Weight.from_doubled(map(add, doubled, _root_sum(compact, sig.n)))
@@ -333,16 +344,9 @@ def reference_minimal_ktype(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
         a, b = candidate[: sig.r], candidate[sig.r:]
         if len(set(candidate)) == n and _decreasing(a) and _decreasing(b):
             hc = HCParameter.from_doubled(a, b)
-    return MinimalKTypeVerdict(
-        accepted=hc is not None,
-        borel_ok=borel_ok,
-        positivity_ok=positivity_ok,
-        hc=hc,
-        hc_double_shift=Weight.from_doubled(x - y for x, y in zip(w, two_rho_u)),
-        mu_shifted=shifted,
-        doubled_two_rho_u=two_rho_u,
-        root_count=len(pairs),
-    )
+    double_shift = Weight.from_doubled(x - y for x, y in zip(w, two_rho_u))
+    return (hc is not None, borel_ok, positivity_ok, hc, double_shift, shifted, two_rho_u,
+            len(pairs))
 
 
 def _plain_ints(values) -> bool:

@@ -171,7 +171,7 @@ PEELED = KRestriction(head=Weight((5,)), u1=4, tail=Weight((3,)))
 
 
 # The split that `restrict_ktype` and `restriction_contains` share: r >= 1,
-# then a weight of length n.
+# then a weight of length n, then non-increasing blocks.
 @pytest.mark.parametrize("split", [
     restrict_ktype,
     lambda lam, sig: restriction_contains(lam, sig, PEELED),
@@ -179,7 +179,9 @@ PEELED = KRestriction(head=Weight((5,)), u1=4, tail=Weight((3,)))
 @pytest.mark.parametrize("lam, sig, message", [
     (Weight((5, 3)), Signature(0, 2), "signature needs r >= 1 to restrict"),
     (Weight((3, 1)), Signature(2, 1), "dimension mismatch"),
-], ids=["r-zero", "length"])
+    (Weight((3, 5, 0)), Signature(2, 1), "a-block (3,5) is not non-increasing"),
+    (Weight((5, 3, 0, 1)), Signature(2, 2), "b-block (0,1) is not non-increasing"),
+], ids=["r-zero", "length", "a-block", "b-block"])
 def test_ktype_split_rejects(split, lam, sig, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         split(lam, sig)

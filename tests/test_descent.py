@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (all_signatures, counting_sweep, member_fraction_reference,
+from helpers import (VERDICT_VALUES, all_signatures, counting_sweep, member_fraction_reference,
                      product_fraction_reference, random_ic, reference_dual_min_in_a,
-                     reference_restriction, walk_fraction_reference)
+                     reference_restriction, verdict_values, walk_fraction_reference)
 
 from lpackets import (
     BranchConstituent,
@@ -580,7 +580,17 @@ def _unchecked(value):
     return (cls._trusted if cls in PUBLIC else cls)(*_slot_values(value))
 
 
-@pytest.mark.parametrize("value", VALUES, ids=repr)
+def _value_id(value) -> str:
+    """The repr of a value. A verdict shows every value it gives, those it
+    computes on access too, as its repr did before 0.9.0: its cases keep
+    their ids."""
+    if type(value) is not MinimalKTypeVerdict:
+        return repr(value)
+    values = map("{}={!r}".format, VERDICT_VALUES, verdict_values(value))
+    return f"MinimalKTypeVerdict({', '.join(values)})"
+
+
+@pytest.mark.parametrize("value", VALUES, ids=_value_id)
 @pytest.mark.parametrize("clone", [
     lambda v: pickle.loads(pickle.dumps(v)),
     lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
@@ -607,9 +617,7 @@ def test_value_types_round_trip(value, clone):
     "PacketMember(hc=HCParameter((5,-1;2)), degree=1)",
     "ThetaParabolic(delta_u=((1, 2), (1, 3), (3, 2)), is_borel=True, "
     "two_rho_u=Weight((2, -2, 0)))",
-    "MinimalKTypeVerdict(accepted=True, borel_ok=True, positivity_ok=True, "
-    "hc=HCParameter((5,-1;2)), hc_double_shift=Weight((4, 0, 2)), "
-    "mu_shifted=Weight((6, -2, 2)), doubled_two_rho_u=(4, -4, 0), root_count=3)",
+    "MinimalKTypeVerdict(mu_shifted=Weight((6, -2, 2)), hc=HCParameter((5,-1;2)))",
     "BranchConstituent(lower=Weight((3/2)), doubled_u1=1)",
     "RestrictedParameter(doubled_a=(9,), doubled_b=(-1,), doubled_u1=4)",
     "ChainStep(level=2, parameter=PlacedParameter([(Signature(r=1, s=1), "

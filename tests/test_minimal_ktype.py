@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (all_signatures, fraction_minimal_ktype, packet_sweep_characters,
-                     random_ic, random_kdominant, random_weight, reference_minimal_ktype)
+from helpers import (VERDICT_VALUES, all_signatures, fraction_minimal_ktype,
+                     packet_sweep_characters, random_ic, random_kdominant, random_weight,
+                     reference_minimal_ktype, verdict_values)
 
 from lpackets import (
     HCParameter,
-    MinimalKTypeVerdict,
     Signature,
     Weight,
     blattner,
@@ -206,37 +206,60 @@ class TestAcceptanceRule:
                   for m in enumerate_packet(ic, sig)]
         verdicts = [minimal_ktype_test(mu, sig) for mu, sig in inputs]
         assert all(v.accepted == (v.borel_ok and v.positivity_ok) for v in verdicts)
-        assert verdicts == [reference_minimal_ktype(mu, sig) for mu, sig in inputs]
+        assert ([verdict_values(v) for v in verdicts]
+                == [reference_minimal_ktype(mu, sig) for mu, sig in inputs])
         assert len(inputs) == 5100
 
 
 class TestPairReference:
     """The one-sort test against the pair-list test it replaced
-    (`reference_minimal_ktype`), on every field of the verdict, and its
-    acceptance rule, over random K-dominant weights with ties, on both
-    cosets and for every r."""
+    (`reference_minimal_ktype`), on every value of the verdict, stored or
+    computed on access, and its acceptance rule, over random K-dominant
+    weights with ties, on both cosets and for every r."""
 
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_matches_pair_route(self, n):
+    @staticmethod
+    def sweep(n):
+        """(mu, sig): about 5200 random K-dominant weights with ties for
+        each n, every other one on the half-integral coset, for every r."""
         rng = random.Random(700 + n)
-        seen = {"accepted": 0, "borel_fail": 0, "positivity_fail": 0, "tie": 0}
-        checked = 0
         for sig in all_signatures(n):
             for k in range(5200 // (n + 1) + 1):
                 mu = random_kdominant(rng, sig, max_gap=rng.choice((1, 3, 6)))
                 if k % 2:
                     mu = Weight.from_doubled(d + 1 for d in mu.doubled)
-                got = minimal_ktype_test(mu, sig)
-                assert got.accepted == (got.borel_ok and got.positivity_ok)
-                want = reference_minimal_ktype(mu, sig)
-                for field in MinimalKTypeVerdict.__slots__:
-                    assert getattr(got, field) == getattr(want, field), field
-                assert type(got.doubled_two_rho_u) is tuple
-                seen["accepted"] += got.accepted
-                seen["borel_fail"] += not got.borel_ok
-                seen["positivity_fail"] += got.borel_ok and not got.positivity_ok
-                seen["tie"] += len(set(mu.doubled)) < n
-                checked += 1
+                yield mu, sig
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_pair_route(self, n):
+        seen = {"accepted": 0, "borel_fail": 0, "positivity_fail": 0, "tie": 0}
+        checked = 0
+        for mu, sig in self.sweep(n):
+            got = minimal_ktype_test(mu, sig)
+            assert got.accepted == (got.borel_ok and got.positivity_ok)
+            want = reference_minimal_ktype(mu, sig)
+            for name, value, wanted in zip(VERDICT_VALUES, verdict_values(got), want):
+                assert value == wanted, name
+            assert type(got.doubled_two_rho_u) is tuple
+            seen["accepted"] += got.accepted
+            seen["borel_fail"] += not got.borel_ok
+            seen["positivity_fail"] += got.borel_ok and not got.positivity_ok
+            seen["tie"] += len(set(mu.doubled)) < n
+            checked += 1
         assert checked >= 5200
         if n >= 2:
             assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_accepted_iff_margin_two(self, n):
+        # The converse of `test_margin_two_guarantees_acceptance`: the test,
+        # and the pair-list test, accept exactly when the shifted weight has
+        # fewer than two entries or a regularity margin of at least 2.
+        rejected = 0
+        for mu, sig in self.sweep(n):
+            want = reference_minimal_ktype(mu, sig)
+            margin = regularity_margin(want[VERDICT_VALUES.index("mu_shifted")])
+            accepted = margin is None or margin >= 2
+            assert want[0] is accepted, (mu, sig)
+            assert minimal_ktype_test(mu, sig).accepted is accepted, (mu, sig)
+            rejected += not accepted
+        assert rejected > 0 or n == 1

@@ -63,11 +63,12 @@ TRUSTED_SITES = {
     ("packets.py", "dual_parameter"),
     ("packets.py", "HCParameter.weight"),  # the blocks of a checked parameter
     ("branching.py", "branch"),  # lower weights and constituents, in bulk
-    ("branching.py", "restrict_ktype"),  # slices of its weight, after its order checks
+    ("branching.py", "restrict_ktype"),  # slices of its weight, after the checks of _blocks
     ("descent.py", "descent_chain"),  # each step, after its regularity test
     ("minimal_ktype.py", "shifted_weight"),
     ("minimal_ktype.py", "theta_parabolic"),  # a root sum: even doubled entries
-    ("minimal_ktype.py", "minimal_ktype_test"),  # hc_double_shift, accepted hc
+    ("minimal_ktype.py", "minimal_ktype_test"),  # accepted hc
+    ("minimal_ktype.py", "MinimalKTypeVerdict.hc_double_shift"),  # a difference of doubled tuples
 }
 
 
