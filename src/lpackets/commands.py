@@ -31,7 +31,7 @@ from .descent import (_OFF_SPACING, PlacedParameter, RestrictedParameter,
                       isomorphism_fraction, min_entry_in_a,
                       noncompact_support_matches, restrict_parameter,
                       restriction_is_discrete_series, well_spaced_everywhere)
-from .minimal_ktype import _diagnostics, _doubled_margin, minimal_ktype_test
+from .minimal_ktype import _positivity_ok, minimal_ktype_test, regularity_margin, theta_parabolic
 from .packets import (HCParameter, InfinitesimalCharacter, PacketMember, degree,
                       enumerate_packet, infinitesimal_character)
 
@@ -194,23 +194,22 @@ def _cmd_sr(args: SimpleNamespace) -> Result:
     weight, blocks = _parse_weight(args.ktype)
     _check_shape(weight, blocks, sig)
     verdict = minimal_ktype_test(weight, sig)
-    shifted = verdict.mu_shifted.doubled
-    # The verdict's diagnostics, computed once for the whole record.
-    parabolic = _diagnostics(shifted)
-    margin = _doubled_margin(shifted)
-    margin_text = doubled_to_str(margin) if margin is not None else None
-    violations = ([f"shifted weight margin {margin_text} is below --margin {args.margin}"]
-                  if margin is not None and margin < 2 * args.margin else [])
+    shifted = verdict.mu_shifted
+    # The verdict's diagnostics, from one parabolic for the whole record.
+    parabolic = theta_parabolic(shifted)
+    two_rho_u = parabolic.two_rho_u.doubled
+    margin = regularity_margin(shifted)
+    violations = ([f"shifted weight margin {margin} is below --margin {args.margin}"]
+                  if margin is not None and margin < args.margin else [])
     return Result({
         "accepted": verdict.accepted,
-        "borel_ok": parabolic.borel_ok,
-        "positivity_ok": parabolic.positivity_ok,
+        "borel_ok": parabolic.is_borel,
+        "positivity_ok": _positivity_ok(shifted.doubled, parabolic),
         "hc": _blocks_json(verdict.hc) if verdict.hc is not None else None,
-        "hc_double_shift": list(map(doubled_to_str, parabolic.doubled_double_shift)),
-        "mu_shifted": weight_to_strings(verdict.mu_shifted),
-        "margin": margin_text,
-    }, violations, {"root_sum": doubled_text(parabolic.doubled_two_rho_u),
-                    "roots": parabolic.root_count})
+        "hc_double_shift": [doubled_to_str(x - t) for x, t in zip(shifted.doubled, two_rho_u)],
+        "mu_shifted": weight_to_strings(shifted),
+        "margin": None if margin is None else str(margin),
+    }, violations, {"root_sum": doubled_text(two_rho_u), "roots": len(parabolic.delta_u)})
 
 
 def _pretty_sr(rec: dict, root_sum: str, roots: int) -> Iterator[str]:

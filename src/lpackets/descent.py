@@ -226,8 +226,9 @@ def isomorphism_fraction(places: Sequence[tuple[Signature, InfinitesimalCharacte
     member meets the condition iff the subset holds the last position, so
     C(n-1, r-1) of the C(n, r) members do, whatever the character: a share
     of r/n, which is 0 when r = 0."""
-    ranks = {sig.n for sig, _ in places}
-    if len(ranks) > 1 or {ic.n for _, ic in places} != ranks:
+    if any(ic.n != sig.n for sig, ic in places):
+        raise ValueError("dimension mismatch")
+    if len({sig.n for sig, _ in places}) > 1:
         raise ValueError("places have unequal rank")
     return expected_fraction([sig for sig, _ in places])
 
@@ -267,6 +268,8 @@ def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[Cha
     it finished; that warning is always given, while warn only governs
     the spacing warning.
     """
+    if type(depth) is not int:
+        raise ValueError(f"depth {depth!r} is not an int")
     if depth < 0:
         raise ValueError("depth must be non-negative")
     steps = min(depth, p.n - 1)

@@ -24,30 +24,27 @@ exactly when n <= 1 or every sorted gap of w is at least 4 (a regularity
 margin of at least 2), and the parameter, doubled, is then w minus
 2k - (n - 1) at each entry, its rank read off one `map(up.index, w)`.
 
-The verdict stores the shifted weight and the parameter. The rest of the
-parabolic (its root sum, doubled, its number of roots, the Borel and
-positivity flags) and the full-shift variant (shifted weight minus the
-whole root sum, singular in general, a diagnostic that never drives
-acceptance) are computed on access, by one helper, `_diagnostics`, from
-the shifted weight: the two flags it returns are those the decision rule
+The verdict stores the shifted weight and the parameter. The rest is
+read on access from `theta_parabolic` of the shifted weight, the one code
+that computes the parabolic: its root sum, doubled, its number of roots,
+the Borel and positivity flags, and the full-shift variant (shifted
+weight minus the whole root sum, singular in general, a diagnostic that
+never drives acceptance). The two flags are those the decision rule
 above replaces, and they agree with it.
 
 A root e_i - e_j is its 1-based index pair (i, j), and it pairs strictly
-positively with a weight when entry i exceeds entry j. The diagnostics
-take their root sums from one sort of the entries, not from a list of
-pairs: those roots give index i 2 for each entry below it and take 2 for
-each entry above it, doubled. `theta_parabolic` lists its pairs, since it
-returns them. The test checks the weight it is given and nothing it
-derives. The verdict and the parabolic are records: each declares its
-fields once, in `__slots__`, and is built by the constructor `_Frozen`
-compiles from them.
+positively with a weight when entry i exceeds entry j. A weight w is
+positive against the parabolic when w_i - w_j >= t_i - t_j on each of its
+roots, t its root sum. The test checks the weight it is given and
+nothing it derives. The verdict and the parabolic are records: each
+declares its fields once, in `__slots__`, and is built by the constructor
+`_Frozen` compiles from them.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
-from operator import add, ge, le, sub
+from operator import ge, sub
 
 from .cartan import Signature, Weight, _Frozen, doubled_text, half_entry
 from .packets import HCParameter
@@ -60,22 +57,6 @@ __all__ = [
     "minimal_ktype_test",
     "regularity_margin",
 ]
-
-
-def _positive_pairs(doubled: tuple[int, ...], lo: int, hi: int) -> list[tuple[int, int]]:
-    """0-based (i, j) in [lo, hi), lexicographic, with entry i > entry j:
-    the roots e_i - e_j of that index range pairing strictly positively."""
-    return [(i, j) for i in range(lo, hi) for j in range(lo, hi)
-            if doubled[i] > doubled[j]]
-
-
-def _root_sum(pairs: list[tuple[int, int]], n: int) -> tuple[int, ...]:
-    """Sum of the roots e_i - e_j over pairs, doubled."""
-    coords = [0] * n
-    for i, j in pairs:
-        coords[i] += 2
-        coords[j] -= 2
-    return tuple(coords)
 
 
 class ThetaParabolic(_Frozen):
@@ -113,50 +94,34 @@ def theta_parabolic(weight: Weight) -> ThetaParabolic:
     """Roots pairing strictly positively with the weight; Borel iff the
     weight is regular (all n(n-1)/2 positive pairs appear). The root sum,
     doubled, has only even entries, so it is not checked again."""
-    n = len(weight)
-    pairs = _positive_pairs(weight.doubled, 0, n)
+    doubled = weight.doubled
+    n = len(doubled)
+    pairs = [(i, j) for i in range(n) for j in range(n) if doubled[i] > doubled[j]]
+    two_rho_u = [0] * n
+    for i, j in pairs:
+        two_rho_u[i] += 2
+        two_rho_u[j] -= 2
     return ThetaParabolic(
         delta_u=tuple((i + 1, j + 1) for i, j in pairs),
         is_borel=len(pairs) == n * (n - 1) // 2,
-        two_rho_u=Weight._trusted(_root_sum(pairs, n)),
+        two_rho_u=Weight._trusted(tuple(two_rho_u)),
     )
 
 
-_Diagnostics = namedtuple(
-    "_Diagnostics", "doubled_two_rho_u root_count borel_ok positivity_ok doubled_double_shift")
-
-
-def _diagnostics(w: tuple[int, ...]) -> _Diagnostics:
-    """The parabolic of the doubled shifted weight w, as `theta_parabolic`
-    has it (its root sum, doubled, and its number of roots), whether it is
-    a Borel, the positivity of w against it, and the full-shift weight
-    (w minus the root sum), doubled."""
-    n = len(w)
-    # At an entry, the roots give 2 per entry below it and take 2 per entry
-    # above it; those counts are its first position in the sorted weight
-    # read upward and read downward.
-    up = tuple(sorted(w))
-    down = up[::-1]
-    below = list(map(up.index, w))
-    diff = tuple(map(sub, below, map(down.index, w)))
-    two_rho_u = tuple(map(add, diff, diff))
-    root_count = sum(below)
-    borel_ok = root_count == n * (n - 1) // 2
-    # w_i - w_j >= t_i - t_j on every root says that w - t does not
-    # decrease with the value, so it is checked along the sorted weight.
-    lowered = [v - 2 * (up.index(v) - down.index(v)) for v in up]
-    positivity_ok = all(map(le, lowered, lowered[1:]))
-    double_shift = tuple(map(sub, w, two_rho_u))
-    return _Diagnostics(two_rho_u, root_count, borel_ok, positivity_ok, double_shift)
+def _positivity_ok(doubled: tuple[int, ...], parabolic: ThetaParabolic) -> bool:
+    """Whether the weight, doubled, is positive against the parabolic
+    (module docstring), root by root over its delta_u."""
+    t = parabolic.two_rho_u.doubled
+    return all(doubled[i - 1] - doubled[j - 1] >= t[i - 1] - t[j - 1]
+               for i, j in parabolic.delta_u)
 
 
 class MinimalKTypeVerdict(_Frozen):
     """Outcome of the test: the shifted weight, and the parameter, present
     exactly when accepted.
 
-    The parabolic of the shifted weight (its root sum, doubled, and its
-    number of roots, those of `theta_parabolic`), the two conditions and
-    the full-shift weight are read from the shifted weight on access."""
+    The parabolic of the shifted weight, the two conditions and the
+    full-shift weight are read from `theta_parabolic` on access."""
 
     __slots__ = ("mu_shifted", "hc")
     mu_shifted: Weight
@@ -168,23 +133,23 @@ class MinimalKTypeVerdict(_Frozen):
 
     @property
     def borel_ok(self) -> bool:
-        return _diagnostics(self.mu_shifted.doubled).borel_ok
+        return theta_parabolic(self.mu_shifted).is_borel
 
     @property
     def positivity_ok(self) -> bool:
-        return _diagnostics(self.mu_shifted.doubled).positivity_ok
+        return _positivity_ok(self.mu_shifted.doubled, theta_parabolic(self.mu_shifted))
 
     @property
     def hc_double_shift(self) -> Weight:
-        return Weight._trusted(_diagnostics(self.mu_shifted.doubled).doubled_double_shift)
+        return Weight._trusted(tuple(map(sub, self.mu_shifted.doubled, self.doubled_two_rho_u)))
 
     @property
     def doubled_two_rho_u(self) -> tuple[int, ...]:
-        return _diagnostics(self.mu_shifted.doubled).doubled_two_rho_u
+        return theta_parabolic(self.mu_shifted).two_rho_u.doubled
 
     @property
     def root_count(self) -> int:
-        return _diagnostics(self.mu_shifted.doubled).root_count
+        return len(theta_parabolic(self.mu_shifted).delta_u)
 
 
 def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:
@@ -207,11 +172,6 @@ def regularity_margin(weight: Weight) -> Fraction | None:
 
     None for weights of length < 2 (no roots to pair against).
     """
-    margin = _doubled_margin(weight.doubled)
+    ordered = sorted(weight.doubled)
+    margin = min(map(sub, ordered[1:], ordered), default=None)
     return None if margin is None else half_entry(margin)
-
-
-def _doubled_margin(doubled: tuple[int, ...]) -> int | None:
-    """Twice regularity_margin, from the doubled entries."""
-    ordered = sorted(doubled)
-    return min(map(sub, ordered[1:], ordered), default=None)

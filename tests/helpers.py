@@ -1,5 +1,5 @@
 """Shared generators for randomized sweeps, all seeded by the caller,
-plain-Fraction and root-pair reference computations, and the rebuild
+plain-Fraction, root-pair and one-sort reference computations, and the rebuild
 oracle for values the library builds without checking them again."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb
-from operator import add, countOf, itemgetter
+from operator import add, countOf, itemgetter, le, sub
 from typing import Iterator
 
 from lpackets import (
@@ -29,7 +29,6 @@ from lpackets import (
     restrict_ktype,
 )
 from lpackets.cartan import doubled_text, two_rho
-from lpackets.minimal_ktype import _positive_pairs, _root_sum
 
 
 def format_weight(weight: Weight, sig: Signature | None = None) -> str:
@@ -321,6 +320,22 @@ def verdict_values(verdict) -> tuple:
     return tuple(getattr(verdict, name) for name in VERDICT_VALUES)
 
 
+def _positive_pairs(doubled: tuple[int, ...], lo: int, hi: int) -> list[tuple[int, int]]:
+    """0-based (i, j) in [lo, hi), lexicographic, with entry i > entry j:
+    the roots e_i - e_j of that index range pairing strictly positively."""
+    return [(i, j) for i in range(lo, hi) for j in range(lo, hi)
+            if doubled[i] > doubled[j]]
+
+
+def _root_sum(pairs: list[tuple[int, int]], n: int) -> tuple[int, ...]:
+    """Sum of the roots e_i - e_j over pairs, doubled."""
+    coords = [0] * n
+    for i, j in pairs:
+        coords[i] += 2
+        coords[j] -= 2
+    return tuple(coords)
+
+
 def reference_minimal_ktype(mu: Weight, sig: Signature) -> tuple:
     """The values of VERDICT_VALUES that minimal_ktype_test gives, from
     lists of root pairs: the compact pairs shift mu, and the pairs of the
@@ -347,6 +362,27 @@ def reference_minimal_ktype(mu: Weight, sig: Signature) -> tuple:
     double_shift = Weight.from_doubled(x - y for x, y in zip(w, two_rho_u))
     return (hc is not None, borel_ok, positivity_ok, hc, double_shift, shifted, two_rho_u,
             len(pairs))
+
+
+def sorted_diagnostics(w: tuple[int, ...]) -> tuple:
+    """(root sum, number of roots, Borel flag, positivity flag, full-shift
+    weight) of the parabolic of the doubled shifted weight w, the sum and
+    the weight doubled, from one sort of its entries and no list of pairs:
+    the roots pairing strictly positively give an entry 2 per entry below
+    it and take 2 per entry above it, doubled, and positivity says that w
+    minus the root sum does not decrease along the sorted weight."""
+    n = len(w)
+    # The counts below and above an entry are its first position in the
+    # sorted weight read upward and read downward.
+    up = tuple(sorted(w))
+    down = up[::-1]
+    below = list(map(up.index, w))
+    diff = tuple(map(sub, below, map(down.index, w)))
+    two_rho_u = tuple(map(add, diff, diff))
+    root_count = sum(below)
+    lowered = [v - 2 * (up.index(v) - down.index(v)) for v in up]
+    return (two_rho_u, root_count, root_count == n * (n - 1) // 2,
+            all(map(le, lowered, lowered[1:])), tuple(map(sub, w, two_rho_u)))
 
 
 def _plain_ints(values) -> bool:

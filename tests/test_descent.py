@@ -33,6 +33,7 @@ from lpackets import (
     dual_parameter,
     enumerate_packet,
     expected_fraction,
+    infinitesimal_character,
     isomorphism_fraction,
     min_entry_in_a,
     min_entry_in_a_everywhere,
@@ -390,6 +391,18 @@ class TestFraction:
                 (Signature(1, 1), InfinitesimalCharacter(Weight((3, 0)))),
             ])
 
+    @pytest.mark.parametrize("places, message", [
+        ([(Signature(1, 1), (2, 1, 0))], "dimension mismatch"),
+        ([(Signature(2, 1), (2, 1, 0)), (Signature(1, 1), (2, 1, 0))], "dimension mismatch"),
+        ([(Signature(2, 1), (2, 1, 0)), (Signature(1, 1), (1, 0))], "places have unequal rank"),
+    ], ids=["one-place", "second-place", "consistent-places"])
+    def test_place_checked_before_ranks(self, places, message):
+        # A place whose character has another rank than its signature is a
+        # dimension mismatch, as in enumerate_packet; only places that each
+        # match can have unequal ranks.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            isomorphism_fraction([(sig, infinitesimal_character(Weight(w))) for sig, w in places])
+
     @pytest.mark.parametrize("fraction", [isomorphism_fraction, expected_fraction])
     def test_no_place_rejected(self, fraction):
         with pytest.raises(ValueError, match="^at least one place is required$"):
@@ -418,6 +431,12 @@ class TestChain:
         assert descent_chain(p, 10) == []
         p3 = PlacedParameter([(Signature(2, 1), HCParameter((5, -1), (2,)))])
         assert len(descent_chain(p3, 10)) == 2
+
+    @pytest.mark.parametrize("depth", [1.5, 1.0, True, False], ids=repr)
+    def test_non_int_depth_rejected(self, depth):
+        p = PlacedParameter([(Signature(2, 1), HCParameter((5, -1), (2,)))])
+        with pytest.raises(ValueError, match=f"^depth {depth!r} is not an int$"):
+            descent_chain(p, depth)
 
     def test_pending_r_zero_raises(self):
         p = PlacedParameter([(Signature(1, 2), HCParameter((5,), (2, -1)))])

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import (VERDICT_VALUES, all_signatures, fraction_minimal_ktype,
                      packet_sweep_characters, random_ic, random_kdominant, random_weight,
-                     reference_minimal_ktype, verdict_values)
+                     reference_minimal_ktype, sorted_diagnostics, verdict_values)
 
 from lpackets import (
     HCParameter,
@@ -214,8 +214,9 @@ class TestAcceptanceRule:
 class TestPairReference:
     """The one-sort test against the pair-list test it replaced
     (`reference_minimal_ktype`), on every value of the verdict, stored or
-    computed on access, and its acceptance rule, over random K-dominant
-    weights with ties, on both cosets and for every r."""
+    computed on access, and its acceptance rule, and the parabolic and the
+    diagnostics against a one-sort route (`sorted_diagnostics`), over
+    random K-dominant weights with ties, on both cosets and for every r."""
 
     @staticmethod
     def sweep(n):
@@ -248,6 +249,18 @@ class TestPairReference:
         assert checked >= 5200
         if n >= 2:
             assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sort_route_matches_parabolic(self, n):
+        # The verdict reads its diagnostics from `theta_parabolic`, so this
+        # second route (one sort, no pairs) checks both of them.
+        for mu, sig in self.sweep(n):
+            got = minimal_ktype_test(mu, sig)
+            want = sorted_diagnostics(got.mu_shifted.doubled)
+            para = theta_parabolic(got.mu_shifted)
+            assert (para.two_rho_u.doubled, len(para.delta_u), para.is_borel) == want[:3]
+            assert (got.doubled_two_rho_u, got.root_count, got.borel_ok, got.positivity_ok,
+                    got.hc_double_shift.doubled) == want
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_accepted_iff_margin_two(self, n):

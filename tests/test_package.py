@@ -140,3 +140,13 @@ def _imported_and_used(tree: ast.Module) -> tuple[set[str], set[str]]:
 def test_module_imports_only_names_it_uses(path):
     imported, used = _imported_and_used(ast.parse(path.read_text()))
     assert sorted(imported - used) == []
+
+
+def test_reference_module_imports_no_private_library_name():
+    # tests/helpers.py holds the independent oracles: a private name of the
+    # library there would let a reference share the code it checks.
+    tree = ast.parse(Path(helpers.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lpackets")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
