@@ -15,4 +15,4 @@ from .packets import *
 
 __all__ = [*cartan.__all__, *packets.__all__, *minimal_ktype.__all__, *branching.__all__,
            *descent.__all__]
-__version__ = "0.9.0"
+__version__ = "0.10.0"

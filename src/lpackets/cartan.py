@@ -35,9 +35,9 @@ view of a weight maps its doubled entries through the cache instead of
 building a new `Fraction` per entry. `half_view` is the one factory of
 the tuple views of stored doubled tuples, in this module and the others.
 
-`check_non_increasing` is the one order check of a doubled weight: the
-highest weights that are branched or shifted by rho, and the blocks of a
-K-type that is split, must be non-increasing (dominant).
+`check_non_increasing` rejects a branched or rho-shifted highest weight,
+or a split K-type block, that is not non-increasing (dominant).
+`shifted_weight` checks K-dominance itself, naming weight and signature.
 
 A signature (r, s) splits the coordinates of U(r, s) into an a-block (the
 first r) and a b-block (the last s). A root e_i - e_j is the 1-based index

@@ -194,10 +194,11 @@ def noncompact_support_matches(sig: Signature, hc: HCParameter,
 def classify_restriction(p: PlacedParameter, warn: bool = True) -> RestrictionClass:
     """Isomorphism iff the minimum-entry condition holds at every place.
 
-    Nothing is restricted: the class is read off the parameter. Under the
-    spacing hypothesis the root-theoretic support route
-    (`noncompact_support_matches`) gives the same class; the tests check
-    that agreement, so it is not recomputed here. Off the hypothesis a
+    Nothing is restricted: the class is read off the parameter. The
+    root-theoretic support route (`noncompact_support_matches`) gives the
+    same class on every regular descent, spaced or not, and can differ
+    only at a singular one (module docstring); the tests check that
+    agreement, so it is not recomputed here. Off the spacing hypothesis a
     warning is emitted and the minimum-entry dichotomy is returned.
     """
     if any(sig.r < 1 for sig, _ in p.places):

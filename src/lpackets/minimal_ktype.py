@@ -24,13 +24,14 @@ exactly when n <= 1 or every sorted gap of w is at least 4 (a regularity
 margin of at least 2), and the parameter, doubled, is then w minus
 2k - (n - 1) at each entry, its rank read off one `map(up.index, w)`.
 
-The verdict stores the shifted weight and the parameter. The rest is
-read on access from `theta_parabolic` of the shifted weight, the one code
-that computes the parabolic: its root sum, doubled, its number of roots,
-the Borel and positivity flags, and the full-shift variant (shifted
-weight minus the whole root sum, singular in general, a diagnostic that
-never drives acceptance). The two flags are those the decision rule
-above replaces, and they agree with it.
+The verdict stores the shifted weight and the parameter, and reads on
+access only the positivity flag, which no other public name gives, from
+`theta_parabolic` of the shifted weight, the one code that computes the
+parabolic. A caller reads the rest from one such call: the root sum, the
+roots, the Borel flag, and the full-shift variant (shifted weight minus
+the whole root sum, singular in general, a diagnostic that never drives
+acceptance). The two flags are those the decision rule above replaces,
+and they agree with it.
 
 A root e_i - e_j is its 1-based index pair (i, j), and it pairs strictly
 positively with a weight when entry i exceeds entry j. A weight w is
@@ -118,10 +119,8 @@ def _positivity_ok(doubled: tuple[int, ...], parabolic: ThetaParabolic) -> bool:
 
 class MinimalKTypeVerdict(_Frozen):
     """Outcome of the test: the shifted weight, and the parameter, present
-    exactly when accepted.
-
-    The parabolic of the shifted weight, the two conditions and the
-    full-shift weight are read from `theta_parabolic` on access."""
+    exactly when accepted. `positivity_ok` is read on access from
+    `theta_parabolic` of the shifted weight (module docstring)."""
 
     __slots__ = ("mu_shifted", "hc")
     mu_shifted: Weight
@@ -132,24 +131,8 @@ class MinimalKTypeVerdict(_Frozen):
         return self.hc is not None
 
     @property
-    def borel_ok(self) -> bool:
-        return theta_parabolic(self.mu_shifted).is_borel
-
-    @property
     def positivity_ok(self) -> bool:
         return _positivity_ok(self.mu_shifted.doubled, theta_parabolic(self.mu_shifted))
-
-    @property
-    def hc_double_shift(self) -> Weight:
-        return Weight._trusted(tuple(map(sub, self.mu_shifted.doubled, self.doubled_two_rho_u)))
-
-    @property
-    def doubled_two_rho_u(self) -> tuple[int, ...]:
-        return theta_parabolic(self.mu_shifted).two_rho_u.doubled
-
-    @property
-    def root_count(self) -> int:
-        return len(theta_parabolic(self.mu_shifted).delta_u)
 
 
 def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:

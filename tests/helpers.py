@@ -27,6 +27,7 @@ from lpackets import (
     min_entry_in_a,
     min_entry_in_a_everywhere,
     restrict_ktype,
+    theta_parabolic,
 )
 from lpackets.cartan import doubled_text, two_rho
 
@@ -309,15 +310,19 @@ def pair_inversions(word) -> int:
     return sum(x > y for x, y in itertools.combinations(word, 2))
 
 
-# Every value a MinimalKTypeVerdict gives: its two fields, then the
-# diagnostics it computes on access.
+# Every value of a minimal K-type verdict: its two fields, its acceptance
+# and positivity flags, and the diagnostics of its parabolic.
 VERDICT_VALUES = ("accepted", "borel_ok", "positivity_ok", "hc", "hc_double_shift",
                   "mu_shifted", "doubled_two_rho_u", "root_count")
 
 
 def verdict_values(verdict) -> tuple:
-    """The values of VERDICT_VALUES, read from a verdict."""
-    return tuple(getattr(verdict, name) for name in VERDICT_VALUES)
+    """The values of VERDICT_VALUES: the verdict's own, and the rest read
+    from one `theta_parabolic` of its shifted weight."""
+    para = theta_parabolic(verdict.mu_shifted)
+    return (verdict.accepted, para.is_borel, verdict.positivity_ok, verdict.hc,
+            verdict.mu_shifted - para.two_rho_u, verdict.mu_shifted,
+            para.two_rho_u.doubled, len(para.delta_u))
 
 
 def _positive_pairs(doubled: tuple[int, ...], lo: int, hi: int) -> list[tuple[int, int]]:

@@ -149,8 +149,9 @@ def test_criterion_05_worked_example_lock():
     assert len(equalities) == 1
     assert verdict.accepted
     assert verdict.hc == HCParameter((5, 2), (1,))
-    assert verdict.hc_double_shift == Weight((4, 2, 2))
-    assert regularity_margin(verdict.hc_double_shift) == 0
+    full_shift = verdict.mu_shifted - parabolic.two_rho_u
+    assert full_shift == Weight((4, 2, 2))
+    assert regularity_margin(full_shift) == 0
     _report(5, "fixed example recovers (5,2;1); the full-shift value "
                "(4,2,2) is singular")
 

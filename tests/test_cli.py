@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import test_minimal_ktype
 from helpers import (all_signatures, format_weight, packet_sweep_characters, random_dominant,
-                     random_ic)
+                     random_ic, reference_minimal_ktype)
 
 import lpackets.cli
 import lpackets.commands
@@ -241,6 +242,49 @@ class TestSRCommand:
     def test_block_size_mismatch(self, capsys):
         assert main(["sr", "--sig", "2,1", "--ktype", "5;3,0"]) == 2
         assert "block sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_record_matches_pair_route(self, n, capsys):
+        # The record is the one route that writes the verdict's flags and
+        # the parabolic's diagnostics as text. Every tenth weight of the
+        # pair reference's sweep, against that reference in plain Fractions;
+        # every hundredth also checks the pretty root-sum line.
+        seen = {"accepted": 0, "borel_fail": 0, "positivity_fail": 0}
+        checked = 0
+        for k, (mu, sig) in enumerate(test_minimal_ktype.TestPairReference.sweep(n)):
+            if k % 10:
+                continue
+            args = ["sr", f"--sig={sig.r},{sig.s}", f"--ktype={format_weight(mu, sig)}",
+                    "--margin=0"]
+            assert main([*args, "--format=json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            accepted, borel_ok, positivity_ok, hc, double_shift, shifted, two_rho_u, roots = (
+                reference_minimal_ktype(mu, sig))
+            entries = shifted.entries
+            margin = min((abs(x - y) for i, x in enumerate(entries) for y in entries[i + 1:]),
+                         default=None)
+            assert data == {
+                "accepted": accepted,
+                "borel_ok": borel_ok,
+                "positivity_ok": positivity_ok,
+                "hc": None if hc is None else {"a": list(map(str, hc.a)),
+                                               "b": list(map(str, hc.b))},
+                "hc_double_shift": list(map(str, double_shift.entries)),
+                "mu_shifted": list(map(str, entries)),
+                "margin": None if margin is None else str(margin),
+            }, (mu, sig)
+            if k % 100 == 0:
+                assert main(args) == 0
+                root_sum = ",".join(str(t // 2) for t in two_rho_u)
+                assert (f"  parabolic root sum: ({root_sum}) over {roots} roots"
+                        in capsys.readouterr().out.splitlines()), (mu, sig)
+            seen["accepted"] += accepted
+            seen["borel_fail"] += not borel_ok
+            seen["positivity_fail"] += borel_ok and not positivity_ok
+            checked += 1
+        assert checked >= 520
+        if n >= 2:
+            assert min(seen.values()) > 0, seen
 
 
 class TestBranchCommand:

@@ -79,38 +79,29 @@ class TestThetaParabolic:
                 assert a_to_b == degree(m.hc) == m.degree
                 assert b_to_a == r * s - m.degree
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_verdict_carries_the_parabolic(self, n):
-        rng = random.Random(500 + n)
-        for sig in all_signatures(n):
-            for _ in range(8):
-                verdict = minimal_ktype_test(random_kdominant(rng, sig), sig)
-                para = theta_parabolic(verdict.mu_shifted)
-                assert verdict.doubled_two_rho_u == para.two_rho_u.doubled
-                assert verdict.root_count == len(para.delta_u)
-                assert verdict.borel_ok is para.is_borel
-
 
 class TestVerdicts:
     def test_worked_example_accepted(self):
         verdict = minimal_ktype_test(Weight((5, 3, 0)), Signature(2, 1))
+        para = theta_parabolic(verdict.mu_shifted)
         assert verdict.accepted
-        assert verdict.borel_ok and verdict.positivity_ok
+        assert para.is_borel and verdict.positivity_ok
         assert verdict.mu_shifted.entries == (6, 2, 0)
         assert verdict.hc == HCParameter((5, 2), (1,))
-        assert verdict.hc_double_shift.entries == (4, 2, 2)
-        assert regularity_margin(verdict.hc_double_shift) == 0
+        full_shift = verdict.mu_shifted - para.two_rho_u
+        assert full_shift.entries == (4, 2, 2)
+        assert regularity_margin(full_shift) == 0
 
     def test_positivity_failure(self):
         verdict = minimal_ktype_test(Weight((1, 0), ), Signature(1, 1))
         assert not verdict.accepted
-        assert verdict.borel_ok
+        assert theta_parabolic(verdict.mu_shifted).is_borel
         assert not verdict.positivity_ok
 
     def test_borel_failure(self):
         verdict = minimal_ktype_test(Weight((3, 3, 0)), Signature(2, 1))
         assert not verdict.accepted
-        assert not verdict.borel_ok
+        assert not theta_parabolic(verdict.mu_shifted).is_borel
         assert verdict.hc is None
 
     def test_round_trip_from_blattner(self):
@@ -145,7 +136,8 @@ class TestVerdicts:
         verdict = minimal_ktype_test(Weight((5, 3, 0)), Signature(2, 1))
         # literal full-shift weight equals recovered parameter minus half sum
         half = Weight(Fraction(e, 2) for e in (2, 0, -2))
-        assert verdict.hc_double_shift == verdict.hc.weight - half
+        full_shift = verdict.mu_shifted - theta_parabolic(verdict.mu_shifted).two_rho_u
+        assert full_shift == verdict.hc.weight - half
 
 
 class TestFractionReference:
@@ -160,10 +152,11 @@ class TestFractionReference:
                 mus += [mu, Weight(e + half for e in mu)]
             for mu in mus:
                 verdict = minimal_ktype_test(mu, sig)
+                para = theta_parabolic(verdict.mu_shifted)
                 hc = verdict.hc
-                got = (verdict.accepted, verdict.borel_ok, verdict.positivity_ok,
+                got = (verdict.accepted, para.is_borel, verdict.positivity_ok,
                        None if hc is None else (hc.a, hc.b),
-                       verdict.hc_double_shift.entries, verdict.mu_shifted.entries)
+                       (verdict.mu_shifted - para.two_rho_u).entries, verdict.mu_shifted.entries)
                 assert got == fraction_minimal_ktype(mu.entries, sig.r)
 
 
@@ -204,17 +197,17 @@ class TestAcceptanceRule:
     def test_packet_sweep_blattner_weights(self):
         inputs = [(m.blattner, sig) for sig, ic in packet_sweep_characters()
                   for m in enumerate_packet(ic, sig)]
-        verdicts = [minimal_ktype_test(mu, sig) for mu, sig in inputs]
-        assert all(v.accepted == (v.borel_ok and v.positivity_ok) for v in verdicts)
-        assert ([verdict_values(v) for v in verdicts]
-                == [reference_minimal_ktype(mu, sig) for mu, sig in inputs])
+        values = [verdict_values(minimal_ktype_test(mu, sig)) for mu, sig in inputs]
+        assert all(accepted == (borel_ok and positivity_ok)
+                   for accepted, borel_ok, positivity_ok, *_ in values)
+        assert values == [reference_minimal_ktype(mu, sig) for mu, sig in inputs]
         assert len(inputs) == 5100
 
 
 class TestPairReference:
     """The one-sort test against the pair-list test it replaced
-    (`reference_minimal_ktype`), on every value of the verdict, stored or
-    computed on access, and its acceptance rule, and the parabolic and the
+    (`reference_minimal_ktype`), on every value of the verdict and of its
+    parabolic, and its acceptance rule, and the parabolic and the
     diagnostics against a one-sort route (`sorted_diagnostics`), over
     random K-dominant weights with ties, on both cosets and for every r."""
 
@@ -236,14 +229,16 @@ class TestPairReference:
         checked = 0
         for mu, sig in self.sweep(n):
             got = minimal_ktype_test(mu, sig)
-            assert got.accepted == (got.borel_ok and got.positivity_ok)
+            values = dict(zip(VERDICT_VALUES, verdict_values(got)))
+            borel_ok, positivity_ok = values["borel_ok"], values["positivity_ok"]
+            assert got.accepted == (borel_ok and positivity_ok)
             want = reference_minimal_ktype(mu, sig)
-            for name, value, wanted in zip(VERDICT_VALUES, verdict_values(got), want):
-                assert value == wanted, name
-            assert type(got.doubled_two_rho_u) is tuple
+            for name, wanted in zip(VERDICT_VALUES, want):
+                assert values[name] == wanted, name
+            assert type(values["doubled_two_rho_u"]) is tuple
             seen["accepted"] += got.accepted
-            seen["borel_fail"] += not got.borel_ok
-            seen["positivity_fail"] += got.borel_ok and not got.positivity_ok
+            seen["borel_fail"] += not borel_ok
+            seen["positivity_fail"] += borel_ok and not positivity_ok
             seen["tie"] += len(set(mu.doubled)) < n
             checked += 1
         assert checked >= 5200
@@ -252,15 +247,14 @@ class TestPairReference:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_sort_route_matches_parabolic(self, n):
-        # The verdict reads its diagnostics from `theta_parabolic`, so this
-        # second route (one sort, no pairs) checks both of them.
+        # The parabolic, the verdict's positivity flag and the full-shift
+        # weight against a second route (one sort, no pairs).
         for mu, sig in self.sweep(n):
             got = minimal_ktype_test(mu, sig)
             want = sorted_diagnostics(got.mu_shifted.doubled)
             para = theta_parabolic(got.mu_shifted)
-            assert (para.two_rho_u.doubled, len(para.delta_u), para.is_borel) == want[:3]
-            assert (got.doubled_two_rho_u, got.root_count, got.borel_ok, got.positivity_ok,
-                    got.hc_double_shift.doubled) == want
+            assert (para.two_rho_u.doubled, len(para.delta_u), para.is_borel, got.positivity_ok,
+                    (got.mu_shifted - para.two_rho_u).doubled) == want
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_accepted_iff_margin_two(self, n):

@@ -41,7 +41,7 @@ def test_version_and_public_names():
     # Python 3.10 has no tomllib, so the version line is read by pattern.
     with open(PYPROJECT) as handle:
         declared = re.search(r'^version = "([^"]+)"$', handle.read(), re.M).group(1)
-    assert lpackets.__version__ == declared == "0.9.0"
+    assert lpackets.__version__ == declared == "0.10.0"
     rows = public_name_table()
     assert len({name for name, _, _ in rows}) == len(rows) > 0
     assert {verdict for _, _, verdict in rows} <= VERDICTS

@@ -68,7 +68,6 @@ TRUSTED_SITES = {
     ("minimal_ktype.py", "shifted_weight"),
     ("minimal_ktype.py", "theta_parabolic"),  # a root sum: even doubled entries
     ("minimal_ktype.py", "minimal_ktype_test"),  # accepted hc
-    ("minimal_ktype.py", "MinimalKTypeVerdict.hc_double_shift"),  # a difference of doubled tuples
 }
 
 
@@ -119,7 +118,7 @@ def check_member(sig, member) -> int:
     hc, mu, coherent = member.hc, member.blattner, member.coherent
     verdict = minimal_ktype_test(mu, sig)
     for value in (hc, hc.weight, mu, coherent, dual_parameter(hc),
-                  verdict.mu_shifted, verdict.hc_double_shift, theta_parabolic(mu).two_rho_u):
+                  verdict.mu_shifted, theta_parabolic(mu).two_rho_u):
         assert_rebuilds(value)
     assert blattner(hc) == mu
     assert coherent_parameter(hc) == coherent
