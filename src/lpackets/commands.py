@@ -350,9 +350,9 @@ def _pretty_analyze(rec: dict) -> Iterator[str]:
 
 _SIG = ("--sig", {"required": True, "help": "signature r,s"})
 _PLACE_SIG = ("--sig", {"help": "signature r,s (single place)"})
-_PLACE_HCP = ("--hcp", {"help": "parameter a-block/b-block (single place)"})
+_PLACE_HCP = ("--hcp", {"help": "parameter a-block;b-block (single place)"})
 _PLACES_HC = ("--place", {"action": "append", "default": [],
-                          "help": 'place "r,s:a-block/b-block" (repeatable)'})
+                          "help": 'place "r,s:a-block;b-block" (repeatable)'})
 _COMMON = (("--format", {"choices": ("pretty", "json", "tsv"), "default": "pretty",
                          "help": "output format"}),
            ("--strict", {"action": "store_true",
@@ -390,7 +390,7 @@ _COMMANDS = {
         columns=("lower", "u1"), rows=lambda rec: rec["constituents"]),
     "restrict": _Command(
         "descend one parameter",
-        (_SIG, ("--hcp", {"required": True, "help": "parameter a-block/b-block"})),
+        (_SIG, ("--hcp", {"required": True, "help": "parameter a-block;b-block"})),
         _cmd_restrict, _pretty_restrict,
         keys=("prime", "u1", "discrete_series", "min_in_a", "support_matches", "well_spaced")),
     "chain": _Command(

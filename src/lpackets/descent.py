@@ -262,9 +262,9 @@ def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[Cha
 
     Each step classifies the current parameter, records whether its dual
     satisfies the minimum-entry condition, then descends every place,
-    lowering its r by 1. So each step needs r >= 1 at every place: a
-    pending step at a place with r = 0 raises ValueError, and a depth above
-    the least r of the places raises unless the clamp cuts it. When two
+    lowering its r by 1. So each step needs r >= 1 at every place: a depth
+    above the least r of the places raises ValueError before the first
+    step, unless the clamp cuts it. When two
     descended entries collide (off the spacing hypothesis, and deeper in
     some well-spaced chains), the chain stops there and returns the steps
     it finished; that warning is always given, while warn only governs
@@ -284,11 +284,11 @@ def _chain(p: PlacedParameter, depth: int, warn: bool) -> tuple[list[ChainStep],
     if depth < 0:
         raise ValueError("depth must be non-negative")
     steps = min(depth, p.n - 1)
+    if any(sig.r < steps for sig, _ in p.places):
+        raise ValueError("cannot descend a place with r = 0")
     chain: list[ChainStep] = []
     current = p
     for _ in range(steps):
-        if any(sig.r < 1 for sig, _ in current.places):
-            raise ValueError("cannot descend a place with r = 0")
         restricted = [_descend(hc) for _, hc in current.places]
         classification = _classify(current, warn, stacklevel=4)
         dual_flag = _dual_min_entry_in_a_everywhere(current)

@@ -394,6 +394,17 @@ class TestRestrictCommand:
             "", self.SPACING + "error: hypothesis violation under --strict\n")
 
 
+@pytest.mark.parametrize("command", ["restrict", "chain", "analyze"])
+def test_help_names_the_block_separator(capsys, command):
+    # ";" is the one block separator; a "/" sits inside an entry (p/2).
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "-h"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "a-block;b-block" in out
+    assert "a-block/b-block" not in out
+
+
 class TestChainCommand:
     def test_json_schema(self, capsys):
         assert main(["chain", "--sig", "2,1", "--hcp", "5,-1;2",
@@ -432,6 +443,13 @@ class TestChainCommand:
         text = " ".join(capsys.readouterr().out.split())
         assert "number of descent steps (clamped to n-1); each step needs r >= 1 at every place" \
             in text
+
+    def test_depth_above_r_exits_before_any_step(self, capsys):
+        # The second place's first descent collides, but two steps need
+        # r >= 2 at the first place, so the request is invalid as a whole.
+        assert main(["chain", "--place", "1,2:5;2,-1", "--place", "2,1:3,1;2",
+                     "--depth", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: cannot descend a place with r = 0\n")
 
     def test_multi_place(self, capsys):
         assert main(["chain", "--place", "2,1:5,-1;2", "--place", "2,1:7,0;4",
@@ -613,6 +631,12 @@ class TestReadableErrors:
         (["packet", "--sig", "1,\u0661", "--hw", "1,0"],
          "error: bad signature '1,\u0661': expected r,s\n"),
         (["fraction", "--place", "1,1_0:0,0"], "error: bad signature '1,1_0': expected r,s\n"),
+        # "-.5" is a value, not an option, so the weight parser reads it.
+        (["branch", "--hw", "-.5"], "error: bad weight entry '-.5'\n"),
+        # Entries are "p" or "p/2": no decimals, and a "/" stays in its entry.
+        (["packet", "--sig", "1,1", "--hw", "0.5,0"], "error: bad weight entry '0.5'\n"),
+        (["packet", "--sig", "2,1", "--hw", "4,2/0"],
+         "error: bad weight entry '2/0': denominator must be 2\n"),
     ])
     def test_invalid_input(self, capsys, argv, message):
         assert main(argv) == 2

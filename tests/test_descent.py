@@ -445,6 +445,15 @@ class TestChain:
         with pytest.raises(ValueError):
             descent_chain(p, 2)
 
+    def test_depth_above_r_raises_before_the_first_step(self):
+        # (3;2,-1) is off the spacing hypothesis, so a first step would warn.
+        p = PlacedParameter([(Signature(1, 2), HCParameter((3,), (2, -1)))])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"^cannot descend a place with r = 0$"):
+                descent_chain(p, 2)
+        assert caught == []
+
     def test_singular_descent_returns_finished_steps(self):
         off = PlacedParameter([(Signature(2, 1), HCParameter((3, 1), (2,)))])
         with pytest.warns(UserWarning, match=r"descended parameter \(5/2;5/2\) is "

@@ -17,7 +17,9 @@ import lpackets.cli
 import lpackets.commands
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+# The directory that holds the lpackets this suite imported: src/ in a
+# checkout, site-packages for an installed wheel. Subprocesses import it too.
+SRC = os.path.dirname(os.path.dirname(lpackets.__file__))
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 VERDICTS = {"keep", "fold", "move"}
@@ -42,7 +44,7 @@ def test_version_and_public_names():
     # Python 3.10 has no tomllib, so the version line is read by pattern.
     with open(PYPROJECT) as handle:
         declared = re.search(r'^version = "([^"]+)"$', handle.read(), re.M).group(1)
-    assert lpackets.__version__ == declared == "0.11.0"
+    assert lpackets.__version__ == declared == "0.12.0"
     rows = public_name_table()
     assert len({name for name, _, _ in rows}) == len(rows) > 0
     assert {verdict for _, _, verdict in rows} <= VERDICTS
