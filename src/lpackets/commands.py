@@ -22,7 +22,7 @@ from .branching import branch, weyl_dim
 from .cartan import (_SIGNATURE, Signature, Weight, doubled_from_str, doubled_text,
                      doubled_to_str, weight_to_strings)
 from .descent import (_OFF_SPACING, PlacedParameter, RestrictedParameter, _chain,
-                      _dual_min_entry_in_a_everywhere, classify_restriction,
+                      _dual_min_entry_in_a_everywhere, _spaced, classify_restriction,
                       isomorphism_fraction, min_entry_in_a,
                       noncompact_support_matches, restrict_parameter,
                       restriction_is_discrete_series, well_spaced_everywhere)
@@ -176,18 +176,17 @@ def _cmd_sr(args: SimpleNamespace) -> Result:
     weight, blocks = _parse_weight(args.ktype)
     _check_shape(weight, blocks, sig)
     verdict = minimal_ktype_test(weight, sig)
-    shifted = verdict.mu_shifted
+    hc, shifted = verdict.hc, verdict.mu_shifted
     # The verdict's diagnostics, from one parabolic for the whole record.
     parabolic = theta_parabolic(shifted)
     two_rho_u = parabolic.two_rho_u.doubled
     margin = regularity_margin(shifted)
-    violations = ([f"shifted weight margin {margin} is below --margin {args.margin}"]
-                  if margin is not None and margin < args.margin else [])
+    violations = _spacing(hc is None or _spaced(hc))
     return Result({
         "accepted": verdict.accepted,
         "borel_ok": parabolic.is_borel,
         "positivity_ok": _positivity_ok(shifted.doubled, parabolic),
-        "hc": _blocks_json(verdict.hc) if verdict.hc is not None else None,
+        "hc": _blocks_json(hc) if hc is not None else None,
         "hc_double_shift": [doubled_to_str(x - t) for x, t in zip(shifted.doubled, two_rho_u)],
         "mu_shifted": weight_to_strings(shifted),
         "margin": None if margin is None else str(margin),
@@ -236,7 +235,7 @@ def _pretty_branch(rec: dict) -> Iterator[str]:
 def _cmd_restrict(args: SimpleNamespace) -> Result:
     sig = parse_signature(args.sig)
     hc = parse_hc(args.hcp, sig)
-    spaced = well_spaced_everywhere(PlacedParameter([(sig, hc)]))
+    spaced = _spaced(hc)
     rp = restrict_parameter(sig, hc)
     return Result({
         "sig": [sig.r, sig.s],
@@ -264,10 +263,10 @@ def _cmd_chain(args: SimpleNamespace) -> Result:
                         for sig, text, _ in _collect_places(args, "hcp", "parameter"))
     violations = _spacing(well_spaced_everywhere(p))
     steps, stop = _chain(p, args.depth, warn=False)
-    # Each later step classifies the parameter the step before descended to.
-    violations += [f"level {step.level}: {_OFF_SPACING}"
-                   for before, step in zip(steps, steps[1:])
-                   if not well_spaced_everywhere(before.parameter)]
+    # Step k + 1 (a level lower) classifies step k's parameter, as a stopping step does.
+    violations += [f"level {step.level - 1}: {_OFF_SPACING}"
+                   for step in (steps if stop else steps[:-1])
+                   if not well_spaced_everywhere(step.parameter)]
     violations += [stop] if stop else []
     return Result([
         {"level": step.level,
@@ -377,9 +376,7 @@ _COMMANDS = {
         columns=("a", "b", "degree", "length", "blattner", "coherent")),
     "sr": _Command(
         "minimal K-type test",
-        (_SIG, ("--ktype", {"required": True, "help": "K-highest weight mu"}),
-         ("--margin", {"type": int, "default": 2,
-                       "help": "required regularity margin of the shifted weight"})),
+        (_SIG, ("--ktype", {"required": True, "help": "K-highest weight mu"})),
         _cmd_sr, _pretty_sr,
         keys=("accepted", "borel_ok", "positivity_ok", "hc", "hc_double_shift",
               "mu_shifted", "margin")),

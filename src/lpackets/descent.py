@@ -124,10 +124,13 @@ def well_spaced(entries: Sequence[Fraction]) -> bool:
     return all(x - y >= 2 for x, y in zip(entries, entries[1:]))
 
 
+def _spaced(hc: HCParameter) -> bool:
+    entries = sorted(hc.doubled_a + hc.doubled_b, reverse=True)
+    return all(x - y >= 4 for x, y in zip(entries, entries[1:]))  # a gap of 2, doubled
+
+
 def well_spaced_everywhere(p: PlacedParameter) -> bool:
-    # On doubled entries the least gap of 2 reads as 4.
-    sorted_places = (sorted(hc.doubled_a + hc.doubled_b, reverse=True) for _, hc in p.places)
-    return all(x - y >= 4 for entries in sorted_places for x, y in zip(entries, entries[1:]))
+    return all(_spaced(hc) for _, hc in p.places)
 
 
 def restrict_parameter(sig: Signature, hc: HCParameter) -> RestrictedParameter:

@@ -8,6 +8,10 @@ hand-picked error, warning and --strict cases in every format.
 only when an output change is intended:
 
     PYTHONPATH=src python tests/record_cli_golden.py
+
+Before it overwrites the corpus, the recorder prints one line per
+subcommand: how many entries changed exit code, stdout or stderr, and how
+many were added or removed. An unchanged corpus reads all zeros.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter, defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -40,8 +45,9 @@ HAND_PICKED = [
     ["packet", "--sig", "2,1", "--hw", "4,2"],
     ["sr", "--sig", "2,1", "--ktype", "5;3,0"],
     ["sr", "--sig", "2,1", "--ktype", "3,5;0"],
-    ["sr", "--sig", "2,1", "--ktype", "5,3;0", "--margin", "3"],
-    ["sr", "--sig", "2,1", "--ktype", "5,3;0", "--margin", "3", "--strict"],
+    ["sr", "--sig", "2,1", "--ktype", "5,3;0"],
+    ["sr", "--sig", "2,1", "--ktype", "5,3;0", "--strict"],
+    ["sr", "--sig", "2,1", "--ktype", "4,4;0", "--strict"],
     ["sr", "--sig", "2,1", "--ktype", "3,3;0"],
     ["sr", "--sig", "1,1", "--ktype", "1;0"],
     ["sr", "--sig", "1,0", "--ktype", "2"],
@@ -115,8 +121,39 @@ def run(argv: list[str]) -> dict:
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+FIELDS = ("exit", "stdout", "stderr")
+MOVES = (*FIELDS, "added", "removed")
+
+
+def moved(old: list[dict], new: list[dict]) -> dict[str, Counter]:
+    """Per subcommand, how many entries of new changed each of exit,
+    stdout and stderr against old, and how many were added or removed.
+    Entries match by argv, in order, since the draws can repeat an argv."""
+    before = defaultdict(list)
+    for entry in old:
+        before[tuple(entry["argv"])].append(entry)
+    counts = {sub: Counter() for sub in sorted({e["argv"][0] for e in old + new})}
+    for entry in new:
+        count, same = counts[entry["argv"][0]], before[tuple(entry["argv"])]
+        if not same:
+            count["added"] += 1
+            continue
+        was = same.pop(0)
+        count.update(field for field in FIELDS if was[field] != entry[field])
+    for left in before.values():
+        for entry in left:
+            counts[entry["argv"][0]]["removed"] += 1
+    return counts
+
+
 if __name__ == "__main__":
     corpus = [run(argv) for argv in requests()]
+    old = []
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN) as handle:
+            old = json.load(handle)
+    for sub, count in moved(old, corpus).items():
+        print(f"{sub}: " + ", ".join(f"{move} {count[move]}" for move in MOVES))
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w") as handle:
         json.dump(corpus, handle, indent=1)

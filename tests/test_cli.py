@@ -19,7 +19,8 @@ from helpers import (all_signatures, format_weight, packet_sweep_characters, ran
 import lpackets.cli
 import lpackets.commands
 from lpackets import (PlacedParameter, Signature, Weight, descent_chain, enumerate_packet,
-                      infinitesimal_character, weight_from_strings, weight_to_strings)
+                      infinitesimal_character, minimal_ktype_test, weight_from_strings,
+                      weight_to_strings, well_spaced_everywhere)
 from lpackets.cartan import doubled_text
 from lpackets.cli import _json, _parse, _read, build_parser, main
 from lpackets.commands import _COMMANDS, _COMMON, _PLACES_HC, _member_data, _parse_weight
@@ -245,12 +246,27 @@ class TestSRCommand:
         assert out.startswith("FAIL: positivity against the parabolic root sum")
 
     def test_margin_gate(self, capsys):
-        # shifted weight (6,2,0) has margin 2; demand 3 and fail strictly
-        assert main(["sr", "--sig", "2,1", "--ktype", "5,3;0",
-                     "--margin", "3", "--strict"]) == 3
-        captured = capsys.readouterr()
-        assert "below --margin 3" in captured.err
-        assert captured.out == ""
+        # An accepted K-type's parameter is well spaced exactly when its
+        # shifted weight has margin >= 3. (6,2,0) has margin 2, so its
+        # parameter (5,2;1) is off spacing, and --strict exits 3 as
+        # `restrict` does on that parameter.
+        warning = ("warning: parameter is outside the spacing hypothesis "
+                   "(a consecutive gap is below 2)\n")
+        strict = "error: hypothesis violation under --strict\n"
+        assert _outcome(capsys, ["sr", "--sig", "2,1", "--ktype", "5,3;0", "--strict"]) == (
+            3, "", warning + strict)
+        assert _outcome(capsys, ["restrict", "--sig", "2,1", "--hcp", "5,2;1", "--strict"]) == (
+            3, "", warning + strict)
+        # A rejection is an answer, not a violation: (4,4,0) has margin 0.
+        code, out, err = _outcome(capsys, ["sr", "--sig", "2,1", "--ktype", "4,4;0", "--strict"])
+        assert (code, err) == (0, "")
+        assert out.startswith("FAIL: shifted weight is singular")
+        assert "  margin: 0\n" in out
+        # The gate has no knob: --margin is gone since 0.13.0.
+        code, out, err = _outcome(capsys, ["sr", "--sig", "2,1", "--ktype", "5,3;0",
+                                           "--margin", "3"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --margin 3\n")
 
     def test_block_size_mismatch(self, capsys):
         assert main(["sr", "--sig", "2,1", "--ktype", "5;3,0"]) == 2
@@ -267,8 +283,7 @@ class TestSRCommand:
         for k, (mu, sig) in enumerate(test_minimal_ktype.TestPairReference.sweep(n)):
             if k % 10:
                 continue
-            args = ["sr", f"--sig={sig.r},{sig.s}", f"--ktype={format_weight(mu, sig)}",
-                    "--margin=0"]
+            args = ["sr", f"--sig={sig.r},{sig.s}", f"--ktype={format_weight(mu, sig)}"]
             assert main([*args, "--format=json"]) == 0
             data = json.loads(capsys.readouterr().out)
             accepted, borel_ok, positivity_ok, hc, double_shift, shifted, two_rho_u, roots = (
@@ -298,6 +313,56 @@ class TestSRCommand:
         assert checked >= 520
         if n >= 2:
             assert min(seen.values()) > 0, seen
+
+    @staticmethod
+    def sweep_tenths(n):
+        """(sr argv, sig, recovered hc or None) of every tenth input of the
+        pair reference's sweep."""
+        for k, (mu, sig) in enumerate(test_minimal_ktype.TestPairReference.sweep(n)):
+            if k % 10 == 0:
+                yield (["sr", f"--sig={sig.r},{sig.s}", f"--ktype={format_weight(mu, sig)}"],
+                       sig, minimal_ktype_test(mu, sig).hc)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_spacing_agrees_with_restrict(self, n, capsys):
+        # An accepted K-type warns, and exits 3 under --strict, exactly when
+        # its recovered parameter is off the spacing hypothesis, as
+        # `restrict` on that parameter does.
+        warning = ("warning: parameter is outside the spacing hypothesis "
+                   "(a consecutive gap is below 2)\n")
+        seen = {True: 0, False: 0}
+        for argv, sig, hc in self.sweep_tenths(n):
+            if hc is None:
+                continue
+            spaced = well_spaced_everywhere(PlacedParameter([(sig, hc)]))
+            code, out, err = _outcome(capsys, argv)
+            assert (code, err) == (0, "" if spaced else warning), argv
+            assert _outcome(capsys, [*argv, "--strict"]) == (
+                (0, out, "") if spaced
+                else (3, "", warning + "error: hypothesis violation under --strict\n")), argv
+            if sig.r >= 1:
+                hcp = format_weight(Weight.from_doubled(hc.doubled_a + hc.doubled_b), sig)
+                code, _, restrict_err = _outcome(
+                    capsys, ["restrict", f"--sig={sig.r},{sig.s}", f"--hcp={hcp}"])
+                assert (code, restrict_err) == (0, err), (argv, hcp)
+            seen[spaced] += 1
+        assert seen[True] > 0
+        assert n == 1 or seen[False] > 0, seen
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rejection_is_an_answer(self, n, capsys):
+        # A rejected K-type is no hypothesis violation: --strict changes
+        # neither its exit code nor a byte of its output.
+        rejected = 0
+        for argv, _, hc in self.sweep_tenths(n):
+            if hc is not None:
+                continue
+            code, out, err = _outcome(capsys, argv)
+            assert (code, err) == (0, ""), argv
+            assert out.startswith("FAIL"), argv
+            assert _outcome(capsys, [*argv, "--strict"]) == (0, out, ""), argv
+            rejected += 1
+        assert n == 1 or rejected > 0
 
 
 class TestBranchCommand:
@@ -459,19 +524,21 @@ class TestChainCommand:
         assert lines[1].split("\t")[1] == "iso"
 
     @pytest.mark.parametrize("fmt", ["pretty", "json", "tsv"])
-    @pytest.mark.parametrize("sig, hcp, depth, finished, spaced, blocks", [
-        ("2,1", "3,1;2", "2", 0, False, "5/2;5/2"),
-        ("3,1", "25/2,17/2,13/2;21/2", "3", 1, True, "23/2;23/2"),
+    @pytest.mark.parametrize("sig, hcp, depth, finished, label, blocks", [
+        ("2,1", "3,1;2", "2", 0, "", "5/2;5/2"),
+        ("3,1", "25/2,17/2,13/2;21/2", "3", 1, "level 2: ", "23/2;23/2"),
     ], ids=["off-spacing", "well-spaced"])
     def test_singular_descent_stops(self, capsys, fmt, sig, hcp, depth, finished,
-                                    spaced, blocks):
+                                    label, blocks):
+        # The parameter whose descent collides is off spacing: the start
+        # (no label) when no step finished, else the one the stopped step
+        # (level 2) classified, after a well-spaced start.
         argv = ["chain", "--sig", sig, "--hcp", hcp, "--depth", depth, "--format", fmt]
         stop = f"warning: descended parameter ({blocks}) is singular; the chain stops here\n"
         assert main(argv) == 0
         captured = capsys.readouterr()
-        assert captured.err.endswith(stop)
-        assert ("spacing hypothesis" in captured.err) is not spaced
-        assert "error:" not in captured.err
+        assert captured.err == (f"warning: {label}parameter is outside the spacing hypothesis "
+                                f"(a consecutive gap is below 2)\n{stop}")
         if fmt == "json":
             assert len(json.loads(captured.out)) == finished
         elif fmt == "tsv":
@@ -511,11 +578,11 @@ class TestChainCommand:
     def test_spacing_warnings_match_the_library(self, capsys):
         """The library's chain with warn=True warns once per parameter it
         classifies off the hypothesis, including the one whose descent
-        stopped the chain. The CLI warns for the start and for each later
-        finished step, so it misses only that last one, and only when some
-        step finished; a descent collides only off the hypothesis."""
+        stopped the chain. The CLI warns for the same parameters: the
+        start, each later finished step's, and, in a stopped chain, the
+        one whose descent stopped it."""
         rng = random.Random(41)
-        later = 0
+        later = stopped_late = 0
         for _ in range(60):
             n = rng.randint(2, 6)
             r = rng.randint(1, n)
@@ -532,12 +599,13 @@ class TestChainCommand:
             err = capsys.readouterr().err
             cli = err.count("spacing hypothesis")
             assert code == 0
-            assert cli == library - (stopped and bool(steps)), (text, depth, err)
+            assert cli == library, (text, depth, steps, err)
             later += err.count("warning: level ")
+            stopped_late += stopped and bool(steps)
             assert main(["chain", "--place", text, "--depth", str(depth), "--strict"]) == (
                 3 if cli or stopped else 0)
             capsys.readouterr()
-        assert later > 0
+        assert later > 0 and stopped_late > 0
 
     def test_requires_some_place(self, capsys):
         assert main(["chain", "--depth", "1"]) == 2
@@ -701,16 +769,15 @@ def _outcome(capsys, argv):
     ("chain", [("--sig", "2,1"), ("--hcp", "-1,-5;1"), ("--depth", "-1")]),
     ("packet", [("--sig", "2,1"), ("--hw", "-1,-2,-3")]),
     ("branch", [("--hw", "-1,-3")]),
-    ("sr", [("--sig", "2,1"), ("--ktype", "-1,-3;-5"), ("--margin", "-1")]),
+    ("sr", [("--sig", "2,1"), ("--ktype", "-1,-3;-5")]),
     ("restrict", [("--sig", "1,1"), ("--hc", "-1;1")]),
     ("sr", [("--sig", "2,1"), ("--kt", "-1,-3;-5")]),
     ("chain", [("--sig", "2,1"), ("--hc", "-1,-5;1"), ("--depth", "2")]),
-    ("sr", [("--sig", "2,1"), ("--ktype", "5,3;0"), ("--mar", "-1")]),
     ("chain", [("--sig", "2,1"), ("--hcp", "5,-1;2"), ("--dep", "-1")]),
     ("branch", [("--hw", "-.5")]),
 ], ids=["restrict", "chain", "chain-negative-depth", "packet", "branch", "sr",
         "restrict-abbreviated", "sr-abbreviated", "chain-abbreviated",
-        "sr-abbreviated-margin", "chain-abbreviated-depth", "branch-dot-number"])
+        "chain-abbreviated-depth", "branch-dot-number"])
 def test_negative_value_as_separate_argument(capsys, monkeypatch, command, options):
     # A value that starts with "-" may follow its option, or a unique prefix
     # of it, or be joined to it by "="; both go through sys.argv when main
@@ -765,7 +832,7 @@ def _answer(capsys, parse, argv):
     (["sr", "--sig", "2,1", "--ktype", "5,3;0", "--strict=yes"], False),
     (["packet", "--sig", "2,1", "--hw", "4,2,0", "--format=xml"], False),
     (["chain", "--sig", "2,1", "--hcp", "5,3;1", "--depth=two"], False),
-    (["sr", "--sig", "2,1", "--ktype", "5,3;0", "--margin=1.5"], False),
+    (["chain", "--sig", "2,1", "--hcp", "5,3;1", "--depth=1.5"], False),
     (["restrict", "--sig", "1,1", "--hcp", "-1;1"], True),
     (["branch", "--hw", "-x"], False),
     (["restrict", "--sig", "1,1", "--hc", "3;1"], False),
@@ -810,6 +877,18 @@ def test_golden_output(capsys, entry):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         entry["exit"], entry["stdout"], entry["stderr"])
+
+
+def test_recorder_counts_what_moved():
+    # The recorder's report before it overwrites the corpus: all zeros on
+    # the corpus itself; entries match by argv, repeats in order.
+    from record_cli_golden import moved
+    assert moved(CORPUS, CORPUS) == {sub: {} for sub in _COMMANDS}
+    entry = {"argv": ["sr", "--sig", "1,0", "--ktype", "2"], "exit": 0, "stdout": "", "stderr": ""}
+    new = [entry, {**entry, "stderr": "warning\n"},
+           {**entry, "argv": ["branch", "--hw", "1"], "exit": 2}]
+    assert moved([entry, entry, {**entry, "argv": ["packet"]}], new) == {
+        "branch": {"added": 1}, "packet": {"removed": 1}, "sr": {"stderr": 1}}
 
 
 def test_golden_corpus_replays_twice_shuffled(capsys):

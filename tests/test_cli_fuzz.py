@@ -136,7 +136,6 @@ def requests(draw):
         blocks = draw(dominant(sig.r, parity)).doubled + draw(dominant(sig.s, parity)).doubled
         options = [("--sig", _sig_text(sig)),
                    ("--ktype", format_weight(Weight.from_doubled(blocks), sig))]
-        options += draw(st.sampled_from([[], [("--margin", str(draw(st.integers(-3, 3))))]]))
     elif command == "branch":
         options = [("--hw", format_weight(draw(dominant(n, parity))))]
     elif command == "restrict":

@@ -44,7 +44,7 @@ def test_version_and_public_names():
     # Python 3.10 has no tomllib, so the version line is read by pattern.
     with open(PYPROJECT) as handle:
         declared = re.search(r'^version = "([^"]+)"$', handle.read(), re.M).group(1)
-    assert lpackets.__version__ == declared == "0.12.0"
+    assert lpackets.__version__ == declared == "0.13.0"
     rows = public_name_table()
     assert len({name for name, _, _ in rows}) == len(rows) > 0
     assert {verdict for _, _, verdict in rows} <= VERDICTS
@@ -176,4 +176,5 @@ def test_readme_examples_match_the_command_line(capsys):
     for command, block in examples:
         assert lpackets.cli.main(shlex.split(command)[1:]) == 0, command
         captured = capsys.readouterr()
-        assert captured.out.splitlines() + captured.err.splitlines() == block, command
+        # main writes its warnings before its output, as a terminal shows them.
+        assert captured.err.splitlines() + captured.out.splitlines() == block, command
