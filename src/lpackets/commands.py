@@ -261,13 +261,7 @@ def _pretty_restrict(rec: dict) -> Iterator[str]:
 def _cmd_chain(args: SimpleNamespace) -> Result:
     p = PlacedParameter((sig, parse_hc(text, sig))
                         for sig, text, _ in _collect_places(args, "hcp", "parameter"))
-    violations = _spacing(well_spaced_everywhere(p))
-    steps, stop = _chain(p, args.depth, warn=False)
-    # Step k + 1 (a level lower) classifies step k's parameter, as a stopping step does.
-    violations += [f"level {step.level - 1}: {_OFF_SPACING}"
-                   for step in (steps if stop else steps[:-1])
-                   if not well_spaced_everywhere(step.parameter)]
-    violations += [stop] if stop else []
+    steps, off_spacing, stop = _chain(p, args.depth, spacing=True)
     return Result([
         {"level": step.level,
          "places": [{"sig": [sig.r, sig.s], **_blocks_json(hc)}
@@ -275,7 +269,7 @@ def _cmd_chain(args: SimpleNamespace) -> Result:
          "u1": [doubled_to_str(u) for u in step.doubled_u1],
          "class": step.classification.value,
          "dual_min_in_a": step.dual_min_in_a}
-        for step in steps], violations, {"stopped": stop is not None})
+        for step in steps], off_spacing + [stop] if stop else off_spacing, {"stopped": bool(stop)})
 
 
 def _pretty_chain(steps: list, stopped: bool) -> Iterator[str]:

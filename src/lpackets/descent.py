@@ -206,16 +206,14 @@ def classify_restriction(p: PlacedParameter, warn: bool = True) -> RestrictionCl
     """
     if any(sig.r < 1 for sig, _ in p.places):
         raise ValueError("classification needs r >= 1 at every place")
-    return _classify(p, warn)
-
-
-def _classify(p: PlacedParameter, warn: bool, stacklevel: int = 3) -> RestrictionClass:
-    """classify_restriction without the r >= 1 check; the warning names the
-    frame stacklevel up, the caller of the public function."""
     if warn and not well_spaced_everywhere(p):
-        warnings.warn(
-            f"{_OFF_SPACING}; classification follows the minimum-entry condition",
-            stacklevel=stacklevel)
+        warnings.warn(f"{_OFF_SPACING}; classification follows the minimum-entry condition",
+                      stacklevel=2)
+    return _classify(p)
+
+
+def _classify(p: PlacedParameter) -> RestrictionClass:
+    """classify_restriction without the r >= 1 check or the warning."""
     return (RestrictionClass.ISOMORPHISM if min_entry_in_a_everywhere(p)
             else RestrictionClass.ZERO)
 
@@ -267,21 +265,22 @@ def descent_chain(p: PlacedParameter, depth: int, warn: bool = True) -> list[Cha
     satisfies the minimum-entry condition, then descends every place,
     lowering its r by 1. So each step needs r >= 1 at every place: a depth
     above the least r of the places raises ValueError before the first
-    step, unless the clamp cuts it. When two
-    descended entries collide (off the spacing hypothesis, and deeper in
-    some well-spaced chains), the chain stops there and returns the steps
-    it finished; that warning is always given, while warn only governs
-    the spacing warning.
-    """
-    chain, stop = _chain(p, depth, warn)
-    if stop:
-        warnings.warn(stop, stacklevel=2)
+    step, unless the clamp cuts it. With warn, each classified parameter
+    off the spacing hypothesis warns once, a later one naming the level of
+    the step that classified it. When two descended entries collide (off
+    the spacing hypothesis, and deeper in some well-spaced chains), the
+    chain stops there and returns the steps it finished, with a last
+    warning that warn does not silence."""
+    chain, off_spacing, stop = _chain(p, depth, warn)
+    for text in off_spacing + [stop] if stop else off_spacing:
+        warnings.warn(text, stacklevel=2)
     return chain
 
 
-def _chain(p: PlacedParameter, depth: int, warn: bool) -> tuple[list[ChainStep], str | None]:
-    """(steps, stop): descent_chain with its stop returned as text, None
-    when the chain did not stop at a singular descended parameter."""
+def _chain(p: PlacedParameter, depth: int,
+           spacing: bool) -> tuple[list[ChainStep], list[str], str | None]:
+    """(steps, off_spacing, stop): descent_chain's warnings as text, the
+    spacing ones only if spacing; stop is None unless the chain stopped."""
     if type(depth) is not int:
         raise ValueError(f"depth {depth!r} is not an int")
     if depth < 0:
@@ -290,21 +289,25 @@ def _chain(p: PlacedParameter, depth: int, warn: bool) -> tuple[list[ChainStep],
     if any(sig.r < steps for sig, _ in p.places):
         raise ValueError("cannot descend a place with r = 0")
     chain: list[ChainStep] = []
+    off_spacing: list[str] = []
     current = p
     for _ in range(steps):
+        if spacing and not well_spaced_everywhere(current):
+            off_spacing.append(f"level {current.n - 1}: {_OFF_SPACING}" if current is not p
+                               else _OFF_SPACING)
         restricted = [_descend(hc) for _, hc in current.places]
-        classification = _classify(current, warn, stacklevel=4)
-        dual_flag = _dual_min_entry_in_a_everywhere(current)
         # The shifts keep each block strictly decreasing and on one coset:
         # a step fails only when the descended blocks share an entry.
         for rp in restricted:
             if len(set(rp.doubled_a + rp.doubled_b)) < current.n - 1:
-                return chain, (f"descended {_singular_text(rp.doubled_a, rp.doubled_b)}; "
-                               "the chain stops here")
-        current = PlacedParameter._trusted(tuple(
+                return chain, off_spacing, (
+                    f"descended {_singular_text(rp.doubled_a, rp.doubled_b)}; "
+                    "the chain stops here")
+        descended = PlacedParameter._trusted(tuple(
             (Signature._trusted(sig.r - 1, sig.s),
              HCParameter._trusted(rp.doubled_a, rp.doubled_b))
             for (sig, _), rp in zip(current.places, restricted)))
-        chain.append(ChainStep(current.n, current, tuple(rp.doubled_u1 for rp in restricted),
-                               classification, dual_flag))
-    return chain, None
+        chain.append(ChainStep(descended.n, descended, tuple(rp.doubled_u1 for rp in restricted),
+                               _classify(current), _dual_min_entry_in_a_everywhere(current)))
+        current = descended
+    return chain, off_spacing, None

@@ -2,8 +2,9 @@
 
 Each entry is one request through `lpackets.cli.main` with its exit code,
 stdout and stderr. The requests are the benchmark's `cli_request` draws
-with n <= 4 (a fixed seed, about ten per subcommand and format) plus
-hand-picked error, warning and --strict cases in every format.
+with n <= 4 (a fixed seed, ten draws per subcommand and format, a
+repeated argv kept once) plus hand-picked error, warning and --strict
+cases in every format.
 `tests/test_cli.py` replays the corpus and compares bytes, so re-record
 only when an output change is intended:
 
@@ -75,6 +76,9 @@ HAND_PICKED = [
     ["chain", "--sig", "2,1", "--hcp", "3,1;2", "--depth", "2", "--strict"],
     ["chain", "--sig", "3,1", "--hcp", "25/2,17/2,13/2;21/2", "--depth", "3"],
     ["chain", "--sig", "3,1", "--hcp", "25/2,17/2,13/2;21/2", "--depth", "3", "--strict"],
+    ["chain", "--sig", "2,1", "--hcp", "3,2;1", "--depth", "0"],
+    ["chain", "--sig", "2,1", "--hcp", "3,2;1", "--depth", "0", "--strict"],
+    ["chain", "--sig", "3,1", "--hcp", "5/2,-3/2,-5/2;-1/2", "--depth", "3"],
     ["fraction", "--place", "2,1:4,2;0"],
     ["fraction", "--sig", "2,1"],
     ["fraction"],
@@ -107,8 +111,9 @@ def requests() -> list[list[str]]:
             while kept < PER_COMBO:
                 argv, data = cli_request(rng, sub, fmt)
                 if _rank(sub, data) <= MAX_N:
-                    out.append(argv)
                     kept += 1
+                    if argv not in out:  # a repeat is dropped, not redrawn
+                        out.append(argv)
     for argv in HAND_PICKED:
         out.extend([*argv, f"--format={fmt}"] for fmt in FORMATS)
     return out

@@ -576,36 +576,38 @@ class TestChainCommand:
         assert capsys.readouterr().err == ""
 
     def test_spacing_warnings_match_the_library(self, capsys):
-        """The library's chain with warn=True warns once per parameter it
-        classifies off the hypothesis, including the one whose descent
-        stopped the chain. The CLI warns for the same parameters: the
-        start, each later finished step's, and, in a stopped chain, the
-        one whose descent stopped it."""
+        """The CLI prints the warnings of descent_chain(warn=True), text
+        for text and in order: one for each parameter a step classifies
+        off the hypothesis, so none at depth 0, then the stop."""
         rng = random.Random(41)
-        later = stopped_late = 0
+        later = stopped_late = unclassified = two_places = 0
         for _ in range(60):
             n = rng.randint(2, 6)
-            r = rng.randint(1, n)
-            sig = Signature(r, n - r)
-            hc = rng.choice(enumerate_packet(random_ic(rng, n), sig)).hc
-            depth = rng.randint(1, r)
-            text = f"{sig.r},{sig.s}:{doubled_text(hc.doubled_a)};{doubled_text(hc.doubled_b)}"
+            places = []
+            for _ in range(rng.choice((1, 1, 2))):
+                r = rng.randint(1, n)
+                sig = Signature(r, n - r)
+                places.append((sig, rng.choice(enumerate_packet(random_ic(rng, n), sig)).hc))
+            depth = rng.randint(0, min(sig.r for sig, _ in places))
+            argv = ["chain", "--depth", str(depth)]
+            for sig, hc in places:
+                argv += ["--place", f"{sig.r},{sig.s}:"
+                         f"{doubled_text(hc.doubled_a)};{doubled_text(hc.doubled_b)}"]
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                steps = descent_chain(PlacedParameter([(sig, hc)]), depth)
-            library = sum("spacing hypothesis" in str(w.message) for w in caught)
-            stopped = any("chain stops" in str(w.message) for w in caught)
-            code = main(["chain", "--place", text, "--depth", str(depth), "--format", "json"])
+                steps = descent_chain(PlacedParameter(places), depth)
+            library = [f"warning: {w.message}" for w in caught]
+            code = main([*argv, "--format", "json"])
             err = capsys.readouterr().err
-            cli = err.count("spacing hypothesis")
             assert code == 0
-            assert cli == library, (text, depth, steps, err)
+            assert err.splitlines() == library, (argv, steps)
             later += err.count("warning: level ")
-            stopped_late += stopped and bool(steps)
-            assert main(["chain", "--place", text, "--depth", str(depth), "--strict"]) == (
-                3 if cli or stopped else 0)
+            stopped_late += "chain stops" in err and bool(steps)
+            unclassified += depth == 0 and not well_spaced_everywhere(PlacedParameter(places))
+            two_places += len(places) == 2
+            assert main([*argv, "--strict"]) == (3 if library else 0)
             capsys.readouterr()
-        assert later > 0 and stopped_late > 0
+        assert later and stopped_late and unclassified and two_places
 
     def test_requires_some_place(self, capsys):
         assert main(["chain", "--depth", "1"]) == 2
@@ -884,6 +886,8 @@ def test_recorder_counts_what_moved():
     # the corpus itself; entries match by argv, repeats in order.
     from record_cli_golden import moved
     assert moved(CORPUS, CORPUS) == {sub: {} for sub in _COMMANDS}
+    # The recorder keeps each argv once.
+    assert len({tuple(entry["argv"]) for entry in CORPUS}) == len(CORPUS)
     entry = {"argv": ["sr", "--sig", "1,0", "--ktype", "2"], "exit": 0, "stdout": "", "stderr": ""}
     new = [entry, {**entry, "stderr": "warning\n"},
            {**entry, "argv": ["branch", "--hw", "1"], "exit": 2}]
@@ -924,7 +928,7 @@ def test_golden_chains_leave_the_warning_filters_alone(capsys, monkeypatch):
         raise AssertionError("the warning filters were touched")
 
     chains = [entry for entry in CORPUS if entry["argv"][0] == "chain"]
-    assert len(chains) == 75
+    assert len(chains) == 84
     # The patch ends before any assertion, so pytest's report may use them.
     with monkeypatch.context() as patch:
         patch.setattr(warnings, "catch_warnings", refuse)

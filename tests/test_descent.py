@@ -13,6 +13,7 @@ from helpers import (VERDICT_VALUES, all_signatures, counting_sweep, member_frac
                      product_fraction_reference, random_ic, reference_dual_min_in_a,
                      reference_restriction, verdict_values, walk_fraction_reference)
 
+import lpackets.descent
 from lpackets import (
     BranchConstituent,
     ChainStep,
@@ -540,6 +541,27 @@ class TestChain:
             classify_restriction(p)
             descent_chain(p, 1)
         assert [w.filename for w in caught] == [__file__, __file__]
+
+    def test_spacing_warnings_name_their_level(self):
+        # Off, on, then off the hypothesis along the chain: the start warns,
+        # and so does the level-2 parameter, which the level-1 step classifies.
+        # The texts differ, so the default filter shows both.
+        p = PlacedParameter([(Signature(3, 1), HCParameter.from_doubled((5, -3, -5), (-1,)))])
+        off = "parameter is outside the spacing hypothesis (a consecutive gap is below 2)"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            descent_chain(p, 0)
+            chain = descent_chain(p, 3)
+        assert [str(w.message) for w in caught] == [off, f"level 1: {off}"]
+        assert [well_spaced_everywhere(step.parameter) for step in chain] == [True, False, True]
+
+    def test_no_spacing_test_without_warn(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("spacing was tested")
+
+        monkeypatch.setattr(lpackets.descent, "well_spaced_everywhere", refuse)
+        p = PlacedParameter([(Signature(3, 1), HCParameter.from_doubled((5, -3, -5), (-1,)))])
+        assert len(descent_chain(p, 3, warn=False)) == 3
 
     def test_levels_descend(self):
         p = PlacedParameter([(Signature(3, 1), HCParameter((9, 5, 1), (3,)))])

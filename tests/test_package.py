@@ -44,7 +44,7 @@ def test_version_and_public_names():
     # Python 3.10 has no tomllib, so the version line is read by pattern.
     with open(PYPROJECT) as handle:
         declared = re.search(r'^version = "([^"]+)"$', handle.read(), re.M).group(1)
-    assert lpackets.__version__ == declared == "0.13.0"
+    assert lpackets.__version__ == declared == "0.14.0"
     rows = public_name_table()
     assert len({name for name, _, _ in rows}) == len(rows) > 0
     assert {verdict for _, _, verdict in rows} <= VERDICTS
@@ -104,6 +104,13 @@ def test_cold_request_leaves_out_argparse():
                          capture_output=True, text=True)
     assert run.stdout.startswith("packet for sig (2,1)")
     assert run.stderr == "0 []\n"
+    # The same request through the console path, read from -X importtime.
+    timed = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "lpackets", "packet",
+                            "--sig", "2,1", "--hw", "2,1,0"], env=env, check=True,
+                           capture_output=True, text=True)
+    imported = {line.rpartition("|")[2].strip() for line in timed.stderr.splitlines()}
+    assert "lpackets.cli" in imported
+    assert not {"argparse", "gettext"} & imported
     helped = subprocess.run([sys.executable, "-S", "-m", "lpackets", "packet", "-h"], env=env,
                             capture_output=True, text=True)
     assert helped.returncode == 0
