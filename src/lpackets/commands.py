@@ -19,14 +19,13 @@ from math import comb
 from types import SimpleNamespace
 
 from .branching import branch, weyl_dim
-from .cartan import (_SIGNATURE, Signature, Weight, doubled_from_str, doubled_text,
-                     doubled_to_str, weight_to_strings)
-from .descent import (_OFF_SPACING, PlacedParameter, RestrictedParameter, _chain,
-                      _dual_min_entry_in_a_everywhere, _spaced, classify_restriction,
-                      isomorphism_fraction, min_entry_in_a,
-                      noncompact_support_matches, restrict_parameter,
+from .cartan import (_SIGNATURE, Signature, Weight, doubled_from_str, doubled_to_str,
+                     weight_to_strings)
+from .descent import (_OFF_SPACING, PlacedParameter, RestrictedParameter, _chain, _classify,
+                      _dual_min_entry_in_a_everywhere, _spaced, isomorphism_fraction,
+                      min_entry_in_a, noncompact_support_matches, restrict_parameter,
                       restriction_is_discrete_series, well_spaced_everywhere)
-from .minimal_ktype import _positivity_ok, minimal_ktype_test, regularity_margin, theta_parabolic
+from .minimal_ktype import minimal_ktype_test, regularity_margin
 from .packets import (HCParameter, InfinitesimalCharacter, PacketMember, degree,
                       enumerate_packet, infinitesimal_character)
 
@@ -177,32 +176,25 @@ def _cmd_sr(args: SimpleNamespace) -> Result:
     _check_shape(weight, blocks, sig)
     verdict = minimal_ktype_test(weight, sig)
     hc, shifted = verdict.hc, verdict.mu_shifted
-    # The verdict's diagnostics, from one parabolic for the whole record.
-    parabolic = theta_parabolic(shifted)
-    two_rho_u = parabolic.two_rho_u.doubled
     margin = regularity_margin(shifted)
-    violations = _spacing(hc is None or _spaced(hc))
     return Result({
         "accepted": verdict.accepted,
-        "borel_ok": parabolic.is_borel,
-        "positivity_ok": _positivity_ok(shifted.doubled, parabolic),
         "hc": _blocks_json(hc) if hc is not None else None,
-        "hc_double_shift": [doubled_to_str(x - t) for x, t in zip(shifted.doubled, two_rho_u)],
         "mu_shifted": weight_to_strings(shifted),
         "margin": None if margin is None else str(margin),
-    }, violations, {"root_sum": doubled_text(two_rho_u), "roots": len(parabolic.delta_u)})
+    }, _spacing(hc is None or _spaced(hc)))
 
 
-def _pretty_sr(rec: dict, root_sum: str, roots: int) -> Iterator[str]:
+def _pretty_sr(rec: dict) -> Iterator[str]:
+    # A rejected shifted weight has margin 0 (singular, so its parabolic
+    # is not a Borel) or 1 (a Borel that positivity rejects).
     if rec["accepted"]:
         yield f"PASS with hc ({_cell(rec['hc'])})"
-    elif not rec["borel_ok"]:
+    elif rec["margin"] == "0":
         yield "FAIL: shifted weight is singular (parabolic is not a Borel)"
-    else:  # accepted is borel_ok and positivity_ok
+    else:
         yield "FAIL: positivity against the parabolic root sum fails"
     yield f"  shifted weight: ({_cell(rec['mu_shifted'])})"
-    yield f"  parabolic root sum: ({root_sum}) over {roots} roots"
-    yield f"  full-shift diagnostic: ({_cell(rec['hc_double_shift'])})"
     if rec["margin"] is not None:
         yield f"  margin: {rec['margin']}"
 
@@ -320,7 +312,7 @@ def _cmd_analyze(args: SimpleNamespace) -> Result:
                        "restricted": _blocks_json(rp),
                        "u1": doubled_to_str(rp.doubled_u1)})
     return Result({"places": places,
-                   "class": classify_restriction(p, warn=False).value,
+                   "class": _classify(p).value,
                    "dual_min_in_a": _dual_min_entry_in_a_everywhere(p),
                    "well_spaced": spaced}, _spacing(spaced))
 
@@ -372,8 +364,7 @@ _COMMANDS = {
         "minimal K-type test",
         (_SIG, ("--ktype", {"required": True, "help": "K-highest weight mu"})),
         _cmd_sr, _pretty_sr,
-        keys=("accepted", "borel_ok", "positivity_ok", "hc", "hc_double_shift",
-              "mu_shifted", "margin")),
+        keys=("accepted", "hc", "mu_shifted", "margin")),
     "branch": _Command(
         "restrict U(m) to U(m-1) x U(1)",
         (("--hw", {"required": True, "help": "dominant highest weight"}),),

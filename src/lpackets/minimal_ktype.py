@@ -24,14 +24,13 @@ exactly when n <= 1 or every sorted gap of w is at least 4 (a regularity
 margin of at least 2), and the parameter, doubled, is then w minus
 2k - (n - 1) at each entry, its rank read off one `map(up.index, w)`.
 
-The verdict stores the shifted weight and the parameter, and reads on
-access only the positivity flag, which no other public name gives, from
-`theta_parabolic` of the shifted weight, the one code that computes the
-parabolic. A caller reads the rest from one such call: the root sum, the
-roots, the Borel flag, and the full-shift variant (shifted weight minus
-the whole root sum, singular in general, a diagnostic that never drives
-acceptance). The two flags are those the decision rule above replaces,
-and they agree with it.
+The verdict stores the shifted weight and the parameter, and nothing
+the margin decides. The parabolic is one `theta_parabolic` of the
+shifted weight away, the one code that computes it: its roots, its root
+sum and its Borel flag, which holds exactly when the margin is at least
+1. Positivity, the check below over its roots, then holds on a Borel
+exactly when the margin is at least 2. These are the two flags the
+decision rule replaces, and they agree with it.
 
 A root e_i - e_j is its 1-based index pair (i, j), and it pairs strictly
 positively with a weight when entry i exceeds entry j. A weight w is
@@ -109,18 +108,9 @@ def theta_parabolic(weight: Weight) -> ThetaParabolic:
     )
 
 
-def _positivity_ok(doubled: tuple[int, ...], parabolic: ThetaParabolic) -> bool:
-    """Whether the weight, doubled, is positive against the parabolic
-    (module docstring), root by root over its delta_u."""
-    t = parabolic.two_rho_u.doubled
-    return all(doubled[i - 1] - doubled[j - 1] >= t[i - 1] - t[j - 1]
-               for i, j in parabolic.delta_u)
-
-
 class MinimalKTypeVerdict(_Frozen):
     """Outcome of the test: the shifted weight, and the parameter, present
-    exactly when accepted. `positivity_ok` is read on access from
-    `theta_parabolic` of the shifted weight (module docstring)."""
+    exactly when accepted."""
 
     __slots__ = ("mu_shifted", "hc")
     mu_shifted: Weight
@@ -129,10 +119,6 @@ class MinimalKTypeVerdict(_Frozen):
     @property
     def accepted(self) -> bool:
         return self.hc is not None
-
-    @property
-    def positivity_ok(self) -> bool:
-        return _positivity_ok(self.mu_shifted.doubled, theta_parabolic(self.mu_shifted))
 
 
 def minimal_ktype_test(mu: Weight, sig: Signature) -> MinimalKTypeVerdict:

@@ -311,17 +311,24 @@ def pair_inversions(word) -> int:
 
 
 # Every value of a minimal K-type verdict: its two fields, its acceptance
-# and positivity flags, and the diagnostics of its parabolic.
+# flag, and the flags and diagnostics of its parabolic.
 VERDICT_VALUES = ("accepted", "borel_ok", "positivity_ok", "hc", "hc_double_shift",
                   "mu_shifted", "doubled_two_rho_u", "root_count")
+
+
+def positive_against(weight: Weight, para) -> bool:
+    """Whether weight is positive against the parabolic para: w_i - w_j
+    >= t_i - t_j on each of its roots (i, j), t its root sum."""
+    w, t = weight.doubled, para.two_rho_u.doubled
+    return all(w[i - 1] - w[j - 1] >= t[i - 1] - t[j - 1] for i, j in para.delta_u)
 
 
 def verdict_values(verdict) -> tuple:
     """The values of VERDICT_VALUES: the verdict's own, and the rest read
     from one `theta_parabolic` of its shifted weight."""
     para = theta_parabolic(verdict.mu_shifted)
-    return (verdict.accepted, para.is_borel, verdict.positivity_ok, verdict.hc,
-            verdict.mu_shifted - para.two_rho_u, verdict.mu_shifted,
+    return (verdict.accepted, para.is_borel, positive_against(verdict.mu_shifted, para),
+            verdict.hc, verdict.mu_shifted - para.two_rho_u, verdict.mu_shifted,
             para.two_rho_u.doubled, len(para.delta_u))
 
 

@@ -23,7 +23,7 @@ import json
 import os
 import random
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -133,21 +133,17 @@ MOVES = (*FIELDS, "added", "removed")
 def moved(old: list[dict], new: list[dict]) -> dict[str, Counter]:
     """Per subcommand, how many entries of new changed each of exit,
     stdout and stderr against old, and how many were added or removed.
-    Entries match by argv, in order, since the draws can repeat an argv."""
-    before = defaultdict(list)
-    for entry in old:
-        before[tuple(entry["argv"])].append(entry)
+    Entries match by argv, which the corpus holds once each."""
+    before = {tuple(entry["argv"]): entry for entry in old}
     counts = {sub: Counter() for sub in sorted({e["argv"][0] for e in old + new})}
     for entry in new:
-        count, same = counts[entry["argv"][0]], before[tuple(entry["argv"])]
-        if not same:
+        count, was = counts[entry["argv"][0]], before.pop(tuple(entry["argv"]), None)
+        if was is None:
             count["added"] += 1
-            continue
-        was = same.pop(0)
-        count.update(field for field in FIELDS if was[field] != entry[field])
-    for left in before.values():
-        for entry in left:
-            counts[entry["argv"][0]]["removed"] += 1
+        else:
+            count.update(field for field in FIELDS if was[field] != entry[field])
+    for entry in before.values():
+        counts[entry["argv"][0]]["removed"] += 1
     return counts
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (VERDICT_VALUES, all_signatures, fraction_minimal_ktype,
-                     packet_sweep_characters, random_ic, random_kdominant, random_weight,
-                     reference_minimal_ktype, sorted_diagnostics, verdict_values)
+                     packet_sweep_characters, positive_against, random_ic, random_kdominant,
+                     random_weight, reference_minimal_ktype, sorted_diagnostics,
+                     verdict_values)
 
 from lpackets import (
     HCParameter,
@@ -85,7 +86,7 @@ class TestVerdicts:
         verdict = minimal_ktype_test(Weight((5, 3, 0)), Signature(2, 1))
         para = theta_parabolic(verdict.mu_shifted)
         assert verdict.accepted
-        assert para.is_borel and verdict.positivity_ok
+        assert para.is_borel and positive_against(verdict.mu_shifted, para)
         assert verdict.mu_shifted.entries == (6, 2, 0)
         assert verdict.hc == HCParameter((5, 2), (1,))
         full_shift = verdict.mu_shifted - para.two_rho_u
@@ -95,8 +96,9 @@ class TestVerdicts:
     def test_positivity_failure(self):
         verdict = minimal_ktype_test(Weight((1, 0), ), Signature(1, 1))
         assert not verdict.accepted
-        assert theta_parabolic(verdict.mu_shifted).is_borel
-        assert not verdict.positivity_ok
+        para = theta_parabolic(verdict.mu_shifted)
+        assert para.is_borel
+        assert not positive_against(verdict.mu_shifted, para)
 
     def test_borel_failure(self):
         verdict = minimal_ktype_test(Weight((3, 3, 0)), Signature(2, 1))
@@ -151,12 +153,10 @@ class TestFractionReference:
                 mu = random_kdominant(rng, sig)
                 mus += [mu, Weight(e + half for e in mu)]
             for mu in mus:
-                verdict = minimal_ktype_test(mu, sig)
-                para = theta_parabolic(verdict.mu_shifted)
-                hc = verdict.hc
-                got = (verdict.accepted, para.is_borel, verdict.positivity_ok,
-                       None if hc is None else (hc.a, hc.b),
-                       (verdict.mu_shifted - para.two_rho_u).entries, verdict.mu_shifted.entries)
+                accepted, borel_ok, positivity_ok, hc, double_shift, shifted, *_ = (
+                    verdict_values(minimal_ktype_test(mu, sig)))
+                got = (accepted, borel_ok, positivity_ok, None if hc is None else (hc.a, hc.b),
+                       double_shift.entries, shifted.entries)
                 assert got == fraction_minimal_ktype(mu.entries, sig.r)
 
 
@@ -247,26 +247,29 @@ class TestPairReference:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_sort_route_matches_parabolic(self, n):
-        # The parabolic, the verdict's positivity flag and the full-shift
-        # weight against a second route (one sort, no pairs).
+        # The parabolic, its positivity flag and the full-shift weight
+        # against a second route (one sort, no pairs).
         for mu, sig in self.sweep(n):
             got = minimal_ktype_test(mu, sig)
-            want = sorted_diagnostics(got.mu_shifted.doubled)
-            para = theta_parabolic(got.mu_shifted)
-            assert (para.two_rho_u.doubled, len(para.delta_u), para.is_borel, got.positivity_ok,
-                    (got.mu_shifted - para.two_rho_u).doubled) == want
+            values = dict(zip(VERDICT_VALUES, verdict_values(got)))
+            assert (values["doubled_two_rho_u"], values["root_count"], values["borel_ok"],
+                    values["positivity_ok"], values["hc_double_shift"].doubled) == (
+                sorted_diagnostics(got.mu_shifted.doubled))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_accepted_iff_margin_two(self, n):
         # The converse of `test_margin_two_guarantees_acceptance`: the test,
         # and the pair-list test, accept exactly when the shifted weight has
-        # fewer than two entries or a regularity margin of at least 2.
+        # fewer than two entries or a regularity margin of at least 2; the
+        # pair-list parabolic is a Borel exactly when the margin is at least
+        # 1, so `sr` reads its FAIL reason off the margin.
         rejected = 0
         for mu, sig in self.sweep(n):
-            want = reference_minimal_ktype(mu, sig)
-            margin = regularity_margin(want[VERDICT_VALUES.index("mu_shifted")])
+            want = dict(zip(VERDICT_VALUES, reference_minimal_ktype(mu, sig)))
+            margin = regularity_margin(want["mu_shifted"])
+            assert want["borel_ok"] is (margin is None or margin >= 1), (mu, sig)
             accepted = margin is None or margin >= 2
-            assert want[0] is accepted, (mu, sig)
+            assert want["accepted"] is accepted, (mu, sig)
             assert minimal_ktype_test(mu, sig).accepted is accepted, (mu, sig)
             rejected += not accepted
         assert rejected > 0 or n == 1
